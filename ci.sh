@@ -24,6 +24,14 @@ fi
 go build ./...
 go test -timeout 900s ./...
 
+# Benchmark-module lane: benchmark/ is a nested Go module (it imports the
+# range through `replace repro => ../`), so the root `go build ./...` and
+# `go test ./...` above skip it. Vet it and run its toy-scale smoke test
+# (about 20 s), so removing or reshaping a core API the benchmark calls
+# fails CI here instead of breaking `bash benchmark/run.sh` later.
+go vet -C benchmark ./...
+go test -C benchmark -timeout 300s .
+
 # Race lane: prove the parallel runner is race-clean. Each experiment owns
 # an independent world, so these only fail if shared mutable state sneaks
 # into a substrate package. The Fault|Resilience sweep runs the adversity
@@ -87,14 +95,14 @@ go run ./cmd/benchjson -check BENCH_C7.json -require "$bench_req" \
 tmp_bench=$(mktemp)
 go test -timeout 300s -run '^$' -bench 'SeedDocuments|CheckWipeLazy' -benchmem ./internal/host | tee -a "$tmp_bench"
 go test -timeout 300s -run '^$' -bench 'ScheduleFire|ScheduleCancel' -benchtime=0.2s -benchmem ./internal/sim | tee -a "$tmp_bench"
-# UsersC7BusyReduced is the populated twin of ClaimC7Reduced: its B/op
-# next to the silent number is the machine-checkable form of ISSUE 7's
-# "busy fleet within 1.3x of the silent baseline" bound (the full-scale
-# assertion lives in TestBusyFleetMemoryBound).
+# Every C7 bench runs the registry's six-site layout through the one C7
+# runner. UsersC7BusyReduced is the populated twin of ClaimC7Reduced: its
+# B/op next to the silent number is the machine-checkable form of the
+# "busy fleet within 1.3x of the silent fleet" bound, which
+# TestBusyFleetMemoryBound asserts at the same 2,000-host size.
 # The Partitioned1/Partitioned4 pair prices the §14 epoch-barrier and
 # mailbox machinery at two worker widths over an identical world — both
-# must carry the ns/host-event unit cost next to the single-kernel
-# numbers.
+# must carry the ns/host-event unit cost.
 go test -timeout 600s -run '^$' -bench 'ClaimC7Reduced|ClaimC7AramcoScale|ClaimC7Partitioned|UsersC7BusyReduced' -benchtime=1x -benchmem . | tee -a "$tmp_bench"
 go run ./cmd/benchjson -o BENCH_C7.json -label after \
     -require "$bench_req" -min-bytes-ratio ClaimC7Reduced=2 -require-metric "$bench_metric" < "$tmp_bench"

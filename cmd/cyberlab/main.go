@@ -212,8 +212,15 @@ func run(args []string) (err error) {
 	if *resume && *journalP == "" {
 		return fmt.Errorf("-resume needs -journal FILE")
 	}
-	if *journalP != "" && *seeds != "" {
-		return fmt.Errorf("-journal records single-seed runs; it cannot capture a -seeds sweep")
+	if *seeds != "" {
+		switch {
+		case *journalP != "":
+			return fmt.Errorf("-journal records single-seed runs; it cannot capture a -seeds sweep")
+		case *genReport:
+			return fmt.Errorf("-report renders one seed's EXPERIMENTS.md; it cannot render a -seeds sweep")
+		case *maxRetries > 0:
+			return fmt.Errorf("-max-retries retries single-seed runs; a -seeds sweep never retries")
+		}
 	}
 	if *stall < 0 || *deadline < 0 {
 		return fmt.Errorf("-stall and -deadline must be >= 0")
@@ -581,7 +588,7 @@ func runCheckpoint(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("checkpoint: -run ID is required")
 	}
-	if core.Experiments[*id] == nil {
+	if _, ok := core.LookupExperiment(*id); !ok {
 		return fmt.Errorf("checkpoint: unknown experiment %q (try -list)", *id)
 	}
 	if *at <= 0 {
@@ -686,7 +693,7 @@ func parseIDs(s string) ([]string, error) {
 			out = append(out, expanded...)
 			continue
 		}
-		if core.Experiments[eid] == nil {
+		if _, ok := core.LookupExperiment(eid); !ok {
 			return nil, fmt.Errorf("unknown experiment %q (try -list)", eid)
 		}
 		out = append(out, eid)
@@ -708,7 +715,7 @@ func expandIDRange(lo, hi string) ([]string, error) {
 	var out []string
 	for n := loN; n <= hiN; n++ {
 		eid := fmt.Sprintf("%s%d", loPre, n)
-		if core.Experiments[eid] == nil {
+		if _, ok := core.LookupExperiment(eid); !ok {
 			return nil, fmt.Errorf("unknown experiment %q in range %s..%s (try -list)", eid, lo, hi)
 		}
 		out = append(out, eid)

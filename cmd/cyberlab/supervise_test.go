@@ -33,6 +33,14 @@ func TestRunJournalFlagValidation(t *testing.T) {
 	if err := run([]string{"-run", "F3", "-seeds", "1..2", "-journal", "x.journal"}); err == nil {
 		t.Fatal("-journal with -seeds accepted")
 	}
+	if err := run([]string{"-seeds", "1..2", "-report"}); err == nil ||
+		!strings.Contains(err.Error(), "-report") {
+		t.Fatalf("-report with -seeds accepted (err = %v)", err)
+	}
+	if err := run([]string{"-run", "F3", "-seeds", "1..2", "-max-retries", "2"}); err == nil ||
+		!strings.Contains(err.Error(), "-max-retries") {
+		t.Fatalf("-max-retries with -seeds accepted (err = %v)", err)
+	}
 	if err := run([]string{"-list", "-journal", "x.journal"}); err == nil {
 		t.Fatal("-journal without a run accepted")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,16 +10,34 @@ import (
 	"repro/internal/malware/shamoon"
 )
 
-// TestExperimentRegistryComplete checks the index matches DESIGN.md.
+// TestExperimentRegistryComplete checks the index matches DESIGN.md:
+// 35 unique listed IDs that all resolve, plus the hidden X1 self-test,
+// which resolves but is never listed.
 func TestExperimentRegistryComplete(t *testing.T) {
 	ids := ExperimentIDs()
 	if len(ids) != 35 {
 		t.Fatalf("experiments = %d, want 35", len(ids))
 	}
+	seen := make(map[string]bool)
+	for _, e := range experiments {
+		if seen[e.id] {
+			t.Fatalf("experiment ID %s registered twice", e.id)
+		}
+		seen[e.id] = true
+	}
 	for _, id := range ids {
-		if Experiments[id] == nil {
+		if run, ok := LookupExperiment(id); !ok || run == nil {
 			t.Fatalf("experiment %s not registered", id)
 		}
+	}
+	if run, ok := LookupExperiment("X1"); !ok || run == nil {
+		t.Fatal("hidden X1 self-test does not resolve")
+	}
+	if slices.Contains(ids, "X1") {
+		t.Fatal("hidden X1 self-test is listed")
+	}
+	if _, ok := LookupExperiment("ZZ-unknown"); ok {
+		t.Fatal("unknown ID resolved")
 	}
 }
 
@@ -27,7 +46,11 @@ func TestExperimentRegistryComplete(t *testing.T) {
 
 func runExperiment(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := Experiments[id](1)
+	run, ok := LookupExperiment(id)
+	if !ok {
+		t.Fatalf("experiment %s not registered", id)
+	}
+	res, err := run(1)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -85,7 +108,7 @@ func TestC6Suicide(t *testing.T)     { runExperiment(t, "C6") }
 // The full 30,000-host C7 runs in the benchmark harness; the test tier
 // uses a 2,000-host fleet for speed with identical mechanics.
 func TestC7AramcoScaleReduced(t *testing.T) {
-	res, err := runAramcoScale(1, 2000)
+	res, err := RunAramcoFleet(1, C7Options(2000))
 	if err != nil {
 		t.Fatalf("C7: %v", err)
 	}

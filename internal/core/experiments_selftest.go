@@ -5,16 +5,15 @@ import (
 	"time"
 )
 
-// X1 is the supervision self-test: an experiment that deliberately
+// RunX1Spin is the supervision self-test X1: an experiment that deliberately
 // schedules a zero-delay self-perpetuating event loop, freezing the
 // virtual clock forever while the step counter climbs — the exact
-// pathology the vtime-stall watchdog exists to reap. It is registered
-// in Experiments (so `cyberlab -run X1` reaches it) but intentionally
-// absent from ExperimentIDs: -all and -report must never pick up an
+// pathology the vtime-stall watchdog exists to reap. Its registry row
+// is hidden: `cyberlab -run X1` reaches it, but it is absent from
+// ExperimentIDs, because -all and -report must never pick up an
 // experiment whose purpose is to hang.
-func init() { Experiments["X1"] = RunX1Spin }
-
-// RunX1Spin refuses to run unsupervised — without an armed stall window
+//
+// It refuses to run unsupervised — without an armed stall window
 // or deadline nothing would ever reap the loop. Under supervision it
 // never returns normally: the watchdog cancels the kernel and the run
 // unwinds into a partial report carrying the stall diagnostic.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/users"
 )
 
 func TestD4NoisyPrecision(t *testing.T) {
@@ -83,15 +84,25 @@ func TestD4D5StreamsParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// busyC7Options is the C7 layout with every workstation carrying an
+// office agent — the populated twin of C7Options.
+func busyC7Options(hosts int) AramcoFleetOptions {
+	opts := C7Options(hosts)
+	opts.Activity = users.MixOffice
+	return opts
+}
+
 // TestAramcoBusyBuildWorkerInvariant: the populated fleet is
 // byte-identical (same experiment metrics, same benign action counts)
 // whatever the sharded-build worker count — the users layer attaches
 // after the merge, so agent RNG forks happen in host order.
 func TestAramcoBusyBuildWorkerInvariant(t *testing.T) {
 	get := func(workers int) string {
-		res, err := RunAramcoBusyN(1, 200, workers)
+		opts := busyC7Options(200)
+		opts.BuildWorkers = workers
+		res, err := RunAramcoFleet(1, opts)
 		if err != nil {
-			t.Fatalf("RunAramcoBusyN(workers=%d): %v", workers, err)
+			t.Fatalf("busy RunAramcoFleet(build workers=%d): %v", workers, err)
 		}
 		return res.Render()
 	}
@@ -103,10 +114,11 @@ func TestAramcoBusyBuildWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestBusyFleetMemoryBound is the issue's cost gate at reduced scale:
-// populating the C7 fleet with office agents must stay within 1.3x of
-// the silent baseline's allocations (the 30k-host version is pinned by
-// BenchmarkUsersC7BusyReduced in the bench lane).
+// TestBusyFleetMemoryBound is the busy-fleet cost gate at reduced scale:
+// populating the six-site C7 fleet with office agents must stay within
+// 1.3x of the silent fleet's allocations (the BENCH_C7.json
+// UsersC7BusyReduced / ClaimC7Reduced pair records the same 2,000-host
+// comparison).
 func TestBusyFleetMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -122,14 +134,14 @@ func TestBusyFleetMemoryBound(t *testing.T) {
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
 	silent := alloc(func() error {
-		res, err := RunAramcoScaleN(1, 2000, 0, false)
+		res, err := RunAramcoFleet(1, C7Options(2000))
 		if err == nil && !res.Pass {
 			t.Fatal("silent C7 run failed its own criteria")
 		}
 		return err
 	})
 	busy := alloc(func() error {
-		res, err := RunAramcoBusyN(1, 2000, 0)
+		res, err := RunAramcoFleet(1, busyC7Options(2000))
 		if err == nil && !res.Pass {
 			t.Fatal("busy C7 run failed its own criteria")
 		}

@@ -14,9 +14,12 @@ import (
 // every metric, and the full obs snapshot — into one comparable string.
 func c7Fingerprint(t *testing.T, workers int, eager bool) string {
 	t.Helper()
-	res, err := RunAramcoScaleN(7, 300, workers, eager)
+	opts := C7Options(300)
+	opts.BuildWorkers = workers
+	opts.EagerDocs = eager
+	res, err := RunAramcoFleet(7, opts)
 	if err != nil {
-		t.Fatalf("RunAramcoScaleN(workers=%d eager=%v): %v", workers, eager, err)
+		t.Fatalf("RunAramcoFleet(build workers=%d eager=%v): %v", workers, eager, err)
 	}
 	obsJSON, err := json.Marshal(res.Obs)
 	if err != nil {

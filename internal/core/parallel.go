@@ -19,9 +19,9 @@ import (
 // its own kernel, RNG, internet, PKI and hosts — and never touches
 // another world's state, so experiments are embarrassingly parallel
 // across worker goroutines. The only shared data a worker reads is the
-// immutable Experiments registry and package-level constants. Reports
-// always come back in input order, so rendered output is byte-identical
-// no matter how many workers ran.
+// experiment registry, never written during a run, and package-level
+// constants. Reports always come back in input order, so rendered
+// output is byte-identical no matter how many workers ran.
 
 // RunReport is the outcome of one experiment execution inside the
 // parallel runner.
@@ -98,7 +98,7 @@ func runOne(id string, seed uint64) (rep RunReport) {
 		rep.Err = fmt.Errorf("experiment %s: skipped: %v", id, cause)
 		return rep
 	}
-	runner, ok := Experiments[id]
+	runner, ok := LookupExperiment(id)
 	if !ok {
 		rep.Err = fmt.Errorf("experiment %s: unknown ID", id)
 		return rep
@@ -253,12 +253,6 @@ func RunExperimentsOpts(ids []string, seed uint64, opt RunOptions) []RunReport {
 		reports[i] = runSupervised(ids[i], seed, opt)
 	})
 	return reports
-}
-
-// RunAllParallel executes every registered experiment with the same seed
-// across a pool of workers. Reports come back in report order.
-func RunAllParallel(seed uint64, workers int) []RunReport {
-	return RunExperiments(ExperimentIDs(), seed, workers)
 }
 
 // --- Multi-seed Monte Carlo sweep ---

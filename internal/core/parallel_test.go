@@ -66,32 +66,20 @@ func TestRunAllParallelMatchesSequentialFullRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite double run skipped in -short mode")
 	}
-	results, err := RunAll(1) // the sequential baseline path
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(results) != len(ExperimentIDs()) {
-		t.Fatalf("RunAll results = %d, want %d", len(results), len(ExperimentIDs()))
-	}
-	var want strings.Builder
-	for _, res := range results {
-		want.WriteString(res.Render())
-	}
-	got := renderReports(t, RunAllParallel(1, 8))
-	if got != want.String() {
+	want := renderReports(t, RunExperiments(ExperimentIDs(), 1, 1))
+	got := renderReports(t, RunExperiments(ExperimentIDs(), 1, 8))
+	if got != want {
 		t.Fatal("full parallel report differs from sequential run")
 	}
 }
 
 func TestRunExperimentsCollectsErrorsAndKeepsRunning(t *testing.T) {
-	Experiments["ZZ-boom"] = func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-boom", func(seed uint64) (*Result, error) {
 		return nil, errors.New("synthetic failure")
-	}
-	Experiments["ZZ-panic"] = func(seed uint64) (*Result, error) {
+	})
+	registerTempExperiment(t, "ZZ-panic", func(seed uint64) (*Result, error) {
 		panic("synthetic panic")
-	}
-	defer delete(Experiments, "ZZ-boom")
-	defer delete(Experiments, "ZZ-panic")
+	})
 
 	reports := RunExperiments([]string{"ZZ-boom", "ZZ-panic", "ZZ-unknown", "F3"}, 1, 2)
 	if len(reports) != 4 {

@@ -273,30 +273,30 @@ func (f *AramcoFleet) FleetStats() shamoon.Stats {
 // epoch mailboxes.
 func (f *AramcoFleet) Reports() []*netsim.Request { return f.Sites[0].Reports }
 
-// RunAramcoPartitionedN is the partitioned C7 runner with fleet size,
-// site count, partition workers (<= 0 defers to -partitions),
-// build workers and seeding mode exposed. Reports are byte-identical
-// across any partWorkers/buildWorkers value — the §14 property the
-// partition determinism tests and the ci.sh drift gate pin. The fleet
-// is silent (users.MixNone) like RunAramcoScaleN.
-func RunAramcoPartitionedN(seed uint64, fleet, sites, partWorkers, buildWorkers int, eagerDocs bool) (*Result, error) {
-	return runAramcoPartitionedMix(seed, fleet, sites, partWorkers, buildWorkers, eagerDocs, users.MixNone, true)
-}
-
-func runAramcoPartitionedMix(seed uint64, fleet, sites, partWorkers, buildWorkers int,
-	eagerDocs bool, mix users.Mix, mute bool) (*Result, error) {
-	f, err := BuildAramcoFleet(seed, AramcoFleetOptions{
-		Workstations: fleet,
-		Sites:        sites,
+// C7Options is the registry C7 layout at a given fleet size: the six
+// sites, two lean documents per host, a two-hour spread cadence, and a
+// silent, muted fleet. Benches and tests derive their variants from it
+// (a populated fleet, a retained trace, a fixed worker width) so every
+// C7 run shares one builder.
+func C7Options(hosts int) AramcoFleetOptions {
+	return AramcoFleetOptions{
+		Workstations: hosts,
+		Sites:        aramcoSiteCount,
 		DocsPerHost:  2,
 		SpreadEvery:  2 * time.Hour,
 		LeanImages:   true,
-		BuildWorkers: buildWorkers,
-		EagerDocs:    eagerDocs,
-		Activity:     mix,
-		MuteTrace:    mute,
-		Workers:      partWorkers,
-	})
+		Activity:     users.MixNone,
+		MuteTrace:    true,
+	}
+}
+
+// RunAramcoFleet is the C7 runner: it builds the partitioned fleet,
+// runs it to two hours past the trigger, and scores the wipe. Reports
+// are byte-identical across any Workers/BuildWorkers value and across
+// eager/lazy seeding — the properties the partition, fleet-build and
+// seeding determinism tests pin.
+func RunAramcoFleet(seed uint64, opts AramcoFleetOptions) (*Result, error) {
+	f, err := BuildAramcoFleet(seed, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -304,6 +304,24 @@ func runAramcoPartitionedMix(seed uint64, fleet, sites, partWorkers, buildWorker
 		return nil, err
 	}
 
+	// Everything wiped exactly at/after the hardcoded instant, on every
+	// site — satellites wipe on their own clocks, one LAN apart.
+	fleet, wipedBefore := 0, 0
+	benignAgents, benignActions := 0, 0
+	for _, sc := range f.Sites {
+		fleet += len(sc.Hosts)
+		for _, h := range sc.Hosts {
+			for _, e := range h.EventLog() {
+				if strings.Contains(e.Message, "host wiped") && e.At.Before(shamoon.AramcoTrigger) {
+					wipedBefore++
+				}
+			}
+		}
+		if sc.Users != nil {
+			benignAgents += sc.Users.Stats.Agents
+			benignActions += sc.Users.Stats.Actions()
+		}
+	}
 	res := &Result{
 		ID:    "C7",
 		Title: "Aramco-scale destruction",
@@ -318,23 +336,6 @@ func runAramcoPartitionedMix(seed uint64, fleet, sites, partWorkers, buildWorker
 	res.metric("files_overwritten", float64(stats.FilesWiped), "files")
 	res.metric("reports_sent", float64(stats.ReportsSent), "reports")
 	res.metric("reports_received", float64(len(f.Reports())), "reports")
-	// Everything wiped exactly at/after the hardcoded instant, on every
-	// site — satellites wipe on their own clocks, one LAN apart.
-	wipedBefore := 0
-	benignAgents, benignActions := 0, 0
-	for _, sc := range f.Sites {
-		for _, h := range sc.Hosts {
-			for _, e := range h.EventLog() {
-				if strings.Contains(e.Message, "host wiped") && e.At.Before(shamoon.AramcoTrigger) {
-					wipedBefore++
-				}
-			}
-		}
-		if sc.Users != nil {
-			benignAgents += sc.Users.Stats.Agents
-			benignActions += sc.Users.Stats.Actions()
-		}
-	}
 	res.metric("wiped_before_trigger", float64(wipedBefore), "hosts")
 	if benignAgents > 0 {
 		res.metric("benign_agents", float64(benignAgents), "agents")

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/malware/shamoon"
 	"repro/internal/sim"
-	"repro/internal/users"
 )
 
 // setPartitionWorkers installs a partition worker-pool width for one
@@ -40,7 +39,10 @@ func resultBytes(t *testing.T, res *Result) []byte {
 // to the -partitions global.
 func reducedPartitionedRunner(workers int) Runner {
 	return func(seed uint64) (*Result, error) {
-		return runAramcoPartitionedMix(seed, 240, 6, workers, 0, false, users.MixNone, false)
+		opts := C7Options(240)
+		opts.MuteTrace = false
+		opts.Workers = workers
+		return RunAramcoFleet(seed, opts)
 	}
 }
 

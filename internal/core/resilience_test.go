@@ -203,7 +203,7 @@ func TestWorldMixedCampaigns(t *testing.T) {
 // TestAramcoScaleSweep: the fleet mechanics are size-invariant.
 func TestAramcoScaleSweep(t *testing.T) {
 	for _, fleet := range []int{10, 100, 500} {
-		res, err := runAramcoScale(3, fleet)
+		res, err := RunAramcoFleet(3, C7Options(fleet))
 		if err != nil {
 			t.Fatalf("fleet %d: %v", fleet, err)
 		}
@@ -222,7 +222,8 @@ func TestExperimentsAcrossSeeds(t *testing.T) {
 	fast := []string{"F3", "F5", "F6", "C3", "C8", "C9", "C10", "C11", "E2"}
 	for _, id := range fast {
 		for seed := uint64(2); seed <= 4; seed++ {
-			res, err := Experiments[id](seed)
+			run, _ := LookupExperiment(id)
+			res, err := run(seed)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", id, seed, err)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
@@ -60,45 +61,33 @@ func (r *Result) block(s string) {
 
 // CaptureObs folds each kernel's telemetry into the result: registry
 // snapshots merge into Obs, retained trace records append to Events
-// tagged with the experiment ID. Multi-world experiments call it once
-// per world, in a fixed order; each kernel's span IDs are shifted past
-// the previous kernels' allocations so the merged stream keeps span
-// uniqueness (kernels allocate 1,2,3,… independently).
-func (r *Result) CaptureObs(ks ...*sim.Kernel) {
-	for _, k := range ks {
-		// Flush the wall-clock telemetry tail (no-op without a probe);
-		// this reads kernel state but writes nothing deterministic.
-		k.FlushProbe()
-		r.Obs.Merge(k.Metrics().Snapshot())
-		events := k.Trace().Events()
-		if base := obs.Span(r.spanBase); base != 0 {
-			for i := range events {
-				if events[i].Span != 0 {
-					events[i].Span += base
-				}
-				if events[i].Parent != 0 {
-					events[i].Parent += base
-				}
-			}
-		}
-		r.spanBase += k.SpanCount()
-		obs.TagAll(events, obs.T("exp", r.ID))
-		r.Events = append(r.Events, events...)
-	}
-}
+// tagged with the experiment ID, whole stream after whole stream in
+// kernel order. Multi-world experiments call it once per world, in a
+// fixed order.
+func (r *Result) CaptureObs(ks ...*sim.Kernel) { r.capture(false, ks) }
 
 // CaptureObsMerged is CaptureObs for partitioned worlds (DESIGN.md
-// §14): metrics snapshots merge and span IDs anchor in partition order
-// exactly as CaptureObs would, but instead of concatenating whole
-// streams the retained trace records interleave into one time-ordered
-// stream — a k-way merge keyed (vtime, partition index, record seq).
-// Each kernel's stream is already vtime-nondecreasing in record order,
-// so the merge is well-defined, and the key is pure simulation state:
-// the merged bytes are invariant under the partition worker count.
-func (r *Result) CaptureObsMerged(ks ...*sim.Kernel) {
+// §14): instead of concatenating whole streams the retained trace
+// records interleave into one time-ordered stream — a k-way merge keyed
+// (vtime, partition index, record seq). Each kernel's stream is already
+// vtime-nondecreasing in record order, so the merge is well-defined,
+// and the key is pure simulation state: the merged bytes are invariant
+// under the partition worker count.
+func (r *Result) CaptureObsMerged(ks ...*sim.Kernel) { r.capture(true, ks) }
+
+// capture is the one body behind CaptureObs and CaptureObsMerged. Each
+// kernel's span IDs are shifted past the allocations of every kernel
+// captured before it (kernels allocate 1,2,3,… independently), so the
+// result's stream keeps span uniqueness across calls. merge is the only
+// switch: concatenation drains the lowest-index stream first, merging
+// takes the earliest record with ties on the lowest index — the (vtime,
+// kernel index, record seq) key.
+func (r *Result) capture(merge bool, ks []*sim.Kernel) {
 	streams := make([][]obs.Event, len(ks))
 	total := 0
 	for i, k := range ks {
+		// Flush the wall-clock telemetry tail (no-op without a probe);
+		// this reads kernel state but writes nothing deterministic.
 		k.FlushProbe()
 		r.Obs.Merge(k.Metrics().Snapshot())
 		events := k.Trace().Events()
@@ -117,24 +106,21 @@ func (r *Result) CaptureObsMerged(ks ...*sim.Kernel) {
 		streams[i] = events
 		total += len(events)
 	}
-	merged := make([]obs.Event, 0, total)
+	r.Events = slices.Grow(r.Events, total)
 	idx := make([]int, len(streams))
-	for len(merged) < total {
+	for range total {
 		best := -1
 		for i, s := range streams {
 			if idx[i] >= len(s) {
 				continue
 			}
-			// Strict Before keeps ties on the lowest partition index —
-			// the partition-anchor component of the merge key.
-			if best == -1 || s[idx[i]].At.Before(streams[best][idx[best]].At) {
+			if best == -1 || merge && s[idx[i]].At.Before(streams[best][idx[best]].At) {
 				best = i
 			}
 		}
-		merged = append(merged, streams[best][idx[best]])
+		r.Events = append(r.Events, streams[best][idx[best]])
 		idx[best]++
 	}
-	r.Events = append(r.Events, merged...)
 }
 
 // provenanceTreeLimit caps the rendered tree; larger forests (C7 runs
@@ -204,68 +190,73 @@ func (r *Result) Render() string {
 // Runner executes one experiment with a seed.
 type Runner func(seed uint64) (*Result, error)
 
-// Experiments indexes every experiment by ID (see DESIGN.md).
-var Experiments = map[string]Runner{
-	"F1":  RunF1StuxnetOperation,
-	"F2":  RunF2WPADMitm,
-	"F3":  RunF3CertForging,
-	"F4":  RunF4CnCPlatform,
-	"F5":  RunF5CnCServer,
-	"F6":  RunF6ShamoonComponents,
-	"C1":  RunC1ZeroDays,
-	"C2":  RunC2Centrifuge,
-	"C3":  RunC3Targeting,
-	"C4":  RunC4FlameSize,
-	"C5":  RunC5ExfilVolume,
-	"C6":  RunC6Suicide,
-	"C7":  RunC7AramcoScale,
-	"C8":  RunC8JPEGBug,
-	"C9":  RunC9Reporter,
-	"C10": RunC10AirGap,
-	"C11": RunC11Bluetooth,
-	"T1":  RunT1Trends,
-	"A1":  RunA1AblationPatching,
-	"A2":  RunA2AblationAdvisory,
-	"A3":  RunA3EpidemicCurve,
-	"E1":  RunE1DuquTargeting,
-	"E2":  RunE2GaussGodel,
-	"E3":  RunE3Lineage,
-	"E4":  RunE4Sinkhole,
-	"R1":  RunR1StuxnetTakedownP2P,
-	"R2":  RunR2FlameDomainAgility,
-	"R3":  RunR3ShamoonBlackout,
-	"R4":  RunR4CrashPersistence,
-	"R5":  RunR5AVAttrition,
-	"D1":  RunD1CNIDetection,
-	"D2":  RunD2CrossCampaign,
-	"D3":  RunD3FalsePositives,
-	"D4":  RunD4NoisyPrecision,
-	"D5":  RunD5NoiseFloor,
+// experiment is one registry row. A hidden experiment runs when named
+// but is never listed, so -all and -report cannot pick it up.
+type experiment struct {
+	id     string
+	run    Runner
+	hidden bool
 }
 
-// ExperimentIDs returns all experiment IDs in report order.
+// experiments is the registry in report order: ExperimentIDs lists it
+// and LookupExperiment resolves it.
+var experiments = []experiment{
+	{id: "F1", run: RunF1StuxnetOperation},
+	{id: "F2", run: RunF2WPADMitm},
+	{id: "F3", run: RunF3CertForging},
+	{id: "F4", run: RunF4CnCPlatform},
+	{id: "F5", run: RunF5CnCServer},
+	{id: "F6", run: RunF6ShamoonComponents},
+	{id: "C1", run: RunC1ZeroDays},
+	{id: "C2", run: RunC2Centrifuge},
+	{id: "C3", run: RunC3Targeting},
+	{id: "C4", run: RunC4FlameSize},
+	{id: "C5", run: RunC5ExfilVolume},
+	{id: "C6", run: RunC6Suicide},
+	{id: "C7", run: RunC7AramcoScale},
+	{id: "C8", run: RunC8JPEGBug},
+	{id: "C9", run: RunC9Reporter},
+	{id: "C10", run: RunC10AirGap},
+	{id: "C11", run: RunC11Bluetooth},
+	{id: "T1", run: RunT1Trends},
+	{id: "A1", run: RunA1AblationPatching},
+	{id: "A2", run: RunA2AblationAdvisory},
+	{id: "A3", run: RunA3EpidemicCurve},
+	{id: "E1", run: RunE1DuquTargeting},
+	{id: "E2", run: RunE2GaussGodel},
+	{id: "E3", run: RunE3Lineage},
+	{id: "E4", run: RunE4Sinkhole},
+	{id: "R1", run: RunR1StuxnetTakedownP2P},
+	{id: "R2", run: RunR2FlameDomainAgility},
+	{id: "R3", run: RunR3ShamoonBlackout},
+	{id: "R4", run: RunR4CrashPersistence},
+	{id: "R5", run: RunR5AVAttrition},
+	{id: "D1", run: RunD1CNIDetection},
+	{id: "D2", run: RunD2CrossCampaign},
+	{id: "D3", run: RunD3FalsePositives},
+	{id: "D4", run: RunD4NoisyPrecision},
+	{id: "D5", run: RunD5NoiseFloor},
+	// X1 is the supervision self-test: its purpose is to hang.
+	{id: "X1", run: RunX1Spin, hidden: true},
+}
+
+// ExperimentIDs returns every listed experiment ID in report order.
 func ExperimentIDs() []string {
-	return []string{
-		"F1", "F2", "F3", "F4", "F5", "F6",
-		"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11",
-		"T1", "A1", "A2", "A3",
-		"E1", "E2", "E3", "E4",
-		"R1", "R2", "R3", "R4", "R5",
-		"D1", "D2", "D3", "D4", "D5",
-	}
-}
-
-// RunAll executes every experiment in order with the same seed. A failing
-// experiment no longer truncates the run: every experiment executes, the
-// successful results come back in report order, and the returned error
-// joins every per-experiment failure.
-func RunAll(seed uint64) ([]*Result, error) {
-	reports := RunAllParallel(seed, 1)
-	var out []*Result
-	for _, rep := range reports {
-		if rep.Err == nil {
-			out = append(out, rep.Result)
+	var ids []string
+	for _, e := range experiments {
+		if !e.hidden {
+			ids = append(ids, e.id)
 		}
 	}
-	return out, JoinErrors(reports)
+	return ids
+}
+
+// LookupExperiment resolves an experiment ID, hidden ones included.
+func LookupExperiment(id string) (Runner, bool) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run, true
+		}
+	}
+	return nil, false
 }

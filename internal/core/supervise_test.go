@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,12 +84,13 @@ func TestWatchdogDoesNotDisturbSiblings(t *testing.T) {
 	}
 }
 
-// registerTempExperiment installs a runner under a test-only ID and
-// returns its cleanup.
+// registerTempExperiment installs a runner under a hidden test-only ID
+// for the rest of the test.
 func registerTempExperiment(t *testing.T, id string, r Runner) {
 	t.Helper()
-	Experiments[id] = r
-	t.Cleanup(func() { delete(Experiments, id) })
+	saved := experiments
+	experiments = append(slices.Clip(saved), experiment{id: id, run: r, hidden: true})
+	t.Cleanup(func() { experiments = saved })
 }
 
 // TestDeadlineAbortsLongExperiment: an experiment whose vtime advances

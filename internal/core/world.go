@@ -6,12 +6,16 @@
 //
 // Each experiment returns a Result carrying its pass criterion, named
 // metrics, a one-line measured Summary, and the obs telemetry of every
-// kernel it drove (CaptureObs). RunExperiments / RunAllParallel fan
-// experiments across a worker pool with byte-identical output for any
-// worker count; SweepSeeds aggregates metrics and obs snapshots across a
-// Monte Carlo seed sweep; RenderExperimentsMarkdown turns a run's
-// reports into EXPERIMENTS.md, making the committed document a build
-// artefact.
+// kernel it drove (CaptureObs concatenates, CaptureObsMerged time-merges
+// a partitioned world's streams). One ordered registry lists the
+// experiments (ExperimentIDs) and resolves them (LookupExperiment).
+// RunExperiments fans experiments across a worker pool with
+// byte-identical output for any worker count; SweepSeeds aggregates
+// metrics and obs snapshots across a Monte Carlo seed sweep;
+// RenderExperimentsMarkdown turns a run's reports into EXPERIMENTS.md,
+// making the committed document a build artefact. C7, the one
+// partitioned experiment, runs through RunAramcoFleet with the
+// C7Options layout.
 package core
 
 import (
