@@ -30,7 +30,7 @@ func benchExperiment(b *testing.B, id string, metrics ...string) {
 	}
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err := runner(uint64(1 + i))
+		res, err := runner(nil, uint64(1+i))
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}

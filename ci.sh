@@ -212,5 +212,16 @@ if ! diff -u "$tmp_report" "$tmp_trace"; then
     echo "resumed run drifted from the uninterrupted run (crash-inject gate)" >&2
     exit 1
 fi
+# A silent fleet has two spellings, `-activity none` and no -activity,
+# that run the same bytes, so a journal written under one must resume
+# under the other: F3 is served from the journal (recorded exactly once)
+# and the report matches the uninterrupted run.
+rm -f "$tmp_journal"
+go run ./cmd/cyberlab -run F3 -journal "$tmp_journal" -activity none >/dev/null
+go run ./cmd/cyberlab -run F3,C1,C8 -journal "$tmp_journal" -resume -o "$tmp_trace" >/dev/null
+if [ "$(grep -c '"id":"F3"' "$tmp_journal")" != 1 ] || ! diff -u "$tmp_report" "$tmp_trace"; then
+    echo "resume across the two silent-mix spellings re-ran F3 or drifted (crash-inject gate)" >&2
+    exit 1
+fi
 
 echo "ci: all gates passed"

@@ -36,6 +36,9 @@
 // office, developer, kiosk, or enterprise. The default is none — the
 // historical silent fleets. D4/D5 always run populated regardless of the
 // flag; like -faults, the mix is part of the determinism contract.
+// `-activity none` and no -activity are the same silent run, so a journal
+// or checkpoint written under either spelling resumes or forks under the
+// other.
 //
 // -parallel fans experiments out across a worker pool; the report, trace
 // and metrics outputs are byte-identical to a sequential run because each
@@ -109,6 +112,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -131,26 +135,30 @@ import (
 )
 
 func main() {
-	// Graceful shutdown (DESIGN.md §13): the first SIGINT/SIGTERM asks
-	// every in-flight experiment to stop at its next step boundary and
-	// lets the run flush its journal, report and telemetry before
-	// exiting with the partial-run banner; a second signal exits hard.
+	// Graceful shutdown (DESIGN.md §13): the first SIGINT/SIGTERM cancels
+	// the run's context, which asks every in-flight experiment to stop at
+	// its next step boundary and lets the run flush its journal, report
+	// and telemetry before exiting with the partial-run banner; a second
+	// signal exits hard.
+	ctx, shutdown := context.WithCancelCause(context.Background())
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
 		fmt.Fprintf(os.Stderr, "\ncyberlab: %v: finishing current step and flushing outputs (send again to exit immediately)\n", s)
-		core.RequestShutdown(fmt.Errorf("signal %v", s))
+		shutdown(fmt.Errorf("signal %v", s))
 		<-sig
 		os.Exit(130)
 	}()
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "cyberlab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
+// run dispatches the command line; ctx is the graceful shutdown every
+// subcommand that runs experiments builds its Env with.
+func run(ctx context.Context, args []string) (err error) {
 	if len(args) > 0 && args[0] == "trace" {
 		return runTrace(args[1:])
 	}
@@ -158,15 +166,19 @@ func run(args []string) (err error) {
 		return runDetect(args[1:])
 	}
 	if len(args) > 0 && args[0] == "profile" {
-		return runProfile(args[1:])
+		return runProfile(ctx, args[1:])
 	}
 	if len(args) > 0 && args[0] == "checkpoint" {
-		return runCheckpoint(args[1:])
+		return runCheckpoint(ctx, args[1:])
 	}
 	if len(args) > 0 && args[0] == "fork" {
-		return runFork(args[1:])
+		return runFork(ctx, args[1:])
 	}
 	fs := flag.NewFlagSet("cyberlab", flag.ContinueOnError)
+	env := core.Env{Ctx: ctx}
+	bindEnv(fs, &env, true)
+	fs.DurationVar(&env.Stall, "stall", 0, "abort an experiment whose vtime freezes for this wall-clock window (0 = off)")
+	fs.DurationVar(&env.Deadline, "deadline", 0, "abort any experiment exceeding this wall-clock budget (0 = off)")
 	var (
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
 		rules      = fs.Bool("rules", false, "list the built-in detection rule pack and exit")
@@ -176,31 +188,17 @@ func run(args []string) (err error) {
 		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
 		seeds      = fs.String("seeds", "", "seed sweep: A..B (inclusive) or comma list; aggregates min/mean/max per metric")
 		parallel   = fs.Int("parallel", 1, "worker goroutines for -all, -run lists and -seeds")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores); output bytes are identical at any width")
 		out        = fs.String("o", "", "also write the report to this file")
 		traceOut   = fs.String("trace", "", "write retained trace events to this file as JSONL")
 		metricsOut = fs.String("metrics", "", "write the merged metrics snapshot to this file as JSON")
-		faultsProf = fs.String("faults", "", "adversity profile for the R-series experiments (none, light, takedown, chaos)")
-		activity   = fs.String("activity", "", "benign user-activity mix for scenario fleets (none, office, developer, kiosk, enterprise)")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file when the run finishes")
 		progress   = fs.Bool("progress", false, "print a live wall-clock telemetry ticker to stderr")
 		journalP   = fs.String("journal", "", "record completed experiments to this crash-safe JSONL file (fsync per record)")
 		resume     = fs.Bool("resume", false, "resume from -journal: serve journaled experiments without re-running them")
-		stall      = fs.Duration("stall", 0, "abort an experiment whose vtime freezes for this wall-clock window (0 = off)")
-		deadline   = fs.Duration("deadline", 0, "abort any experiment exceeding this wall-clock budget (0 = off)")
 		maxRetries = fs.Int("max-retries", 0, "re-run a failed experiment up to N times; a retry must reproduce identical bytes or the run is flagged nondeterministic")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := core.SetFaultProfile(*faultsProf); err != nil {
-		return err
-	}
-	if err := core.SetActivityMix(*activity); err != nil {
-		return err
-	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
 		return err
 	}
 	if *parallel < 1 {
@@ -222,12 +220,8 @@ func run(args []string) (err error) {
 			return fmt.Errorf("-max-retries retries single-seed runs; a -seeds sweep never retries")
 		}
 	}
-	if *stall < 0 || *deadline < 0 {
+	if env.Stall < 0 || env.Deadline < 0 {
 		return fmt.Errorf("-stall and -deadline must be >= 0")
-	}
-	if *stall > 0 || *deadline > 0 {
-		core.EnableSupervision(core.SuperviseConfig{Stall: *stall, Deadline: *deadline})
-		defer core.DisableSupervision()
 	}
 	// Fail on unwritable output destinations before experiments burn wall
 	// clock, not minutes later at write time.
@@ -244,11 +238,7 @@ func run(args []string) (err error) {
 		if !*genReport && *id == "" && !*all {
 			return fmt.Errorf("-journal needs a run (-run, -all, or -report)")
 		}
-		j, jerr := core.OpenJournal(*journalP, *resume, core.JournalConfig{
-			Seed:     *seed,
-			Faults:   core.FaultProfile().Name,
-			Activity: core.ActivityMixName(),
-		})
+		j, jerr := core.OpenJournal(*journalP, *resume, *seed, &env)
 		if jerr != nil {
 			return fmt.Errorf("-journal: %w", jerr)
 		}
@@ -262,7 +252,7 @@ func run(args []string) (err error) {
 			}
 		}()
 	}
-	opts := core.RunOptions{Workers: *parallel, MaxRetries: *maxRetries, Journal: journal}
+	opts := core.RunOptions{Env: &env, Workers: *parallel, MaxRetries: *maxRetries, Journal: journal}
 	if *progress {
 		c := runstats.Enable()
 		stopTicker := c.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)
@@ -343,7 +333,7 @@ func run(args []string) (err error) {
 			return err
 		}
 		started := time.Now()
-		entries := core.SweepSeeds(ids, seedList, *parallel)
+		entries := core.SweepSeeds(&env, ids, seedList, *parallel)
 		emit("%s", core.RenderSweep(entries))
 		passes, runs, errored := 0, 0, 0
 		var merged obs.Snapshot
@@ -380,7 +370,7 @@ func run(args []string) (err error) {
 		if err := writeObsOutputs(*traceOut, *metricsOut, reports); err != nil {
 			return err
 		}
-		partialBanner(reports, *journalP)
+		partialBanner(reports, *journalP, context.Cause(ctx))
 		return reportErr(reports)
 	case *id != "" || *all:
 		ids := core.ExperimentIDs()
@@ -410,7 +400,7 @@ func run(args []string) (err error) {
 		if err := writeObsOutputs(*traceOut, *metricsOut, reports); err != nil {
 			return err
 		}
-		partialBanner(reports, *journalP)
+		partialBanner(reports, *journalP, context.Cause(ctx))
 		return reportErr(reports)
 	default:
 		fs.Usage()
@@ -437,19 +427,18 @@ func ruleKind(r detect.Rule) string {
 // frees stdout. The manifest is nondeterministic by design and is
 // never drift-gated — the deterministic artefacts of the same run are
 // unchanged by profiling (the isolation property tests pin this).
-func runProfile(args []string) error {
+func runProfile(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cyberlab profile", flag.ContinueOnError)
+	env := core.Env{Ctx: ctx}
+	bindEnv(fs, &env, true)
 	var (
-		id         = fs.String("run", "", "profile these experiments, comma-separated (e.g. C7 or R1..R5)")
-		all        = fs.Bool("all", false, "profile every experiment")
-		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
-		parallel   = fs.Int("parallel", 1, "worker goroutines")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores)")
-		out        = fs.String("o", "", "write the JSON run manifest to this file (default stdout)")
-		faultsProf = fs.String("faults", "", "adversity profile for the R-series experiments")
-		activity   = fs.String("activity", "", "benign user-activity mix for scenario fleets")
-		progress   = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
-		every      = fs.Duration("every", runstats.DefaultProgressPeriod, "progress ticker period")
+		id       = fs.String("run", "", "profile these experiments, comma-separated (e.g. C7 or R1..R5)")
+		all      = fs.Bool("all", false, "profile every experiment")
+		seed     = fs.Uint64("seed", 1, "deterministic simulation seed")
+		parallel = fs.Int("parallel", 1, "worker goroutines")
+		out      = fs.String("o", "", "write the JSON run manifest to this file (default stdout)")
+		progress = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
+		every    = fs.Duration("every", runstats.DefaultProgressPeriod, "progress ticker period")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -459,15 +448,6 @@ func runProfile(args []string) error {
 	}
 	if *parallel < 1 {
 		return fmt.Errorf("profile: -parallel must be >= 1 (got %d)", *parallel)
-	}
-	if err := core.SetFaultProfile(*faultsProf); err != nil {
-		return err
-	}
-	if err := core.SetActivityMix(*activity); err != nil {
-		return err
-	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
-		return err
 	}
 	if err := validateOutPath("-o", *out); err != nil {
 		return err
@@ -486,7 +466,7 @@ func runProfile(args []string) error {
 	if *progress {
 		stopTicker = c.StartProgress(os.Stderr, *every)
 	}
-	reports := core.RunExperiments(ids, *seed, *parallel)
+	reports := core.RunExperimentsOpts(ids, *seed, core.RunOptions{Env: &env, Workers: *parallel})
 	if stopTicker != nil {
 		stopTicker()
 	}
@@ -571,16 +551,15 @@ func runDetect(args []string) error {
 // completion and freeze a replay checkpoint — the configuration tuple, a
 // virtual-time boundary, and a content hash of the trace prefix up to it
 // (DESIGN.md §13). The checkpoint JSON goes to stdout or -o.
-func runCheckpoint(args []string) error {
+func runCheckpoint(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cyberlab checkpoint", flag.ContinueOnError)
+	env := core.Env{Ctx: ctx}
+	bindEnv(fs, &env, true)
 	var (
-		id         = fs.String("run", "", "experiment ID to checkpoint (required)")
-		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
-		at         = fs.Duration("at", 0, "checkpoint boundary as virtual time past the simulation epoch (required, e.g. 30m)")
-		faultsProf = fs.String("faults", "", "adversity profile for the R-series experiments")
-		activity   = fs.String("activity", "", "benign user-activity mix for scenario fleets")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores)")
-		out        = fs.String("o", "", "write the checkpoint JSON to this file (default stdout)")
+		id   = fs.String("run", "", "experiment ID to checkpoint (required)")
+		seed = fs.Uint64("seed", 1, "deterministic simulation seed")
+		at   = fs.Duration("at", 0, "checkpoint boundary as virtual time past the simulation epoch (required, e.g. 30m)")
+		out  = fs.String("o", "", "write the checkpoint JSON to this file (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -594,19 +573,10 @@ func runCheckpoint(args []string) error {
 	if *at <= 0 {
 		return fmt.Errorf("checkpoint: -at DURATION (virtual time past the epoch) is required")
 	}
-	if err := core.SetFaultProfile(*faultsProf); err != nil {
-		return err
-	}
-	if err := core.SetActivityMix(*activity); err != nil {
-		return err
-	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
-		return err
-	}
 	if err := validateOutPath("-o", *out); err != nil {
 		return err
 	}
-	cp, err := core.CaptureCheckpoint(*id, *seed, sim.Epoch.Add(*at))
+	cp, err := core.CaptureCheckpoint(&env, *id, *seed, sim.Epoch.Add(*at))
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -631,21 +601,19 @@ func runCheckpoint(args []string) error {
 // runFork implements `cyberlab fork`: restore a checkpoint by
 // deterministic re-execution under the captured configuration, verify
 // the replayed prefix hash, and render only the tail past the boundary.
-func runFork(args []string) error {
+func runFork(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cyberlab fork", flag.ContinueOnError)
+	env := core.Env{Ctx: ctx}
+	bindEnv(fs, &env, false)
 	var (
-		from       = fs.String("from", "", "checkpoint file to restore (required)")
-		traceOut   = fs.String("trace", "", "write the tail trace events (past the checkpoint) to this file as JSONL")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores); the replay verifies against the checkpoint at any width")
+		from     = fs.String("from", "", "checkpoint file to restore (required)")
+		traceOut = fs.String("trace", "", "write the tail trace events (past the checkpoint) to this file as JSONL")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *from == "" {
 		return fmt.Errorf("fork: -from FILE is required")
-	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
-		return err
 	}
 	if err := validateOutPath("-trace", *traceOut); err != nil {
 		return err
@@ -654,10 +622,7 @@ func runFork(args []string) error {
 	if err != nil {
 		return fmt.Errorf("fork: %w", err)
 	}
-	if err := cp.ApplyConfig(); err != nil {
-		return fmt.Errorf("fork: %w", err)
-	}
-	fr, err := core.Fork(cp)
+	fr, err := core.Fork(&env, cp)
 	if err != nil {
 		return fmt.Errorf("fork: %w", err)
 	}
@@ -674,6 +639,37 @@ func runFork(args []string) error {
 	fmt.Fprintf(os.Stderr, "fork %s seed %d: prefix of %d events verified at %s, %d tail events restored\n",
 		cp.Experiment, cp.Seed, cp.PrefixLen, cp.VTime.Format(time.RFC3339), fr.TailEvents)
 	return nil
+}
+
+// bindEnv registers the run-environment flags on fs, parsing straight
+// into env: -faults and -activity when withKey is set, -partitions
+// always. run, profile and checkpoint bind all three; fork binds only
+// -partitions, because it replays under the checkpoint's own key. One
+// binder gives every subcommand the same names, defaults and errors.
+func bindEnv(fs *flag.FlagSet, env *core.Env, withKey bool) {
+	if withKey {
+		fs.Func("faults", "adversity profile for the R-series experiments (none, light, takedown, chaos; default takedown)", func(s string) error {
+			k := env.Key()
+			k.Faults = s
+			return env.ParseKey(k)
+		})
+		fs.Func("activity", "benign user-activity mix for scenario fleets (none, office, developer, kiosk, enterprise; default none)", func(s string) error {
+			k := env.Key()
+			k.Activity = s
+			return env.ParseKey(k)
+		})
+	}
+	fs.Func("partitions", "worker goroutines advancing a partitioned world's site shards (default 1; 0 = all cores); output bytes are identical at any width", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			return fmt.Errorf("want a worker count >= 1, or 0 for all cores")
+		}
+		if n == 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		env.Partitions = n
+		return nil
+	})
 }
 
 // parseIDs splits a comma-separated -run value and validates every ID.
@@ -781,10 +777,10 @@ func reportErr(reports []core.RunReport) error {
 }
 
 // partialBanner prints the RUN PARTIAL summary to stderr when a run was
-// cut short (shutdown signal, watchdog or deadline aborts). It never
-// touches stdout: the report artefact stays deterministic, partial runs
-// included.
-func partialBanner(reports []core.RunReport, journalPath string) {
+// cut short (shutdown, the non-nil cause of a cancelled run context, or
+// watchdog and deadline aborts). It never touches stdout: the report
+// artefact stays deterministic, partial runs included.
+func partialBanner(reports []core.RunReport, journalPath string, shutdown error) {
 	done, served, aborted, skipped := 0, 0, 0, 0
 	for _, rep := range reports {
 		switch {
@@ -799,12 +795,12 @@ func partialBanner(reports []core.RunReport, journalPath string) {
 			}
 		}
 	}
-	if aborted == 0 && skipped == 0 && core.ShutdownCause() == nil {
+	if aborted == 0 && skipped == 0 && shutdown == nil {
 		return
 	}
 	cause := "experiment aborts"
-	if c := core.ShutdownCause(); c != nil {
-		cause = c.Error()
+	if shutdown != nil {
+		cause = shutdown.Error()
 	}
 	fmt.Fprintf(os.Stderr, "RUN PARTIAL (%s): %d done (%d from journal), %d aborted, %d skipped\n",
 		cause, done, served, aborted, skipped)

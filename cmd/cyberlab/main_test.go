@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestParseSeeds(t *testing.T) {
 	cases := []struct {
@@ -44,49 +47,49 @@ func TestParseSeeds(t *testing.T) {
 }
 
 func TestSeedSweepSingleExperiment(t *testing.T) {
-	if err := run([]string{"-run", "F3", "-seeds", "1..2", "-parallel", "2"}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-parallel", "2"}); err != nil {
 		t.Fatalf("sweep F3: %v", err)
 	}
 }
 
 func TestBadParallelValue(t *testing.T) {
-	if err := run([]string{"-all", "-parallel", "0"}); err == nil {
+	if err := run(context.Background(), []string{"-all", "-parallel", "0"}); err == nil {
 		t.Fatal("-parallel 0 accepted")
 	}
 }
 
 func TestBadSeedsValue(t *testing.T) {
-	if err := run([]string{"-all", "-seeds", "9..1"}); err == nil {
+	if err := run(context.Background(), []string{"-all", "-seeds", "9..1"}); err == nil {
 		t.Fatal("bad -seeds range accepted")
 	}
 }
 
 func TestListFlag(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
+	if err := run(context.Background(), []string{"-list"}); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
 }
 
 func TestRunSingleExperiment(t *testing.T) {
-	if err := run([]string{"-run", "F3", "-seed", "3"}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-seed", "3"}); err != nil {
 		t.Fatalf("run F3: %v", err)
 	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-run", "ZZ"}); err == nil {
+	if err := run(context.Background(), []string{"-run", "ZZ"}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestNoModeIsError(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(context.Background(), nil); err == nil {
 		t.Fatal("no mode accepted")
 	}
 }
 
 func TestBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run(context.Background(), []string{"-bogus"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,7 +18,7 @@ func TestTraceMetricsDeterministicAcrossWorkers(t *testing.T) {
 	for _, p := range []string{"1", "4", "8"} {
 		tr := filepath.Join(dir, "trace-"+p+".jsonl")
 		mt := filepath.Join(dir, "metrics-"+p+".json")
-		if err := run([]string{"-run", "F2,F3,C1,C8", "-parallel", p, "-trace", tr, "-metrics", mt}); err != nil {
+		if err := run(context.Background(), []string{"-run", "F2,F3,C1,C8", "-parallel", p, "-trace", tr, "-metrics", mt}); err != nil {
 			t.Fatalf("-parallel %s: %v", p, err)
 		}
 		gotTrace, err := os.ReadFile(tr)
@@ -57,7 +58,7 @@ func TestReportMatchesCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
-	if err := run([]string{"-report", "-o", out}); err != nil {
+	if err := run(context.Background(), []string{"-report", "-o", out}); err != nil {
 		t.Fatalf("-report: %v", err)
 	}
 	generated, err := os.ReadFile(out)
@@ -71,20 +72,20 @@ func TestReportMatchesCommitted(t *testing.T) {
 }
 
 func TestTraceRejectedWithSeeds(t *testing.T) {
-	if err := run([]string{"-run", "F3", "-seeds", "1..2", "-trace", filepath.Join(t.TempDir(), "t.jsonl")}); err == nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-trace", filepath.Join(t.TempDir(), "t.jsonl")}); err == nil {
 		t.Fatal("-trace with -seeds accepted; sweeps discard per-run events")
 	}
 }
 
 func TestRunCommaListRejectsUnknownID(t *testing.T) {
-	if err := run([]string{"-run", "F3,ZZ"}); err == nil {
+	if err := run(context.Background(), []string{"-run", "F3,ZZ"}); err == nil {
 		t.Fatal("unknown ID in -run list accepted")
 	}
 }
 
 func TestSweepMetricsWritten(t *testing.T) {
 	mt := filepath.Join(t.TempDir(), "m.json")
-	if err := run([]string{"-run", "F3", "-seeds", "1..2", "-metrics", mt}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-metrics", mt}); err != nil {
 		t.Fatalf("sweep with -metrics: %v", err)
 	}
 	data, err := os.ReadFile(mt)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 
 func TestProfileSubcommandManifest(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "manifest.json")
-	if err := run([]string{"profile", "-run", "A3,F3", "-o", out}); err != nil {
+	if err := run(context.Background(), []string{"profile", "-run", "A3,F3", "-o", out}); err != nil {
 		t.Fatalf("profile: %v", err)
 	}
 	data, err := os.ReadFile(out)
@@ -46,19 +47,19 @@ func TestProfileSubcommandManifest(t *testing.T) {
 }
 
 func TestProfileRequiresMode(t *testing.T) {
-	if err := run([]string{"profile"}); err == nil {
+	if err := run(context.Background(), []string{"profile"}); err == nil {
 		t.Fatal("profile with no -run/-all accepted")
 	}
 }
 
 func TestProfileUnknownExperiment(t *testing.T) {
-	if err := run([]string{"profile", "-run", "ZZ"}); err == nil {
+	if err := run(context.Background(), []string{"profile", "-run", "ZZ"}); err == nil {
 		t.Fatal("profile -run ZZ accepted")
 	}
 }
 
 func TestProfileBadParallel(t *testing.T) {
-	if err := run([]string{"profile", "-run", "F3", "-parallel", "0"}); err == nil {
+	if err := run(context.Background(), []string{"profile", "-run", "F3", "-parallel", "0"}); err == nil {
 		t.Fatal("profile -parallel 0 accepted")
 	}
 }
@@ -71,10 +72,10 @@ func TestProgressFlagKeepsReportBytes(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.txt")
 	probed := filepath.Join(dir, "probed.txt")
-	if err := run([]string{"-run", "F2,C8", "-o", plain}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F2,C8", "-o", plain}); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	if err := run([]string{"-run", "F2,C8", "-progress", "-o", probed}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F2,C8", "-progress", "-o", probed}); err != nil {
 		t.Fatalf("progress run: %v", err)
 	}
 	a, err := os.ReadFile(plain)
@@ -144,7 +145,7 @@ func TestValidateOutPathRejectsUnwritable(t *testing.T) {
 // TestProfileValidatesOutput: the profile subcommand goes through the
 // same fail-fast output validation as every other output flag.
 func TestProfileValidatesOutput(t *testing.T) {
-	if err := run([]string{"profile", "-run", "F3", "-o", filepath.Join(t.TempDir(), "no", "such", "dir.json")}); err == nil {
+	if err := run(context.Background(), []string{"profile", "-run", "F3", "-o", filepath.Join(t.TempDir(), "no", "such", "dir.json")}); err == nil {
 		t.Fatal("profile -o into missing directory accepted")
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,11 +40,11 @@ func TestTraceSubcommandDeterministicAcrossWorkers(t *testing.T) {
 	var refDot, refText []byte
 	for _, p := range []string{"1", "4", "8"} {
 		export := filepath.Join(dir, "trace-"+p+".jsonl")
-		if err := run([]string{"-run", "F1,C4,C9", "-parallel", p, "-trace", export}); err != nil {
+		if err := run(context.Background(), []string{"-run", "F1,C4,C9", "-parallel", p, "-trace", export}); err != nil {
 			t.Fatalf("-parallel %s: %v", p, err)
 		}
 		dotPath := filepath.Join(dir, "out-"+p+".dot")
-		if err := run([]string{"trace", "-in", export, "-dot", dotPath}); err != nil {
+		if err := run(context.Background(), []string{"trace", "-in", export, "-dot", dotPath}); err != nil {
 			t.Fatalf("trace -dot (-parallel %s export): %v", p, err)
 		}
 		dot, err := os.ReadFile(dotPath)
@@ -51,7 +52,7 @@ func TestTraceSubcommandDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		text, terr := captureStdout(t, func() error {
-			return run([]string{"trace", "-in", export})
+			return run(context.Background(), []string{"trace", "-in", export})
 		})
 		if terr != nil {
 			t.Fatalf("trace text: %v", terr)
@@ -84,11 +85,11 @@ func TestTraceSubcommandDeterministicAcrossWorkers(t *testing.T) {
 func TestTraceChainWalk(t *testing.T) {
 	dir := t.TempDir()
 	export := filepath.Join(dir, "f1.jsonl")
-	if err := run([]string{"-run", "F1", "-trace", export}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F1", "-trace", export}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := captureStdout(t, func() error {
-		return run([]string{"trace", "-in", export, "-chain", "F1/s3"})
+		return run(context.Background(), []string{"trace", "-in", export, "-chain", "F1/s3"})
 	})
 	if err != nil {
 		t.Fatalf("trace -chain: %v", err)
@@ -105,12 +106,12 @@ func TestTraceChainWalk(t *testing.T) {
 	}
 	// The bare span form works when the stream has one experiment.
 	bare, err := captureStdout(t, func() error {
-		return run([]string{"trace", "-in", export, "-chain", "s3"})
+		return run(context.Background(), []string{"trace", "-in", export, "-chain", "s3"})
 	})
 	if err != nil || bare != out {
 		t.Errorf("bare -chain s3 output differs: err=%v", err)
 	}
-	if err := run([]string{"trace", "-in", export, "-chain", "F1/s999"}); err == nil {
+	if err := run(context.Background(), []string{"trace", "-in", export, "-chain", "F1/s999"}); err == nil {
 		t.Error("unknown span accepted")
 	}
 }
@@ -118,11 +119,11 @@ func TestTraceChainWalk(t *testing.T) {
 func TestTraceFilters(t *testing.T) {
 	dir := t.TempDir()
 	export := filepath.Join(dir, "multi.jsonl")
-	if err := run([]string{"-run", "F1,C4", "-trace", export}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F1,C4", "-trace", export}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := captureStdout(t, func() error {
-		return run([]string{"trace", "-in", export, "-tag", "exp=F1"})
+		return run(context.Background(), []string{"trace", "-in", export, "-tag", "exp=F1"})
 	})
 	if err != nil {
 		t.Fatalf("trace -tag: %v", err)
@@ -131,7 +132,7 @@ func TestTraceFilters(t *testing.T) {
 		t.Errorf("-tag exp=F1 did not isolate the Stuxnet forest:\n%s", out)
 	}
 	out, err = captureStdout(t, func() error {
-		return run([]string{"trace", "-in", export, "-cat", "infect", "-actor", "ENG-STATION"})
+		return run(context.Background(), []string{"trace", "-in", export, "-cat", "infect", "-actor", "ENG-STATION"})
 	})
 	if err != nil {
 		t.Fatalf("trace -cat -actor: %v", err)
@@ -142,13 +143,13 @@ func TestTraceFilters(t *testing.T) {
 }
 
 func TestTraceArgValidation(t *testing.T) {
-	if err := run([]string{"trace"}); err == nil {
+	if err := run(context.Background(), []string{"trace"}); err == nil {
 		t.Error("trace without -in accepted")
 	}
-	if err := run([]string{"trace", "-in", "/does/not/exist.jsonl"}); err == nil {
+	if err := run(context.Background(), []string{"trace", "-in", "/does/not/exist.jsonl"}); err == nil {
 		t.Error("missing input file accepted")
 	}
-	if err := run([]string{"trace", "-in", "x.jsonl", "-tag", "novalue"}); err == nil {
+	if err := run(context.Background(), []string{"trace", "-in", "x.jsonl", "-tag", "novalue"}); err == nil {
 		t.Error("malformed -tag accepted")
 	}
 }
@@ -163,7 +164,7 @@ func TestOutputPathsValidatedUpFront(t *testing.T) {
 		{"-run", "F1", "-metrics", filepath.Join(missing, "m.json")},
 		{"-report", "-o", filepath.Join(missing, "r.md")},
 	} {
-		err := run(args)
+		err := run(context.Background(), args)
 		if err == nil {
 			t.Errorf("%v: doomed output path accepted", args)
 			continue
@@ -174,12 +175,12 @@ func TestOutputPathsValidatedUpFront(t *testing.T) {
 	}
 	// A directory given as the output file is just as doomed.
 	dir := t.TempDir()
-	if err := run([]string{"-run", "F1", "-trace", dir}); err == nil ||
+	if err := run(context.Background(), []string{"-run", "F1", "-trace", dir}); err == nil ||
 		!strings.Contains(err.Error(), "is a directory") {
 		t.Errorf("directory output path: %v", err)
 	}
 	// trace -dot goes through the same gate.
-	if err := run([]string{"trace", "-in", "whatever.jsonl", "-dot", filepath.Join(missing, "g.dot")}); err == nil ||
+	if err := run(context.Background(), []string{"trace", "-in", "whatever.jsonl", "-dot", filepath.Join(missing, "g.dot")}); err == nil ||
 		!strings.Contains(err.Error(), "does not exist") {
 		t.Error("trace -dot doomed path accepted")
 	}

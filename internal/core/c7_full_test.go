@@ -11,7 +11,7 @@ func TestC7FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30k-host fleet run skipped in -short mode")
 	}
-	res, err := RunC7AramcoScale(1)
+	res, err := RunC7AramcoScale(nil, 1)
 	if err != nil {
 		t.Fatalf("C7: %v", err)
 	}

@@ -31,8 +31,7 @@ type Checkpoint struct {
 	Version    int       `json:"version"`
 	Experiment string    `json:"experiment"`
 	Seed       uint64    `json:"seed"`
-	Faults     string    `json:"faults"`
-	Activity   string    `json:"activity"`
+	EnvKey               // the capture's fault profile and activity mix
 	VTime      time.Time `json:"vtime"`       // checkpoint boundary (virtual clock)
 	PrefixLen  int       `json:"prefix_len"`  // trace events at or before VTime
 	PrefixHash string    `json:"prefix_hash"` // sha256 over their JSONL bytes
@@ -57,11 +56,11 @@ func tracePrefixHash(events []obs.Event, boundary time.Time) (int, string) {
 	return n, hex.EncodeToString(h.Sum(nil))
 }
 
-// CaptureCheckpoint runs the experiment to completion and freezes the
-// trace prefix up to vtime into a Checkpoint bound to the process's
-// current fault profile and activity mix.
-func CaptureCheckpoint(id string, seed uint64, vtime time.Time) (*Checkpoint, error) {
-	rep := runOne(id, seed)
+// CaptureCheckpoint runs the experiment under env to completion and
+// freezes the trace prefix up to vtime into a Checkpoint bound to env's
+// key.
+func CaptureCheckpoint(env *Env, id string, seed uint64, vtime time.Time) (*Checkpoint, error) {
+	rep := runOne(env, id, seed)
 	if rep.Err != nil {
 		return nil, rep.Err
 	}
@@ -69,8 +68,7 @@ func CaptureCheckpoint(id string, seed uint64, vtime time.Time) (*Checkpoint, er
 		Version:    checkpointVersion,
 		Experiment: id,
 		Seed:       seed,
-		Faults:     FaultProfile().Name,
-		Activity:   ActivityMixName(),
+		EnvKey:     env.Key(),
 		VTime:      vtime.UTC(),
 		TotalLen:   len(rep.Result.Events),
 		Summary:    rep.Result.Summary,
@@ -91,22 +89,23 @@ type ForkResult struct {
 	TailEvents int
 }
 
-// Fork restores a checkpoint by deterministic re-execution. The process
-// configuration must already match the checkpoint (use ApplyConfig),
-// and the replayed trace prefix must hash to the checkpoint's value; a
-// mismatch means the code or configuration drifted since capture — or
-// the run is nondeterministic — and the fork is refused.
-func Fork(cp *Checkpoint) (*ForkResult, error) {
+// Fork restores a checkpoint by deterministic re-execution under env
+// with the checkpoint's own key in place of env's. The replayed trace
+// prefix must hash to the checkpoint's value; a mismatch means the code
+// drifted since capture — or the run is nondeterministic — and the fork
+// is refused.
+func Fork(env *Env, cp *Checkpoint) (*ForkResult, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("checkpoint format v%d, this build speaks v%d", cp.Version, checkpointVersion)
 	}
-	if got := FaultProfile().Name; got != cp.Faults {
-		return nil, fmt.Errorf("checkpoint was captured under fault profile %q but the process runs %q", cp.Faults, got)
+	replay := Env{}
+	if env != nil {
+		replay = *env
 	}
-	if got := ActivityMixName(); got != cp.Activity {
-		return nil, fmt.Errorf("checkpoint was captured under activity mix %q but the process runs %q", cp.Activity, got)
+	if err := replay.ParseKey(cp.EnvKey); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	rep := runOne(cp.Experiment, cp.Seed)
+	rep := runOne(&replay, cp.Experiment, cp.Seed)
 	if rep.Err != nil {
 		return nil, fmt.Errorf("fork replay: %w", rep.Err)
 	}
@@ -123,18 +122,6 @@ func Fork(cp *Checkpoint) (*ForkResult, error) {
 	}
 	rep.Result.Events = tail
 	return &ForkResult{Checkpoint: cp, Result: rep.Result, TailEvents: len(tail)}, nil
-}
-
-// ApplyConfig installs the checkpoint's fault profile and activity mix
-// into the process, so Fork replays under the captured configuration.
-func (cp *Checkpoint) ApplyConfig() error {
-	if err := SetFaultProfile(cp.Faults); err != nil {
-		return fmt.Errorf("checkpoint fault profile: %w", err)
-	}
-	if err := SetActivityMix(cp.Activity); err != nil {
-		return fmt.Errorf("checkpoint activity mix: %w", err)
-	}
-	return nil
 }
 
 // WriteCheckpoint renders cp as indented JSON plus a trailing newline.

@@ -7,13 +7,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/users"
 )
 
 // checkpointBoundary picks a vtime strictly inside an experiment's
 // event stream, so the checkpoint has both a prefix and a tail.
 func checkpointBoundary(t *testing.T, id string) time.Time {
 	t.Helper()
-	rep := runOne(id, 1)
+	rep := runOne(nil, id, 1)
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
@@ -29,14 +31,14 @@ func checkpointBoundary(t *testing.T, id string) time.Time {
 // prefix is muted out of the restored result.
 func TestCheckpointForkRoundTrip(t *testing.T) {
 	at := checkpointBoundary(t, "C1")
-	cp, err := CaptureCheckpoint("C1", 1, at)
+	cp, err := CaptureCheckpoint(nil, "C1", 1, at)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.PrefixLen == 0 || cp.PrefixLen >= cp.TotalLen {
 		t.Fatalf("degenerate checkpoint: prefix %d of %d events", cp.PrefixLen, cp.TotalLen)
 	}
-	fr, err := Fork(cp)
+	fr, err := Fork(nil, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,44 +56,55 @@ func TestCheckpointForkRoundTrip(t *testing.T) {
 // longer matches the replay means the code or configuration changed —
 // the fork must refuse, not silently diverge.
 func TestForkRefusesHashDrift(t *testing.T) {
-	cp, err := CaptureCheckpoint("C1", 1, checkpointBoundary(t, "C1"))
+	cp, err := CaptureCheckpoint(nil, "C1", 1, checkpointBoundary(t, "C1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp.PrefixHash = strings.Repeat("0", len(cp.PrefixHash))
-	if _, err := Fork(cp); err == nil || !strings.Contains(err.Error(), "drift") {
+	if _, err := Fork(nil, cp); err == nil || !strings.Contains(err.Error(), "drift") {
 		t.Fatalf("hash-drifted fork = %v, want a drift refusal", err)
 	}
 }
 
-// TestForkRefusesConfigMismatch: forking under a different fault
-// profile than the capture is refused up front.
-func TestForkRefusesConfigMismatch(t *testing.T) {
-	cp, err := CaptureCheckpoint("C1", 1, checkpointBoundary(t, "C1"))
+// TestForkReplaysUnderCheckpointKey: a fork replays under the key its
+// checkpoint recorded, not the caller's, so an R-series checkpoint
+// captured under the default profile still verifies when forked from a
+// chaos env.
+func TestForkReplaysUnderCheckpointKey(t *testing.T) {
+	cp, err := CaptureCheckpoint(nil, "R2", 1, checkpointBoundary(t, "R2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetFaultProfile("chaos"); err != nil {
+	var chaos Env
+	if err := chaos.ParseKey(EnvKey{Faults: "chaos"}); err != nil {
 		t.Fatal(err)
 	}
-	defer SetFaultProfile("")
-	if _, err := Fork(cp); err == nil || !strings.Contains(err.Error(), "fault profile") {
-		t.Fatalf("profile-mismatched fork = %v, want a refusal", err)
+	if _, err := Fork(&chaos, cp); err != nil {
+		t.Fatalf("fork from a chaos env: %v", err)
 	}
-	// ApplyConfig restores the captured configuration, after which the
-	// fork verifies again.
-	if err := cp.ApplyConfig(); err != nil {
+}
+
+// TestCheckpointSilentMixEitherSpelling: a checkpoint captured under
+// `-activity none` records the canonical silent spelling "", and one an
+// earlier build wrote with "none" still forks.
+func TestCheckpointSilentMixEitherSpelling(t *testing.T) {
+	cp, err := CaptureCheckpoint(&Env{Activity: users.MixNone}, "C1", 1, checkpointBoundary(t, "C1"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Fork(cp); err != nil {
-		t.Fatalf("fork after ApplyConfig: %v", err)
+	if cp.Activity != "" {
+		t.Fatalf("silent checkpoint spells its mix %q, want \"\"", cp.Activity)
+	}
+	cp.Activity = string(users.MixNone)
+	if _, err := Fork(nil, cp); err != nil {
+		t.Fatalf("fork of a %q checkpoint: %v", cp.Activity, err)
 	}
 }
 
 // TestCheckpointFileRoundTrip: checkpoints survive the write/read cycle
 // byte-for-byte in their verified fields.
 func TestCheckpointFileRoundTrip(t *testing.T) {
-	cp, err := CaptureCheckpoint("C1", 1, checkpointBoundary(t, "C1"))
+	cp, err := CaptureCheckpoint(nil, "C1", 1, checkpointBoundary(t, "C1"))
 	if err != nil {
 		t.Fatal(err)
 	}

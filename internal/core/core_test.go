@@ -50,7 +50,7 @@ func runExperiment(t *testing.T, id string) *Result {
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	res, err := run(1)
+	res, err := run(nil, 1)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -180,7 +180,7 @@ func TestE2GaussGodel(t *testing.T) {
 // metrics.
 func TestExperimentDeterminism(t *testing.T) {
 	run := func() []Metric {
-		res, err := RunF1StuxnetOperation(7)
+		res, err := RunF1StuxnetOperation(nil, 7)
 		if err != nil {
 			t.Fatalf("F1: %v", err)
 		}

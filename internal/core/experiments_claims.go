@@ -18,8 +18,8 @@ import (
 // RunC1ZeroDays verifies the "four zero-day exploits" claim: MS10-046
 // (LNK), MS10-061 (spooler), MS10-073 and MS10-092 (EoP) all fire in a
 // single campaign, and each is individually blocked by its patch.
-func RunC1ZeroDays(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC1ZeroDays(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -82,8 +82,8 @@ func RunC1ZeroDays(seed uint64) (*Result, error) {
 // 807–1210 Hz trigger band, the 1410 -> 2 -> 1064 Hz profile destroying
 // machines, and the replayed normal readings blinding operator and safety
 // system while the attack runs.
-func RunC2Centrifuge(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC2Centrifuge(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func RunC2Centrifuge(seed uint64) (*Result, error) {
 
 // RunC3Targeting verifies the selectivity claim: the payload fires only
 // against a Profibus CP with the Finnish/Iranian drive pair.
-func RunC3Targeting(seed uint64) (*Result, error) {
+func RunC3Targeting(env *Env, seed uint64) (*Result, error) {
 	type variant struct {
 		name    string
 		vendors []string
@@ -161,7 +161,7 @@ func RunC3Targeting(seed uint64) (*Result, error) {
 	pass := true
 	matchDestroyed := 0
 	for i, v := range variants {
-		w, err := NewWorld(WorldConfig{Seed: seed + uint64(i)})
+		w, err := NewWorld(WorldConfig{Env: env, Seed: seed + uint64(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -200,8 +200,8 @@ func RunC3Targeting(seed uint64) (*Result, error) {
 
 // RunC4FlameSize verifies the size claims: ~900 KB bare-bones installer
 // growing to ~20 MB fully deployed via C&C module downloads.
-func RunC4FlameSize(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC4FlameSize(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -241,8 +241,8 @@ func RunC4FlameSize(seed uint64) (*Result, error) {
 // RunC5ExfilVolume measures one week of exfiltration volume landing on
 // the C&C servers — the paper reports 5.5 GB on one server in a week; our
 // synthetic corpus reproduces the *continuous multi-megabyte* shape.
-func RunC5ExfilVolume(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed, MuteTrace: true})
+func RunC5ExfilVolume(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed, MuteTrace: true})
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +308,8 @@ func RunC5ExfilVolume(seed uint64) (*Result, error) {
 
 // RunC6Suicide verifies the SUICIDE claim: after the broadcast command,
 // forensics finds zero artefacts on previously infected machines.
-func RunC6Suicide(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC6Suicide(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -364,17 +364,19 @@ func RunC6Suicide(seed uint64) (*Result, error) {
 // shares after a cross-site carry, then every machine wipes at the
 // hardcoded trigger, stops booting, and reports home to the hub through
 // the epoch mailboxes.
-func RunC7AramcoScale(seed uint64) (*Result, error) {
-	return RunAramcoFleet(seed, C7Options(30000))
+func RunC7AramcoScale(env *Env, seed uint64) (*Result, error) {
+	opts := C7Options(30000)
+	opts.Env = env
+	return RunAramcoFleet(seed, opts)
 }
 
 // RunC8JPEGBug verifies the coding-mistake claim: wiped files contain only
 // the small upper fragment of the JPEG, against the intended full
 // overwrite (the ablation).
-func RunC8JPEGBug(seed uint64) (*Result, error) {
+func RunC8JPEGBug(env *Env, seed uint64) (*Result, error) {
 	var kernels []*sim.Kernel
 	run := func(bug bool) (fragBytes float64, fullOverwrite bool, err error) {
-		w, err := NewWorld(WorldConfig{Seed: seed, Start: shamoon.AramcoTrigger.Add(-2 * time.Hour)})
+		w, err := NewWorld(WorldConfig{Env: env, Seed: seed, Start: shamoon.AramcoTrigger.Add(-2 * time.Hour)})
 		if err != nil {
 			return 0, false, err
 		}
@@ -426,8 +428,8 @@ func RunC8JPEGBug(seed uint64) (*Result, error) {
 
 // RunC9Reporter verifies the reporter telemetry claim: an HTTP GET
 // carrying the domain name, overwrite count, IP address, and f1.inf.
-func RunC9Reporter(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed, Start: shamoon.AramcoTrigger.Add(-4 * time.Hour)})
+func RunC9Reporter(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed, Start: shamoon.AramcoTrigger.Add(-4 * time.Hour)})
 	if err != nil {
 		return nil, err
 	}
@@ -464,8 +466,8 @@ func RunC9Reporter(seed uint64) (*Result, error) {
 // RunC10AirGap verifies the hidden-USB-database claim: documents from a
 // disconnected zone reach the C&C once the stick revisits a connected
 // infected host.
-func RunC10AirGap(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC10AirGap(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -519,8 +521,8 @@ func RunC10AirGap(seed uint64) (*Result, error) {
 
 // RunC11Bluetooth verifies the BEETLEJUICE claim: the infected machine
 // beacons as discoverable and exfiltrates the nearby device inventory.
-func RunC11Bluetooth(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC11Bluetooth(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,8 @@ func ruleCoverageBlock(en *detect.Engine, start time.Time) string {
 // kill-chain sequence must assemble, and every alert must carry a causal
 // span that chains back to the campaign's web-shell root in the
 // provenance forest.
-func RunD1CNIDetection(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunD1CNIDetection(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +128,8 @@ func RunD1CNIDetection(seed uint64) (*Result, error) {
 // web-shell, VPN, task-path, proxy and kill-chain content must stay
 // silent: Shamoon persists under System32, reports home with its own
 // protocol, and never touches RDP.
-func RunD2CrossCampaign(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed, Start: shamoon.AramcoTrigger.Add(-72 * time.Hour)})
+func RunD2CrossCampaign(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed, Start: shamoon.AramcoTrigger.Add(-72 * time.Hour)})
 	if err != nil {
 		return nil, err
 	}
@@ -195,8 +195,8 @@ func RunD2CrossCampaign(seed uint64) (*Result, error) {
 // every rollout night — remote execution IS the deployment mechanism, and
 // triage cost is the honest price of that rule — but every threshold,
 // sequence and campaign-specific rule must stay at zero.
-func RunD3FalsePositives(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunD3FalsePositives(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -27,8 +27,8 @@ func netsimOK(capture func(body []byte)) netsim.Handler {
 // the target list), modules "compiled and built specifically for every
 // new infection", JPEG-wrapped sealed exfiltration, and the fixed-lifetime
 // self-removal.
-func RunE1DuquTargeting(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunE1DuquTargeting(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +129,8 @@ func RunE1DuquTargeting(seed uint64) (*Result, error) {
 // I): banking-credential theft, plus the configuration-keyed encrypted
 // payload that detonates only on the intended machine and resists
 // analysis everywhere else.
-func RunE2GaussGodel(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunE2GaussGodel(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

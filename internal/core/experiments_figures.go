@@ -17,8 +17,8 @@ import (
 // RunF1StuxnetOperation reproduces Figure 1: the three compromise levels —
 // Windows, the Step 7 application, and the PLC — chained from a USB
 // delivery to physical centrifuge damage with a blinded operator.
-func RunF1StuxnetOperation(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunF1StuxnetOperation(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +74,8 @@ func RunF1StuxnetOperation(seed uint64) (*Result, error) {
 // RunF2WPADMitm reproduces Figure 2: the Flame man-in-the-middle — a WPAD
 // hijack turns the infected node into the victims' proxy, and intercepted
 // Windows Update requests deliver a forged-signature installer.
-func RunF2WPADMitm(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunF2WPADMitm(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -122,8 +122,8 @@ func RunF2WPADMitm(seed uint64) (*Result, error) {
 // RunF3CertForging reproduces Figure 3: leveraging a limited-use Terminal
 // Services licensing certificate into code-signing authority via a
 // weak-hash collision, and the advisory that kills it.
-func RunF3CertForging(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunF3CertForging(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +176,8 @@ func RunF3CertForging(seed uint64) (*Result, error) {
 // RunF4CnCPlatform reproduces Figure 4: the C&C platform shape — 80
 // domains over 22 server IPs, 5 bootstrap domains growing to ~10 after
 // first contact, all controlled from a single attack center.
-func RunF4CnCPlatform(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunF4CnCPlatform(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +242,8 @@ func agentDomains(a *flame.Agent) []string { return a.Domains() }
 // RunF5CnCServer reproduces Figure 5: the server internals — the
 // newsforyou ads/news/entries flow, sealed exfil the operator cannot read,
 // LogWiper, and the 30-minute retention job.
-func RunF5CnCServer(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunF5CnCServer(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -316,8 +316,8 @@ func RunF5CnCServer(seed uint64) (*Result, error) {
 // RunF6ShamoonComponents reproduces Figure 6: the TrkSvr.exe decomposition
 // — a ~900 KB PE whose XOR-encrypted resources are recovered by static
 // analysis as the reporter, the wiper, and the 64-bit variant.
-func RunF6ShamoonComponents(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunF6ShamoonComponents(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,8 @@ import (
 // same factories that produced Stuxnet and Duqu"; and Shamoon, "the work
 // of amateurs", shares code with neither. The shingle-similarity analysis
 // recovers exactly this clustering from the samples' bytes.
-func RunE3Lineage(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunE3Lineage(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -17,9 +17,9 @@ import (
 // the paper's qualitative ordering (Stuxnet/Flame sophisticated and
 // targeted with suicide capability; Shamoon crude, broad and destructive
 // with no uninstaller).
-func RunT1Trends(seed uint64) (*Result, error) {
+func RunT1Trends(env *Env, seed uint64) (*Result, error) {
 	// --- Stuxnet evidence ---
-	w1, err := NewWorld(WorldConfig{Seed: seed})
+	w1, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func RunT1Trends(seed uint64) (*Result, error) {
 	})
 
 	// --- Flame evidence ---
-	w2, err := NewWorld(WorldConfig{Seed: seed + 1})
+	w2, err := NewWorld(WorldConfig{Env: env, Seed: seed + 1})
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func RunT1Trends(seed uint64) (*Result, error) {
 	})
 
 	// --- Shamoon evidence ---
-	w3, err := NewWorld(WorldConfig{Seed: seed + 2, Start: shamoon.AramcoTrigger.Add(-12 * time.Hour)})
+	w3, err := NewWorld(WorldConfig{Env: env, Seed: seed + 2, Start: shamoon.AramcoTrigger.Add(-12 * time.Hour)})
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func RunT1Trends(seed uint64) (*Result, error) {
 // RunA1AblationPatching sweeps the patched fraction of a LAN and measures
 // Stuxnet's network spread — the design-choice ablation for modelling
 // vulnerabilities as patch gates.
-func RunA1AblationPatching(seed uint64) (*Result, error) {
+func RunA1AblationPatching(env *Env, seed uint64) (*Result, error) {
 	res := &Result{
 		ID:    "A1",
 		Title: "Ablation: patch level vs Stuxnet spread",
@@ -144,7 +144,7 @@ func RunA1AblationPatching(seed uint64) (*Result, error) {
 	const lanSize = 16
 	var rates []float64
 	for i, frac := range fracs {
-		w, err := NewWorld(WorldConfig{Seed: seed + uint64(i)})
+		w, err := NewWorld(WorldConfig{Env: env, Seed: seed + uint64(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func RunA1AblationPatching(seed uint64) (*Result, error) {
 // RunA2AblationAdvisory sweeps how quickly the certificate advisory lands
 // and measures Flame's fake-update spread — the response-time ablation for
 // the Fig. 3 attack.
-func RunA2AblationAdvisory(seed uint64) (*Result, error) {
+func RunA2AblationAdvisory(env *Env, seed uint64) (*Result, error) {
 	res := &Result{
 		ID:    "A2",
 		Title: "Ablation: advisory response time vs fake-update spread",
@@ -205,7 +205,7 @@ func RunA2AblationAdvisory(seed uint64) (*Result, error) {
 	const fleet = 12
 	var compromised []float64
 	for i, delay := range delays {
-		w, err := NewWorld(WorldConfig{Seed: seed + uint64(i)})
+		w, err := NewWorld(WorldConfig{Env: env, Seed: seed + uint64(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -253,9 +253,9 @@ func RunA2AblationAdvisory(seed uint64) (*Result, error) {
 // share spread when each host can only reach a bounded number of new
 // victims per round: the classic S-curve, sampled hourly until the whole
 // fleet is saturated well before the hardcoded trigger.
-func RunA3EpidemicCurve(seed uint64) (*Result, error) {
+func RunA3EpidemicCurve(env *Env, seed uint64) (*Result, error) {
 	start := shamoon.AramcoTrigger.Add(-48 * time.Hour)
-	w, err := NewWorld(WorldConfig{Seed: seed, Start: start, MuteTrace: true})
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed, Start: start, MuteTrace: true})
 	if err != nil {
 		return nil, err
 	}

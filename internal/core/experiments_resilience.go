@@ -12,35 +12,14 @@ import (
 	"repro/internal/pki"
 )
 
-// faultProfile is the adversity schedule the R-series runs under. It is
-// package-level (not per-call) so `cyberlab -faults NAME` configures it
-// once before the worker pool starts; the committed reports assume the
-// default profile.
-var faultProfile = faults.Profiles[faults.DefaultProfile]
-
-// SetFaultProfile selects the named adversity profile for the R-series
-// experiments. Call before any experiment runs — it is not synchronized
-// with a running pool.
-func SetFaultProfile(name string) error {
-	p, err := faults.Lookup(name)
-	if err != nil {
-		return err
-	}
-	faultProfile = p
-	return nil
-}
-
-// FaultProfile returns the active adversity profile.
-func FaultProfile() faults.Profile { return faultProfile }
-
 // RunR1StuxnetTakedownP2P answers: when both futbol C&C domains are taken
 // down mid-campaign, does the fleet still converge on a new worm version?
 // Stuxnet's P2P update path (paper, II-A) means one hand-delivered v2 —
 // the operators' only remaining channel — should gossip across the LAN,
 // with every sync causally attributed to the takedown that forced it.
-func RunR1StuxnetTakedownP2P(seed uint64) (*Result, error) {
-	prof := faultProfile
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunR1StuxnetTakedownP2P(env *Env, seed uint64) (*Result, error) {
+	prof := env.profile()
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -153,9 +132,9 @@ func RunR1StuxnetTakedownP2P(seed uint64) (*Result, error) {
 // such churn), clients rotate and pick up the new configuration, and when
 // researchers finally sinkhole the whole pool the census records every
 // surviving client checking in (Section III-B).
-func RunR2FlameDomainAgility(seed uint64) (*Result, error) {
-	prof := faultProfile
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunR2FlameDomainAgility(env *Env, seed uint64) (*Result, error) {
+	prof := env.profile()
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -247,9 +226,9 @@ func RunR2FlameDomainAgility(seed uint64) (*Result, error) {
 // paper's point is that the damage needs no C&C once armed. Under a total
 // LAN blackout the spread curve freezes, the reporter goes silent, and
 // every already-infected machine still wipes on schedule.
-func RunR3ShamoonBlackout(seed uint64) (*Result, error) {
-	prof := faultProfile
-	w, err := NewWorld(WorldConfig{Seed: seed, Start: shamoon.AramcoTrigger.Add(-48 * time.Hour)})
+func RunR3ShamoonBlackout(env *Env, seed uint64) (*Result, error) {
+	prof := env.profile()
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed, Start: shamoon.AramcoTrigger.Add(-48 * time.Hour)})
 	if err != nil {
 		return nil, err
 	}
@@ -305,9 +284,9 @@ func RunR3ShamoonBlackout(seed uint64) (*Result, error) {
 // its registry keys, boot-start drivers and on-disk images must all
 // persist. Wave B joins the LAN after the engine patched MS10-061, so the
 // worm's one-shot spooler attempts against it must fail.
-func RunR4CrashPersistence(seed uint64) (*Result, error) {
-	prof := faultProfile
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunR4CrashPersistence(env *Env, seed uint64) (*Result, error) {
+	prof := env.profile()
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -420,9 +399,9 @@ func RunR4CrashPersistence(seed uint64) (*Result, error) {
 // installer by content digest, but the running agent only dies when a
 // reboot hits the broken persistence chain — so attrition tracks the
 // crash schedule, not the sweep schedule.
-func RunR5AVAttrition(seed uint64) (*Result, error) {
-	prof := faultProfile
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunR5AVAttrition(env *Env, seed uint64) (*Result, error) {
+	prof := env.profile()
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -17,11 +17,11 @@ import (
 // or deadline nothing would ever reap the loop. Under supervision it
 // never returns normally: the watchdog cancels the kernel and the run
 // unwinds into a partial report carrying the stall diagnostic.
-func RunX1Spin(seed uint64) (*Result, error) {
-	if !SupervisionArmed() {
+func RunX1Spin(env *Env, seed uint64) (*Result, error) {
+	if !env.supervised() {
 		return nil, errors.New("X1 spins forever at a frozen vtime by design; arm the supervisor (-stall or -deadline) so the watchdog can reap it")
 	}
-	w, err := NewWorld(WorldConfig{Seed: seed, MuteTrace: true})
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed, MuteTrace: true})
 	if err != nil {
 		return nil, err
 	}

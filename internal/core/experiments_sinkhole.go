@@ -16,8 +16,8 @@ import (
 // operating, "indicating the attackers can deploy new variants anytime".
 // Analysts learned this by sinkholing the C&C domains and watching who
 // kept checking in; this experiment performs that census.
-func RunE4Sinkhole(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunE4Sinkhole(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

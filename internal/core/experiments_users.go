@@ -42,8 +42,8 @@ func benignRoot(n *provenance.Node) bool {
 // same one D1 detects end to end) while measured per-rule precision
 // separates artifact-keyed content (clean) from technique-keyed content
 // (pays the admin tax).
-func RunD4NoisyPrecision(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunD4NoisyPrecision(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +149,8 @@ func RunD4NoisyPrecision(seed uint64) (*Result, error) {
 // maintenance round; every threshold, sequence and campaign-artifact
 // rule must hold at zero, and each false positive must be triageable to
 // its benign session via the provenance chain.
-func RunD5NoiseFloor(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunD5NoiseFloor(env *Env, seed uint64) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Env: env, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

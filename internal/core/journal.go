@@ -35,19 +35,14 @@ import (
 // different format refuses to resume rather than replay garbage.
 const journalVersion = 1
 
-// JournalConfig is the run configuration a journal is bound to. All
-// three values are part of the determinism contract, so resuming under
-// a different configuration is refused.
-type JournalConfig struct {
-	Seed     uint64 `json:"seed"`
-	Faults   string `json:"faults"`
-	Activity string `json:"activity"`
-}
-
+// journalHeader binds a journal to its run configuration: the seed and
+// the Env key. Both are part of the determinism contract, so resuming
+// under a different configuration is refused.
 type journalHeader struct {
 	Kind    string `json:"kind"` // "header"
 	Version int    `json:"version"`
-	JournalConfig
+	Seed    uint64 `json:"seed"`
+	EnvKey
 }
 
 // journalRecord is one completed experiment. Hash is sha256 hex over
@@ -125,7 +120,7 @@ type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	path     string
-	cfg      JournalConfig
+	hdr      journalHeader
 	replayed map[string]RunReport
 	served   int
 	recorded int
@@ -136,14 +131,18 @@ func journalKey(id string, seed uint64) string {
 	return fmt.Sprintf("%s#%d", id, seed)
 }
 
-// OpenJournal opens (or creates) the journal at path under the given
-// run configuration. A non-empty journal requires resume=true — running
-// a fresh sweep onto an existing journal would silently skip its
-// experiments. When resuming, every record is hash-verified, a torn
-// final line (the crash signature) is truncated away, and a header that
-// does not match cfg is an error.
-func OpenJournal(path string, resume bool, cfg JournalConfig) (*Journal, error) {
-	j := &Journal{path: path, cfg: cfg, replayed: make(map[string]RunReport)}
+// OpenJournal opens (or creates) the journal at path for a run of seed
+// under env. A non-empty journal requires resume=true — running a fresh
+// sweep onto an existing journal would silently skip its experiments.
+// When resuming, every record is hash-verified, a torn final line (the
+// crash signature) is truncated away, and a header whose seed or
+// canonical Env key differs from this run's is an error.
+func OpenJournal(path string, resume bool, seed uint64, env *Env) (*Journal, error) {
+	j := &Journal{
+		path:     path,
+		hdr:      journalHeader{Kind: "header", Version: journalVersion, Seed: seed, EnvKey: env.Key()},
+		replayed: make(map[string]RunReport),
+	}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("journal %s: %w", path, err)
@@ -173,8 +172,7 @@ func OpenJournal(path string, resume bool, cfg JournalConfig) (*Journal, error) 
 	}
 	j.f = f
 	if keep == 0 {
-		hdr := journalHeader{Kind: "header", Version: journalVersion, JournalConfig: cfg}
-		line, err := json.Marshal(hdr)
+		line, err := json.Marshal(j.hdr)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -246,9 +244,15 @@ func (j *Journal) replayLine(line []byte, lineNo int) (fatal error, damaged bool
 		if h.Version != journalVersion {
 			return fmt.Errorf("journal format v%d, this build writes v%d", h.Version, journalVersion), false
 		}
-		if h.JournalConfig != j.cfg {
+		// Parse the recorded key and respell it the way Key does, so a
+		// silent mix written "none" matches one written "".
+		var recorded Env
+		if err := recorded.ParseKey(h.EnvKey); err != nil {
+			return fmt.Errorf("journal header: %w", err), false
+		}
+		if h.Seed != j.hdr.Seed || recorded.Key() != j.hdr.EnvKey {
 			return fmt.Errorf("journal was recorded with seed=%d faults=%q activity=%q but this run uses seed=%d faults=%q activity=%q — a resume must replay the identical configuration",
-				h.Seed, h.Faults, h.Activity, j.cfg.Seed, j.cfg.Faults, j.cfg.Activity), false
+				h.Seed, h.Faults, h.Activity, j.hdr.Seed, j.hdr.Faults, j.hdr.Activity), false
 		}
 		return nil, false
 	case "experiment":

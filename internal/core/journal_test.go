@@ -6,11 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-func testJournalConfig(seed uint64) JournalConfig {
-	return JournalConfig{Seed: seed, Faults: FaultProfile().Name, Activity: ActivityMixName()}
-}
+	"repro/internal/users"
+)
 
 // TestJournalCrashResumeByteIdentical is the S3 acceptance test: a
 // journaled sweep killed mid-run — including a torn final journal line,
@@ -19,7 +17,6 @@ func testJournalConfig(seed uint64) JournalConfig {
 // worker width.
 func TestJournalCrashResumeByteIdentical(t *testing.T) {
 	ids := []string{"F3", "C1", "C8"}
-	cfg := testJournalConfig(1)
 	clean := RunExperiments(ids, 1, 1)
 	want := make([][]byte, len(clean))
 	for i, rep := range clean {
@@ -31,7 +28,7 @@ func TestJournalCrashResumeByteIdentical(t *testing.T) {
 
 		// Phase 1: the "crashed" run — only the first experiment lands in
 		// the journal before the process dies.
-		j1, err := OpenJournal(path, false, cfg)
+		j1, err := OpenJournal(path, false, 1, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: open: %v", workers, err)
 		}
@@ -53,7 +50,7 @@ func TestJournalCrashResumeByteIdentical(t *testing.T) {
 
 		// Phase 2: resume. The torn tail is truncated, F3 is served from
 		// the journal, C1 and C8 execute fresh.
-		j2, err := OpenJournal(path, true, cfg)
+		j2, err := OpenJournal(path, true, 1, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: resume: %v", workers, err)
 		}
@@ -78,7 +75,7 @@ func TestJournalCrashResumeByteIdentical(t *testing.T) {
 
 		// Phase 3: a second resume serves everything — the journal is now
 		// complete and self-consistent.
-		j3, err := OpenJournal(path, true, cfg)
+		j3, err := OpenJournal(path, true, 1, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: second resume: %v", workers, err)
 		}
@@ -111,13 +108,12 @@ func fileSize(t *testing.T, path string) int64 {
 // journal must be refused — it would silently skip its experiments.
 func TestJournalRequiresResumeFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	cfg := testJournalConfig(1)
-	j, err := OpenJournal(path, false, cfg)
+	j, err := OpenJournal(path, false, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, err := OpenJournal(path, false, cfg); err == nil || !strings.Contains(err.Error(), "-resume") {
+	if _, err := OpenJournal(path, false, 1, nil); err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("reopening without resume = %v, want a -resume refusal", err)
 	}
 }
@@ -127,14 +123,73 @@ func TestJournalRequiresResumeFlag(t *testing.T) {
 // an error, not silently different bytes.
 func TestJournalConfigMismatchRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	j, err := OpenJournal(path, false, testJournalConfig(1))
+	j, err := OpenJournal(path, false, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	other := testJournalConfig(2)
-	if _, err := OpenJournal(path, true, other); err == nil || !strings.Contains(err.Error(), "identical configuration") {
+	if _, err := OpenJournal(path, true, 2, nil); err == nil || !strings.Contains(err.Error(), "identical configuration") {
 		t.Fatalf("seed-mismatched resume = %v, want a configuration refusal", err)
+	}
+	populated := &Env{Activity: users.MixEnterprise}
+	if _, err := OpenJournal(path, true, 1, populated); err == nil || !strings.Contains(err.Error(), "identical configuration") {
+		t.Fatalf("mix-mismatched resume = %v, want a configuration refusal", err)
+	}
+}
+
+// TestJournalSilentMixEitherSpelling: `-activity none` and no -activity
+// run the same silent fleet, so a journal written under one spelling
+// resumes under the other — in both directions, and from a header an
+// earlier build spelled "none". A header naming an unknown mix is
+// refused with an error.
+func TestJournalSilentMixEitherSpelling(t *testing.T) {
+	const (
+		header     = `{"kind":"header","version":1,"seed":1,"faults":"takedown","activity":""}` + "\n"
+		noneHeader = `{"kind":"header","version":1,"seed":1,"faults":"takedown","activity":"none"}` + "\n"
+	)
+	none := &Env{Activity: users.MixNone}
+	for _, c := range []struct {
+		name          string
+		write, resume *Env
+	}{
+		{"none then unset", none, nil},
+		{"unset then none", nil, none},
+	} {
+		path := filepath.Join(t.TempDir(), "run.journal")
+		j, err := OpenJournal(path, false, 1, c.write)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		j.Close()
+		if data, _ := os.ReadFile(path); string(data) != header {
+			t.Fatalf("%s: header = %q, want the canonical %q", c.name, data, header)
+		}
+		j, err = OpenJournal(path, true, 1, c.resume)
+		if err != nil {
+			t.Fatalf("%s: resume refused: %v", c.name, err)
+		}
+		j.Close()
+	}
+
+	for _, resume := range []*Env{nil, none} {
+		path := filepath.Join(t.TempDir(), "run.journal")
+		if err := os.WriteFile(path, []byte(noneHeader), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, true, 1, resume)
+		if err != nil {
+			t.Fatalf("resume of a %q header under %+v refused: %v", "none", resume, err)
+		}
+		j.Close()
+	}
+
+	path := filepath.Join(t.TempDir(), "run.journal")
+	bogus := strings.Replace(noneHeader, `"none"`, `"bogus"`, 1)
+	if err := os.WriteFile(path, []byte(bogus), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(path, true, 1, nil); err == nil || !strings.Contains(err.Error(), "unknown activity mix") {
+		t.Fatalf("resume of an unknown-mix header = %v, want a refusal", err)
 	}
 }
 
@@ -143,8 +198,7 @@ func TestJournalConfigMismatchRefused(t *testing.T) {
 // refuse to resume rather than replay a half-trusted file.
 func TestJournalCorruptionRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	cfg := testJournalConfig(1)
-	j, err := OpenJournal(path, false, cfg)
+	j, err := OpenJournal(path, false, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +224,7 @@ func TestJournalCorruptionRefused(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(path, true, cfg); err == nil || !strings.Contains(err.Error(), "corrupt") {
+	if _, err := OpenJournal(path, true, 1, nil); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupt-middle resume = %v, want a corruption refusal", err)
 	}
 }
@@ -180,8 +234,7 @@ func TestJournalCorruptionRefused(t *testing.T) {
 // re-run them.
 func TestJournalSkipsIncompleteOutcomes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	cfg := testJournalConfig(1)
-	j, err := OpenJournal(path, false, cfg)
+	j, err := OpenJournal(path, false, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +246,7 @@ func TestJournalSkipsIncompleteOutcomes(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path, true, cfg)
+	j2, err := OpenJournal(path, true, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +262,11 @@ func TestJournalSkipsIncompleteOutcomes(t *testing.T) {
 // experiment is journaled with its error text and served on resume,
 // hash-verified like any success.
 func TestJournalReplaysDeterministicFailures(t *testing.T) {
-	registerTempExperiment(t, "ZZ-det-fail", func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-det-fail", func(*Env, uint64) (*Result, error) {
 		return nil, os.ErrPermission
 	})
 	path := filepath.Join(t.TempDir(), "run.journal")
-	cfg := testJournalConfig(1)
-	j, err := OpenJournal(path, false, cfg)
+	j, err := OpenJournal(path, false, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +276,7 @@ func TestJournalReplaysDeterministicFailures(t *testing.T) {
 		t.Fatal("expected a failure")
 	}
 
-	j2, err := OpenJournal(path, true, cfg)
+	j2, err := OpenJournal(path, true, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,10 @@ import (
 // its own kernel, RNG, internet, PKI and hosts — and never touches
 // another world's state, so experiments are embarrassingly parallel
 // across worker goroutines. The only shared data a worker reads is the
-// experiment registry, never written during a run, and package-level
-// constants. Reports always come back in input order, so rendered
-// output is byte-identical no matter how many workers ran.
+// experiment registry, never written during a run, the run's Env, which
+// each experiment gets a copy of, and package-level constants. Reports
+// always come back in input order, so rendered output is byte-identical
+// no matter how many workers ran.
 
 // RunReport is the outcome of one experiment execution inside the
 // parallel runner.
@@ -83,17 +84,17 @@ func runPool(n, workers int, run func(i int)) {
 }
 
 // runOne executes a single experiment, converting panics into errors so
-// one broken experiment can never truncate a sweep report. The run is
-// wrapped in a supervision scope: the kernels its worlds build register
-// with the scope, a supervisor abort unwinds here as a *sim.Cancelled
-// and becomes a partial report, and a shutdown pending before the start
-// skips the experiment outright. When a wall-clock collector is active
-// it gets the experiment's wall time and pass/fail — telemetry that
-// stays on the nondeterministic plane (the deterministic Result never
-// carries wall data).
-func runOne(id string, seed uint64) (rep RunReport) {
+// one broken experiment can never truncate a sweep report. The run gets
+// a supervision scope on its own copy of env: the kernels its worlds
+// build register with the scope, a supervisor abort unwinds here as a
+// *sim.Cancelled and becomes a partial report, and a shutdown pending
+// before the start skips the experiment outright. When a wall-clock
+// collector is active it gets the experiment's wall time and pass/fail —
+// telemetry that stays on the nondeterministic plane (the deterministic
+// Result never carries wall data).
+func runOne(env *Env, id string, seed uint64) (rep RunReport) {
 	rep = RunReport{ID: id, Seed: seed}
-	if cause := ShutdownCause(); cause != nil {
+	if cause := env.cause(); cause != nil {
 		rep.Skipped = true
 		rep.Err = fmt.Errorf("experiment %s: skipped: %v", id, cause)
 		return rep
@@ -103,10 +104,16 @@ func runOne(id string, seed uint64) (rep RunReport) {
 		rep.Err = fmt.Errorf("experiment %s: unknown ID", id)
 		return rep
 	}
-	sc, endScope := beginScope(id, seed)
+	scoped := Env{}
+	if env != nil {
+		scoped = *env
+	}
+	sc := &expScope{id: id}
+	scoped.scope = sc
+	stop := sc.supervise(&scoped)
 	started := time.Now()
 	defer func() {
-		endScope()
+		stop()
 		if r := recover(); r != nil {
 			rep.Result = nil
 			rep.Wall = time.Since(started)
@@ -126,7 +133,7 @@ func runOne(id string, seed uint64) (rep RunReport) {
 		}
 	}()
 	defer runstats.Phase("run")()
-	rep.Result, rep.Err = runner(seed)
+	rep.Result, rep.Err = runner(&scoped, seed)
 	rep.Wall = time.Since(started)
 	if rep.Err != nil {
 		rep.Err = fmt.Errorf("experiment %s: %w", id, rep.Err)
@@ -180,8 +187,12 @@ func outcomeFingerprint(rep RunReport) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RunOptions extends RunExperiments with the supervision-layer knobs.
+// RunOptions extends RunExperiments with the run environment and the
+// supervision-layer knobs.
 type RunOptions struct {
+	// Env is the environment every experiment runs under (nil is the
+	// zero Env).
+	Env *Env
 	// Workers sizes the pool (<=1 is sequential).
 	Workers int
 	// MaxRetries re-runs a failed experiment up to this many extra times.
@@ -206,15 +217,15 @@ func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
 			return rep
 		}
 	}
-	rep := runOne(id, seed)
+	rep := runOne(opt.Env, id, seed)
 	rep.Attempts = 1
 	if rep.Err != nil && !rep.Partial && !rep.Skipped && opt.MaxRetries > 0 {
 		// Retry is a determinism self-check, not flake laundering: every
 		// attempt must reproduce the first attempt's bytes exactly.
 		first := outcomeFingerprint(rep)
 		for rep.Err != nil && !rep.Partial && !rep.Skipped &&
-			rep.Attempts <= opt.MaxRetries && ShutdownCause() == nil {
-			next := runOne(id, seed)
+			rep.Attempts <= opt.MaxRetries && opt.Env.cause() == nil {
+			next := runOne(opt.Env, id, seed)
 			next.Attempts = rep.Attempts + 1
 			next.Violation = rep.Violation
 			if c := runstats.Active(); c != nil {
@@ -235,10 +246,10 @@ func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
 	return rep
 }
 
-// RunExperiments executes the given experiment IDs with one seed across a
-// pool of workers, returning reports in input order regardless of worker
-// count. Unknown IDs and experiment failures become per-report errors;
-// the remaining experiments still run.
+// RunExperiments executes the given experiment IDs with one seed under
+// the zero Env across a pool of workers, returning reports in input
+// order regardless of worker count. Unknown IDs and experiment failures
+// become per-report errors; the remaining experiments still run.
 func RunExperiments(ids []string, seed uint64, workers int) []RunReport {
 	return RunExperimentsOpts(ids, seed, RunOptions{Workers: workers})
 }
@@ -280,12 +291,12 @@ type SweepEntry struct {
 	Obs obs.Snapshot
 }
 
-// SweepSeeds runs every (experiment, seed) pair across one worker pool
-// and aggregates per-metric min/mean/max across seeds. Entries come back
-// in the order of ids and the aggregation is deterministic regardless of
-// worker count, because per-pair reports land in a fixed slot before
-// anything is folded.
-func SweepSeeds(ids []string, seeds []uint64, workers int) []SweepEntry {
+// SweepSeeds runs every (experiment, seed) pair under env across one
+// worker pool and aggregates per-metric min/mean/max across seeds.
+// Entries come back in the order of ids and the aggregation is
+// deterministic regardless of worker count, because per-pair reports
+// land in a fixed slot before anything is folded.
+func SweepSeeds(env *Env, ids []string, seeds []uint64, workers int) []SweepEntry {
 	if len(ids) == 0 || len(seeds) == 0 {
 		return nil
 	}
@@ -294,7 +305,7 @@ func SweepSeeds(ids []string, seeds []uint64, workers int) []SweepEntry {
 	}
 	reports := make([]RunReport, len(ids)*len(seeds))
 	runPool(len(reports), workers, func(i int) {
-		reports[i] = runOne(ids[i/len(seeds)], seeds[i%len(seeds)])
+		reports[i] = runOne(env, ids[i/len(seeds)], seeds[i%len(seeds)])
 		if res := reports[i].Result; res != nil {
 			// A sweep only needs aggregates; retaining every seed's trace
 			// would hold len(ids)*len(seeds) ring buffers in memory.

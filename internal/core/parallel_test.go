@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -36,13 +38,50 @@ func TestRunExperimentsParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestTwoEnvsRunInParallel: two runs under different Envs share the
+// process at the same time, and every report's bytes equal those of the
+// same Env run alone — any configuration held in process state would
+// leak from one run into the other.
+func TestTwoEnvsRunInParallel(t *testing.T) {
+	ids := []string{"R2", "C9", "D1"}
+	var busy Env
+	if err := busy.ParseKey(EnvKey{Faults: "chaos", Activity: "enterprise"}); err != nil {
+		t.Fatal(err)
+	}
+	envs := []*Env{nil, &busy}
+	alone := make([][]RunReport, len(envs))
+	for i, env := range envs {
+		alone[i] = RunExperimentsOpts(ids, 1, RunOptions{Env: env, Workers: 2})
+	}
+	together := make([][]RunReport, len(envs))
+	var wg sync.WaitGroup
+	for i, env := range envs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = RunExperimentsOpts(ids, 1, RunOptions{Env: env, Workers: 2})
+		}()
+	}
+	wg.Wait()
+	for j, id := range ids {
+		if bytes.Equal(payloadBytes(t, alone[0][j]), payloadBytes(t, alone[1][j])) {
+			t.Fatalf("%s gives the same bytes under both Envs; the test cannot tell them apart", id)
+		}
+		for i := range envs {
+			if !bytes.Equal(payloadBytes(t, together[i][j]), payloadBytes(t, alone[i][j])) {
+				t.Fatalf("%s under Env %d changed bytes while the other Env ran alongside", id, i)
+			}
+		}
+	}
+}
+
 func TestRaceLaneParallelSweep(t *testing.T) {
 	// The -race lane target: worker pool + multi-seed sweep over the fast
 	// subset, enough concurrency to surface any shared mutable state
 	// between worlds.
 	seeds := []uint64{1, 2, 3}
-	want := SweepSeeds(raceIDs, seeds, 1)
-	got := SweepSeeds(raceIDs, seeds, 8)
+	want := SweepSeeds(nil, raceIDs, seeds, 1)
+	got := SweepSeeds(nil, raceIDs, seeds, 8)
 	if RenderSweep(got) != RenderSweep(want) {
 		t.Fatalf("sweep with 8 workers differs from sequential:\n--- got ---\n%s\n--- want ---\n%s",
 			RenderSweep(got), RenderSweep(want))
@@ -74,10 +113,10 @@ func TestRunAllParallelMatchesSequentialFullRun(t *testing.T) {
 }
 
 func TestRunExperimentsCollectsErrorsAndKeepsRunning(t *testing.T) {
-	registerTempExperiment(t, "ZZ-boom", func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-boom", func(*Env, uint64) (*Result, error) {
 		return nil, errors.New("synthetic failure")
 	})
-	registerTempExperiment(t, "ZZ-panic", func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-panic", func(*Env, uint64) (*Result, error) {
 		panic("synthetic panic")
 	})
 
@@ -100,10 +139,10 @@ func TestRunExperimentsCollectsErrorsAndKeepsRunning(t *testing.T) {
 }
 
 func TestSweepSeedsEmptyInputs(t *testing.T) {
-	if SweepSeeds(nil, []uint64{1}, 4) != nil {
+	if SweepSeeds(nil, nil, []uint64{1}, 4) != nil {
 		t.Fatal("sweep of no experiments should be nil")
 	}
-	if SweepSeeds([]string{"F3"}, nil, 4) != nil {
+	if SweepSeeds(nil, []string{"F3"}, nil, 4) != nil {
 		t.Fatal("sweep of no seeds should be nil")
 	}
 }

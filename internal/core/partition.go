@@ -10,15 +10,9 @@ package core
 // byte-identical reports, traces, metrics and alerts — the same
 // invariance contract AddHostsSharded established for fleet
 // construction.
-//
-// Worlds MUST be built on the experiment runner's goroutine: NewWorld
-// registers each site kernel with the goroutine's supervision scope
-// (DESIGN.md §13), which is what lets a stall watchdog or deadline
-// CancelRun fan out across every partition of the experiment.
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -28,30 +22,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/users"
 )
-
-// partitionWorkers is the resolved -partitions global. Like the faults
-// and activity globals it is set once at CLI start (or per test,
-// sequentially) and read-only while experiments run.
-var partitionWorkers = 1
-
-// SetPartitionWorkers installs the partition worker-pool width used by
-// partitioned experiments: n >= 1 threads, or 0 for all cores. The
-// value never changes simulation bytes — it is deliberately NOT part of
-// the determinism tuple journals and checkpoints record, so a run may
-// be journaled at one width and resumed at another, like -parallel.
-func SetPartitionWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("core: invalid partition worker count %d (want >= 1, or 0 for all cores)", n)
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	partitionWorkers = n
-	return nil
-}
-
-// PartitionWorkers returns the resolved partition worker-pool width.
-func PartitionWorkers() int { return partitionWorkers }
 
 // The C7 site layout: six sites (headquarters plus five regional
 // offices) exchanging mail every 15 simulated minutes. Both constants
@@ -84,9 +54,13 @@ type AramcoFleetOptions struct {
 	// sites (default 1h after the world starts); delivery lands at the
 	// next epoch boundary.
 	CarryAfter time.Duration
-	// Workers overrides the -partitions global for this fleet (<= 0
+	// Workers overrides the Env's partition width for this fleet (<= 0
 	// defers to it). Any value is byte-equivalent.
 	Workers int
+	// Env is the run environment every site world is built under (nil
+	// is the zero Env): each site kernel joins its experiment scope, so
+	// a stall watchdog, deadline or shutdown cancels every partition.
+	Env *Env
 }
 
 // AramcoFleet is a partitioned multi-site Aramco world: Sites[0] is the
@@ -99,8 +73,7 @@ type AramcoFleet struct {
 	workers int
 }
 
-// BuildAramcoFleet assembles the partitioned world. Must run on the
-// experiment runner's goroutine (see the package comment).
+// BuildAramcoFleet assembles the partitioned world.
 func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error) {
 	if opts.Workstations <= 0 {
 		opts.Workstations = 600
@@ -115,8 +88,8 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 		opts.CarryAfter = time.Hour
 	}
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = PartitionWorkers()
+	if workers <= 0 && opts.Env != nil {
+		workers = opts.Env.Partitions
 	}
 	start := shamoon.AramcoTrigger.Add(-24 * time.Hour)
 	f := &AramcoFleet{Set: sim.NewPartitionSet(aramcoEpoch), workers: workers}
@@ -133,6 +106,7 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 			size++
 		}
 		w, err := NewWorld(WorldConfig{
+			Env:       opts.Env,
 			Seed:      anchor.ForkAt(uint64(i)).State(),
 			Start:     start,
 			MuteTrace: opts.MuteTrace,

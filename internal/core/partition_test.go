@@ -12,17 +12,6 @@ import (
 	"repro/internal/sim"
 )
 
-// setPartitionWorkers installs a partition worker-pool width for one
-// test and restores the previous width afterwards.
-func setPartitionWorkers(t *testing.T, n int) {
-	t.Helper()
-	old := PartitionWorkers()
-	if err := SetPartitionWorkers(n); err != nil {
-		t.Fatalf("SetPartitionWorkers(%d): %v", n, err)
-	}
-	t.Cleanup(func() { SetPartitionWorkers(old) })
-}
-
 // resultBytes canonically serialises a result for byte comparison.
 func resultBytes(t *testing.T, res *Result) []byte {
 	t.Helper()
@@ -35,15 +24,13 @@ func resultBytes(t *testing.T, res *Result) []byte {
 
 // reducedPartitionedRunner is the test-tier partitioned C7: 240 hosts
 // across the six-site layout with traces retained, so byte comparisons
-// cover the merged trace stream, not just metrics. workers <= 0 defers
-// to the -partitions global.
-func reducedPartitionedRunner(workers int) Runner {
-	return func(seed uint64) (*Result, error) {
-		opts := C7Options(240)
-		opts.MuteTrace = false
-		opts.Workers = workers
-		return RunAramcoFleet(seed, opts)
-	}
+// cover the merged trace stream, not just metrics. The partition width
+// comes from the Env.
+func reducedPartitionedRunner(env *Env, seed uint64) (*Result, error) {
+	opts := C7Options(240)
+	opts.MuteTrace = false
+	opts.Env = env
+	return RunAramcoFleet(seed, opts)
 }
 
 // TestPartitionWorkerByteIdentity is the §14 acceptance gate: the
@@ -51,9 +38,7 @@ func reducedPartitionedRunner(workers int) Runner {
 // snapshot, merged trace JSONL — is byte-identical at every partition
 // worker width.
 func TestPartitionWorkerByteIdentity(t *testing.T) {
-	run := reducedPartitionedRunner(0)
-	setPartitionWorkers(t, 1)
-	base, err := run(3)
+	base, err := reducedPartitionedRunner(&Env{Partitions: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +52,7 @@ func TestPartitionWorkerByteIdentity(t *testing.T) {
 	want := resultBytes(t, base)
 
 	for _, w := range []int{2, 4, 8} {
-		setPartitionWorkers(t, w)
-		res, err := run(3)
+		res, err := reducedPartitionedRunner(&Env{Partitions: w}, 3)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -79,20 +63,18 @@ func TestPartitionWorkerByteIdentity(t *testing.T) {
 	}
 }
 
-// TestPartitionWorkerRegistrySliceInvariant pins that the -partitions
-// global is inert for the rest of the registry: a representative slice
+// TestPartitionWorkerRegistrySliceInvariant pins that the partition
+// width is inert for the rest of the registry: a representative slice
 // (figure, resilience, detection) produces identical bytes at any
 // width.
 func TestPartitionWorkerRegistrySliceInvariant(t *testing.T) {
 	ids := []string{"F1", "R2", "D4"}
 	want := make(map[string][]byte)
-	setPartitionWorkers(t, 1)
 	for _, id := range ids {
-		want[id] = payloadBytes(t, runOne(id, 1))
+		want[id] = payloadBytes(t, runOne(&Env{Partitions: 1}, id, 1))
 	}
-	setPartitionWorkers(t, 8)
 	for _, id := range ids {
-		if got := payloadBytes(t, runOne(id, 1)); !bytes.Equal(got, want[id]) {
+		if got := payloadBytes(t, runOne(&Env{Partitions: 8}, id, 1)); !bytes.Equal(got, want[id]) {
 			t.Fatalf("%s bytes changed under -partitions 8", id)
 		}
 	}
@@ -103,18 +85,16 @@ func TestPartitionWorkerRegistrySliceInvariant(t *testing.T) {
 // (partition width × pool width) grid leaves every report's bytes
 // unchanged.
 func TestPartitionComposesWithParallel(t *testing.T) {
-	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner(0))
+	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner)
 	ids := []string{"F3", "ZZ-fleet", "C1"}
 
-	setPartitionWorkers(t, 1)
-	baseline := RunExperiments(ids, 1, 1)
+	baseline := RunExperimentsOpts(ids, 1, RunOptions{Env: &Env{Partitions: 1}, Workers: 1})
 	want := make([][]byte, len(baseline))
 	for i, rep := range baseline {
 		want[i] = payloadBytes(t, rep)
 	}
 
-	setPartitionWorkers(t, 4)
-	reports := RunExperiments(ids, 1, 3)
+	reports := RunExperimentsOpts(ids, 1, RunOptions{Env: &Env{Partitions: 4}, Workers: 3})
 	for i, rep := range reports {
 		if got := payloadBytes(t, rep); !bytes.Equal(got, want[i]) {
 			t.Fatalf("%s bytes changed under -partitions 4 -parallel 3", rep.ID)
@@ -127,28 +107,27 @@ func TestPartitionComposesWithParallel(t *testing.T) {
 // — the width is deliberately outside the journal's determinism tuple,
 // like -parallel.
 func TestPartitionComposesWithJournalResume(t *testing.T) {
-	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner(0))
-	cfg := testJournalConfig(1)
+	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner)
 	path := filepath.Join(t.TempDir(), "run.journal")
 
-	setPartitionWorkers(t, 1)
-	j1, err := OpenJournal(path, false, cfg)
+	narrow := &Env{Partitions: 1}
+	j1, err := OpenJournal(path, false, 1, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := RunExperimentsOpts([]string{"ZZ-fleet"}, 1, RunOptions{Workers: 1, Journal: j1})
+	first := RunExperimentsOpts([]string{"ZZ-fleet"}, 1, RunOptions{Env: narrow, Workers: 1, Journal: j1})
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := payloadBytes(t, first[0])
 
-	setPartitionWorkers(t, 4)
-	j2, err := OpenJournal(path, true, cfg)
+	wide := &Env{Partitions: 4}
+	j2, err := OpenJournal(path, true, 1, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	resumed := RunExperimentsOpts([]string{"ZZ-fleet"}, 1, RunOptions{Workers: 1, Journal: j2})
+	resumed := RunExperimentsOpts([]string{"ZZ-fleet"}, 1, RunOptions{Env: wide, Workers: 1, Journal: j2})
 	if !resumed[0].FromJournal {
 		t.Fatal("resumed run re-executed instead of serving the journal")
 	}
@@ -161,10 +140,9 @@ func TestPartitionComposesWithJournalResume(t *testing.T) {
 // partitioned run forks cleanly — the replay's trace prefix hashes
 // identically — at a different partition width than the capture.
 func TestPartitionComposesWithCheckpointFork(t *testing.T) {
-	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner(0))
+	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner)
 
-	setPartitionWorkers(t, 1)
-	cp, err := CaptureCheckpoint("ZZ-fleet", 1, shamoon.AramcoTrigger)
+	cp, err := CaptureCheckpoint(&Env{Partitions: 1}, "ZZ-fleet", 1, shamoon.AramcoTrigger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +150,7 @@ func TestPartitionComposesWithCheckpointFork(t *testing.T) {
 		t.Fatalf("checkpoint boundary is degenerate: prefix %d of %d", cp.PrefixLen, cp.TotalLen)
 	}
 
-	setPartitionWorkers(t, 4)
-	fork, err := Fork(cp)
+	fork, err := Fork(&Env{Partitions: 4}, cp)
 	if err != nil {
 		t.Fatalf("fork at -partitions 4 of a width-1 checkpoint: %v", err)
 	}
@@ -188,9 +165,9 @@ func TestPartitionComposesWithCheckpointFork(t *testing.T) {
 // is a partial with the deadline cause, even while four workers advance
 // shards concurrently.
 func TestPartitionDeadlineCancelFanOut(t *testing.T) {
-	registerTempExperiment(t, "ZZ-stuck-fleet", func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-stuck-fleet", func(env *Env, seed uint64) (*Result, error) {
 		f, err := BuildAramcoFleet(seed, AramcoFleetOptions{
-			Workstations: 60, Sites: 6, LeanImages: true, MuteTrace: true, Workers: 4,
+			Workstations: 60, Sites: 6, LeanImages: true, MuteTrace: true, Workers: 4, Env: env,
 		})
 		if err != nil {
 			return nil, err
@@ -210,10 +187,7 @@ func TestPartitionDeadlineCancelFanOut(t *testing.T) {
 		}
 		return nil, errors.New("ZZ-stuck-fleet outlived a deadline that should have reaped it")
 	})
-	EnableSupervision(SuperviseConfig{Deadline: 60 * time.Millisecond})
-	defer DisableSupervision()
-
-	rep := runOne("ZZ-stuck-fleet", 1)
+	rep := runOne(&Env{Deadline: 60 * time.Millisecond}, "ZZ-stuck-fleet", 1)
 	if !rep.Partial || !errors.Is(rep.Err, sim.ErrDeadline) {
 		t.Fatalf("report = partial=%v err=%v, want partial ErrDeadline", rep.Partial, rep.Err)
 	}

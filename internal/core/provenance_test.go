@@ -25,7 +25,7 @@ func TestProvenanceForestsValidAcrossExperiments(t *testing.T) {
 			if id == "C7" && testing.Short() {
 				t.Skip("C7 skipped in -short mode")
 			}
-			rep := runOne(id, 1)
+			rep := runOne(nil, id, 1)
 			if rep.Err != nil {
 				t.Fatalf("run: %v", rep.Err)
 			}

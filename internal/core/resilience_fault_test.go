@@ -8,33 +8,28 @@ import (
 	"repro/internal/obs"
 )
 
-// The R-series tests run under the default "takedown" profile — the one
-// the committed EXPERIMENTS.md assumes. Tests that switch profiles must
-// restore the default so later tests (and ExperimentIDs-wide sweeps in
-// this package) see the documented schedule.
-
-func restoreDefaultProfile(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		if err := SetFaultProfile(""); err != nil {
-			t.Fatalf("restore default profile: %v", err)
-		}
-	})
-}
-
+// TestResilienceProfileSelection: Env parsing selects a named fault
+// profile and mix, and rejects an unknown name without touching the
+// Env — not even the half of the key that did parse.
 func TestResilienceProfileSelection(t *testing.T) {
-	restoreDefaultProfile(t)
-	if err := SetFaultProfile("bogus"); err == nil {
-		t.Fatal("SetFaultProfile(bogus) did not fail")
+	var env Env
+	if got := env.Key(); got.Faults != faults.DefaultProfile || got.Activity != "" {
+		t.Fatalf("zero Env key = %+v, want the default profile and a silent mix", got)
 	}
-	if FaultProfile().Name != faults.DefaultProfile {
-		t.Fatalf("failed SetFaultProfile mutated the profile to %q", FaultProfile().Name)
+	want := EnvKey{Faults: "chaos", Activity: "enterprise"}
+	if err := env.ParseKey(want); err != nil {
+		t.Fatalf("ParseKey(%+v): %v", want, err)
 	}
-	if err := SetFaultProfile("chaos"); err != nil {
-		t.Fatalf("SetFaultProfile(chaos): %v", err)
+	if env.Key() != want || env.profile().Name != "chaos" {
+		t.Fatalf("env key = %+v, want %+v", env.Key(), want)
 	}
-	if FaultProfile().Name != "chaos" {
-		t.Fatalf("profile = %q, want chaos", FaultProfile().Name)
+	for _, bad := range []EnvKey{{Faults: "bogus"}, {Faults: "none", Activity: "bogus"}} {
+		if err := env.ParseKey(bad); err == nil {
+			t.Fatalf("ParseKey(%+v) did not fail", bad)
+		}
+		if env.Key() != want {
+			t.Fatalf("failed ParseKey(%+v) mutated the env to %+v", bad, env.Key())
+		}
 	}
 }
 
@@ -117,13 +112,13 @@ func TestResilienceR5AVAttrition(t *testing.T) {
 // disabled: every experiment must still pass via its baseline branch, and
 // the campaigns must emit zero fault-category interventions.
 func TestResilienceBaselineProfile(t *testing.T) {
-	restoreDefaultProfile(t)
-	if err := SetFaultProfile("none"); err != nil {
-		t.Fatalf("SetFaultProfile(none): %v", err)
-	}
+	none := &Env{Faults: faults.Profiles["none"]}
 	for _, id := range []string{"R1", "R2", "R3", "R4", "R5"} {
-		res := runExperiment(t, id)
-		if v, ok := res.Obs.Counters["faults.domain.takedown"]; ok && v > 0 {
+		rep := runOne(none, id, 1)
+		if rep.Err != nil || !rep.Result.Pass {
+			t.Fatalf("%s did not reproduce under the none profile (err %v)", id, rep.Err)
+		}
+		if v, ok := rep.Result.Obs.Counters["faults.domain.takedown"]; ok && v > 0 {
 			t.Fatalf("%s: baseline run performed %g takedowns", id, v)
 		}
 	}

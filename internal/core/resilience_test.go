@@ -223,7 +223,7 @@ func TestExperimentsAcrossSeeds(t *testing.T) {
 	for _, id := range fast {
 		for seed := uint64(2); seed <= 4; seed++ {
 			run, _ := LookupExperiment(id)
-			res, err := run(seed)
+			res, err := run(nil, seed)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", id, seed, err)
 			}

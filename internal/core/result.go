@@ -187,8 +187,9 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// Runner executes one experiment with a seed.
-type Runner func(seed uint64) (*Result, error)
+// Runner executes one experiment with a seed under a run environment;
+// it builds every world with that Env.
+type Runner func(env *Env, seed uint64) (*Result, error)
 
 // experiment is one registry row. A hidden experiment runs when named
 // but is never listed, so -all and -report cannot pick it up.

@@ -87,7 +87,7 @@ func TestRunstatsDeterminismIsolation(t *testing.T) {
 func TestRunstatsManifestPhases(t *testing.T) {
 	c := runstats.Enable()
 	defer runstats.Disable()
-	if rep := runOne("A3", 1); rep.Err != nil { // A3 builds a 512-host sharded fleet
+	if rep := runOne(nil, "A3", 1); rep.Err != nil { // A3 builds a 512-host sharded fleet
 		t.Fatal(rep.Err)
 	}
 	m := c.Manifest()

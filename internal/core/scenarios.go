@@ -242,7 +242,7 @@ type AramcoOptions struct {
 	// equivalence tests.
 	EagerDocs bool
 	// Activity selects the benign user-activity mix for the fleet
-	// (DESIGN.md §11). Zero defers to the -activity global; users.MixNone
+	// (DESIGN.md §11). Zero defers to the world's Env; users.MixNone
 	// forces a silent fleet.
 	Activity users.Mix
 	// The multi-site fields below shape one shard of a partitioned fleet
@@ -332,7 +332,7 @@ func BuildAramco(w *World, opts AramcoOptions) (*AramcoScenario, error) {
 	// The benign population attaches in the sequential phase after the
 	// sharded merge, so agent RNG forks happen in host-index order and
 	// the activity stream is invariant under BuildWorkers.
-	if mix := fleetMix(opts.Activity); mix != "" {
+	if mix := w.env.fleetMix(opts.Activity); mix != "" {
 		if sc.Users, err = users.Attach(w.K, sc.LAN, w.Internet, sc.Hosts, users.Config{Mix: mix}); err != nil {
 			return nil, err
 		}
@@ -387,7 +387,7 @@ type CNIOptions struct {
 	// kernel before any campaign activity, so the rules see every event.
 	Rules []detect.Rule
 	// Activity selects the benign user-activity mix for the workstation
-	// fleet (DESIGN.md §11). Zero defers to the -activity global;
+	// fleet (DESIGN.md §11). Zero defers to the world's Env;
 	// users.MixNone forces a silent enclave.
 	Activity users.Mix
 }
@@ -440,7 +440,7 @@ func BuildCNI(w *World, opts CNIOptions) (*CNIScenario, error) {
 	}
 	// Benign population on the workstations only — the IIS entry host
 	// serves content, nobody does desk work on it.
-	if mix := fleetMix(opts.Activity); mix != "" {
+	if mix := w.env.fleetMix(opts.Activity); mix != "" {
 		if sc.Users, err = users.Attach(w.K, sc.LAN, w.Internet, sc.Workstations, users.Config{Mix: mix}); err != nil {
 			return nil, err
 		}

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,155 +22,101 @@ import (
 // sibling experiments' bytes are untouched because each owns its own
 // world.
 //
-// Experiment scopes are registered unconditionally (they are two map
-// operations per experiment), so RequestShutdown can wind down in-
-// flight experiments even when no watchdog or deadline is armed.
+// runOne opens a scope per experiment and attaches it to the Env copy it
+// hands the experiment, so every kernel a world builds under that Env
+// joins the scope, whichever goroutine builds it. The scope is armed from
+// the Env: a deadline cancels it through a timer, shutdown (Ctx
+// cancellation) through context.AfterFunc, and a stall window through a
+// sweep goroutine that watches only the scope's own kernels.
 
-// SuperviseConfig arms the global supervisor.
-type SuperviseConfig struct {
-	// Stall is the vtime-stall watchdog window: an experiment kernel
-	// that keeps executing events while its virtual clock stays frozen
-	// for longer than this wall-clock window is aborted. 0 disarms.
-	Stall time.Duration
-	// Deadline is the per-experiment wall-clock budget, measured from
-	// the experiment's start; exceeding it aborts the experiment at its
-	// next step boundary. 0 disarms.
-	Deadline time.Duration
+// expScope is one in-flight experiment: its identity and every kernel
+// its worlds have built so far. The scope is the unit of cancellation —
+// a deadline, stall or shutdown cancels all of its kernels, and
+// whichever one the experiment is currently stepping unwinds.
+type expScope struct {
+	id string
+
+	mu      sync.Mutex
+	kernels []*sim.Kernel
+	watches []*kernelWatch
+	cause   error // the first cancellation cause; nil while live
 }
 
-// Supervisor is the armed watchdog/deadline sweeper. At most one is
-// active per process (EnableSupervision replaces any previous one).
-type Supervisor struct {
-	cfg      SuperviseConfig
-	done     chan struct{}
-	stopOnce sync.Once
-}
-
-var activeSup atomic.Pointer[Supervisor]
-
-// EnableSupervision installs a global supervisor and, when a stall
-// window or deadline is armed, starts its sweep goroutine.
-func EnableSupervision(cfg SuperviseConfig) *Supervisor {
-	DisableSupervision()
-	s := &Supervisor{cfg: cfg, done: make(chan struct{})}
-	activeSup.Store(s)
-	if cfg.Stall > 0 || cfg.Deadline > 0 {
-		go s.loop()
+// supervise arms the scope's cancellation sources from env and returns
+// the func that disarms them (it waits for the stall sweep to exit).
+func (sc *expScope) supervise(env *Env) (stop func()) {
+	var stops []func()
+	if env.Deadline > 0 {
+		t := time.AfterFunc(env.Deadline, func() {
+			sc.cancel(fmt.Errorf("%w: experiment %s over its %v wall budget",
+				sim.ErrDeadline, sc.id, env.Deadline), (*runstats.Collector).CountDeadline)
+		})
+		stops = append(stops, func() { t.Stop() })
 	}
-	return s
-}
-
-// DisableSupervision detaches and stops the global supervisor.
-func DisableSupervision() {
-	if s := activeSup.Swap(nil); s != nil {
-		s.stopOnce.Do(func() { close(s.done) })
+	if ctx := env.Ctx; ctx != nil {
+		stopCtx := context.AfterFunc(ctx, func() {
+			sc.cancel(fmt.Errorf("run interrupted: %w", context.Cause(ctx)), nil)
+		})
+		stops = append(stops, func() { stopCtx() })
+	}
+	if env.Stall > 0 {
+		done, exited := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(exited)
+			sc.watchStall(env.Stall, done)
+		}()
+		stops = append(stops, func() { close(done); <-exited })
+	}
+	return func() {
+		for _, s := range stops {
+			s()
+		}
 	}
 }
 
-// ActiveSupervisor returns the armed supervisor, or nil.
-func ActiveSupervisor() *Supervisor { return activeSup.Load() }
-
-// SupervisionArmed reports whether a watchdog window or deadline is
-// armed (the X1 spin self-test refuses to run without one).
-func SupervisionArmed() bool {
-	s := ActiveSupervisor()
-	return s != nil && (s.cfg.Stall > 0 || s.cfg.Deadline > 0)
-}
-
-// sweepEvery bounds the watchdog's polling cadence: a quarter of the
-// tightest armed window, clamped to [5ms, 250ms].
-func (s *Supervisor) sweepEvery() time.Duration {
-	tight := s.cfg.Stall
-	if tight == 0 || (s.cfg.Deadline > 0 && s.cfg.Deadline < tight) {
-		tight = s.cfg.Deadline
-	}
-	tick := tight / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
-	return tick
-}
-
-func (s *Supervisor) loop() {
-	t := time.NewTicker(s.sweepEvery())
+// watchStall polls the scope's kernels at a quarter of the window,
+// clamped to [5ms, 250ms], until done; the first stall cancels the
+// scope.
+func (sc *expScope) watchStall(window time.Duration, done <-chan struct{}) {
+	t := time.NewTicker(min(max(window/4, 5*time.Millisecond), 250*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
-		case <-s.done:
+		case <-done:
 			return
 		case now := <-t.C:
-			s.sweep(now)
-		}
-	}
-}
-
-// sweep checks every open experiment scope against the armed deadline
-// and stall window.
-func (s *Supervisor) sweep(now time.Time) {
-	for _, sc := range openScopes() {
-		if s.cfg.Deadline > 0 && now.Sub(sc.started) > s.cfg.Deadline {
-			if sc.cancel(fmt.Errorf("%w: experiment %s over its %v wall budget",
-				sim.ErrDeadline, sc.id, s.cfg.Deadline)) {
-				if c := runstats.Active(); c != nil {
-					c.CountDeadline()
-					c.CountCancel()
+			for _, w := range sc.watchList() {
+				if w.stalled(now, window) {
+					sc.cancel(fmt.Errorf("%w: experiment %s executed events for %v of wall clock without advancing vtime",
+						sim.ErrStalled, sc.id, window), (*runstats.Collector).CountStall)
+					return
 				}
-			}
-			continue
-		}
-		if s.cfg.Stall == 0 {
-			continue
-		}
-		for _, w := range sc.watchList() {
-			if w.stalled(now, s.cfg.Stall) {
-				if sc.cancel(fmt.Errorf("%w: experiment %s executed events for %v of wall clock without advancing vtime",
-					sim.ErrStalled, sc.id, s.cfg.Stall)) {
-					if c := runstats.Active(); c != nil {
-						c.CountStall()
-						c.CountCancel()
-					}
-				}
-				break
 			}
 		}
 	}
 }
 
-// --- experiment scopes ---
-
-// expScope is one in-flight experiment: its identity, start wall time,
-// and every kernel its worlds have built so far. The scope is the unit
-// of cancellation — a deadline or shutdown cancels all of its kernels,
-// and whichever one the experiment is currently stepping unwinds.
-type expScope struct {
-	id      string
-	seed    uint64
-	started time.Time
-
-	mu        sync.Mutex
-	kernels   []*sim.Kernel
-	watches   []*kernelWatch
-	cancelled bool
-}
-
-// cancel requests cancellation of every kernel in the scope, once.
-// Reports whether this call armed the cancellation.
-func (sc *expScope) cancel(cause error) bool {
+// cancel requests cancellation of every kernel in the scope, once, and
+// counts it on the wall-clock collector; count, when set, also records
+// the reason.
+func (sc *expScope) cancel(cause error, count func(*runstats.Collector)) {
 	sc.mu.Lock()
-	if sc.cancelled {
+	if sc.cause != nil {
 		sc.mu.Unlock()
-		return false
+		return
 	}
-	sc.cancelled = true
+	sc.cause = cause
 	kernels := append([]*sim.Kernel(nil), sc.kernels...)
 	sc.mu.Unlock()
 	for _, k := range kernels {
 		k.CancelRun(cause)
 	}
-	return true
+	if c := runstats.Active(); c != nil {
+		if count != nil {
+			count(c)
+		}
+		c.CountCancel()
+	}
 }
 
 func (sc *expScope) watchList() []*kernelWatch {
@@ -188,70 +133,32 @@ func (sc *expScope) kernelList() []*sim.Kernel {
 	return append([]*sim.Kernel(nil), sc.kernels...)
 }
 
-var (
-	scopeMu sync.Mutex
-	scopes  = map[uint64]*expScope{} // goroutine id -> open scope
-)
-
-// beginScope opens an experiment scope on the calling goroutine (worlds
-// are always built on the goroutine that runs the experiment, so
-// NewWorld finds the scope by goroutine id). The returned close func
-// restores any outer scope.
-func beginScope(id string, seed uint64) (*expScope, func()) {
-	g := goid()
-	sc := &expScope{id: id, seed: seed, started: time.Now()}
-	scopeMu.Lock()
-	prev := scopes[g]
-	scopes[g] = sc
-	scopeMu.Unlock()
-	return sc, func() {
-		scopeMu.Lock()
-		if prev != nil {
-			scopes[g] = prev
-		} else {
-			delete(scopes, g)
-		}
-		scopeMu.Unlock()
-	}
-}
-
-func openScopes() []*expScope {
-	scopeMu.Lock()
-	defer scopeMu.Unlock()
-	out := make([]*expScope, 0, len(scopes))
-	for _, sc := range scopes {
-		out = append(out, sc)
-	}
-	return out
-}
-
-// superviseKernel registers a freshly built kernel with the calling
-// goroutine's experiment scope (no-op outside one) and, when a stall
-// watchdog is armed, attaches its sampling watch to the kernel's probe
-// chain. Called from NewWorld for every world.
-func superviseKernel(k *sim.Kernel) {
-	scopeMu.Lock()
-	sc := scopes[goid()]
-	scopeMu.Unlock()
-	if sc == nil {
+// superviseKernel registers a freshly built kernel with the env's
+// experiment scope (no-op outside one) and, when a stall window is
+// armed, attaches its sampling watch to the kernel's probe chain. Called
+// from NewWorld for every world.
+func (e *Env) superviseKernel(k *sim.Kernel) {
+	if e == nil || e.scope == nil {
 		return
 	}
-	w := &kernelWatch{}
-	w.reset()
+	sc := e.scope
+	var w *kernelWatch
+	if e.Stall > 0 {
+		w = &kernelWatch{}
+		w.reset()
+		k.AttachProbe(w, 0)
+	}
 	sc.mu.Lock()
 	sc.kernels = append(sc.kernels, k)
-	sc.watches = append(sc.watches, w)
-	cancelled := sc.cancelled
+	if w != nil {
+		sc.watches = append(sc.watches, w)
+	}
+	cause := sc.cause
 	sc.mu.Unlock()
-	if cancelled {
+	if cause != nil {
 		// A kernel born into an already-cancelled scope (deadline hit
 		// during a later world build) aborts on its first step.
-		k.CancelRun(sim.ErrCancelled)
-	} else if cause := ShutdownCause(); cause != nil {
-		k.CancelRun(fmt.Errorf("run interrupted: %w", cause))
-	}
-	if s := ActiveSupervisor(); s != nil && s.cfg.Stall > 0 {
-		k.AttachProbe(w, 0)
+		k.CancelRun(cause)
 	}
 }
 
@@ -295,63 +202,4 @@ func (w *kernelWatch) stalled(now time.Time, window time.Duration) bool {
 		return false
 	}
 	return now.UnixNano()-w.advanceWall.Load() > window.Nanoseconds()
-}
-
-// --- graceful shutdown ---
-
-type shutdownState struct{ cause error }
-
-var shutdownReq atomic.Pointer[shutdownState]
-
-// ErrInterrupted is the generic shutdown cause.
-var ErrInterrupted = errors.New("run interrupted")
-
-// RequestShutdown begins a graceful wind-down: experiments not yet
-// started are skipped, and every in-flight experiment is cancelled at
-// its next step boundary (its report comes back partial). Safe to call
-// from a signal handler goroutine; the first cause wins.
-func RequestShutdown(cause error) {
-	if cause == nil {
-		cause = ErrInterrupted
-	}
-	if !shutdownReq.CompareAndSwap(nil, &shutdownState{cause: cause}) {
-		return
-	}
-	for _, sc := range openScopes() {
-		if sc.cancel(fmt.Errorf("run interrupted: %w", cause)) {
-			if c := runstats.Active(); c != nil {
-				c.CountCancel()
-			}
-		}
-	}
-}
-
-// ShutdownCause returns the pending shutdown cause, or nil.
-func ShutdownCause() error {
-	if s := shutdownReq.Load(); s != nil {
-		return s.cause
-	}
-	return nil
-}
-
-// ResetShutdown clears a pending shutdown (tests; a fresh CLI process
-// never needs it).
-func ResetShutdown() { shutdownReq.Store(nil) }
-
-// goid parses the current goroutine's id from the stack header. Worlds
-// are built on the goroutine that runs their experiment, so this is the
-// key that links NewWorld back to the runOne scope without threading a
-// context through every experiment signature.
-func goid() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -32,10 +33,7 @@ func payloadBytes(t *testing.T, rep RunReport) []byte {
 // forever, and the supervisor must reap it with a stall diagnostic and
 // a balanced event pool.
 func TestWatchdogReapsX1Spin(t *testing.T) {
-	EnableSupervision(SuperviseConfig{Stall: 60 * time.Millisecond})
-	defer DisableSupervision()
-
-	rep := runOne("X1", 1)
+	rep := runOne(&Env{Stall: 60 * time.Millisecond}, "X1", 1)
 	if !rep.Partial {
 		t.Fatalf("X1 was not reaped: err=%v", rep.Err)
 	}
@@ -53,7 +51,7 @@ func TestWatchdogReapsX1Spin(t *testing.T) {
 // TestX1RefusesUnsupervised: without an armed supervisor the spin
 // self-test must refuse to start rather than hang the process.
 func TestX1RefusesUnsupervised(t *testing.T) {
-	rep := runOne("X1", 1)
+	rep := runOne(nil, "X1", 1)
 	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "arm the supervisor") {
 		t.Fatalf("unsupervised X1 = %v, want an arm-the-supervisor refusal", rep.Err)
 	}
@@ -70,9 +68,8 @@ func TestWatchdogDoesNotDisturbSiblings(t *testing.T) {
 	baseline := RunExperiments(ids, 1, 1)
 	want := [][]byte{payloadBytes(t, baseline[0]), payloadBytes(t, baseline[1])}
 
-	EnableSupervision(SuperviseConfig{Stall: 80 * time.Millisecond})
-	defer DisableSupervision()
-	reports := RunExperiments([]string{"F3", "X1", "C1"}, 1, 2)
+	reports := RunExperimentsOpts([]string{"F3", "X1", "C1"}, 1,
+		RunOptions{Env: &Env{Stall: 80 * time.Millisecond}, Workers: 2})
 	if !reports[1].Partial || !errors.Is(reports[1].Err, sim.ErrStalled) {
 		t.Fatalf("X1 not reaped in the pool: %+v", reports[1].Err)
 	}
@@ -97,8 +94,8 @@ func registerTempExperiment(t *testing.T, id string, r Runner) {
 // happily (so the stall watchdog stays quiet) but whose wall clock
 // exceeds the per-experiment deadline is aborted with ErrDeadline.
 func TestDeadlineAbortsLongExperiment(t *testing.T) {
-	registerTempExperiment(t, "ZZ-wall", func(seed uint64) (*Result, error) {
-		w, err := NewWorld(WorldConfig{Seed: seed, MuteTrace: true})
+	registerTempExperiment(t, "ZZ-wall", func(env *Env, seed uint64) (*Result, error) {
+		w, err := NewWorld(WorldConfig{Env: env, Seed: seed, MuteTrace: true})
 		if err != nil {
 			return nil, err
 		}
@@ -112,10 +109,7 @@ func TestDeadlineAbortsLongExperiment(t *testing.T) {
 		}
 		return nil, errors.New("ZZ-wall ran to completion under a deadline that should have reaped it")
 	})
-	EnableSupervision(SuperviseConfig{Deadline: 60 * time.Millisecond})
-	defer DisableSupervision()
-
-	rep := runOne("ZZ-wall", 1)
+	rep := runOne(&Env{Deadline: 60 * time.Millisecond}, "ZZ-wall", 1)
 	if !rep.Partial || !errors.Is(rep.Err, sim.ErrDeadline) {
 		t.Fatalf("deadline report = partial=%v err=%v, want partial ErrDeadline", rep.Partial, rep.Err)
 	}
@@ -124,15 +118,57 @@ func TestDeadlineAbortsLongExperiment(t *testing.T) {
 	}
 }
 
+// TestDeadlineReachesOffGoroutineWorld: a world built on a goroutine
+// the experiment spawned joins the experiment's scope all the same —
+// the scope rides the Env, not the goroutine — so stepping it past the
+// deadline aborts it with a balanced event pool.
+func TestDeadlineReachesOffGoroutineWorld(t *testing.T) {
+	var k *sim.Kernel
+	registerTempExperiment(t, "ZZ-off-goroutine", func(env *Env, seed uint64) (*Result, error) {
+		type built struct {
+			w   *World
+			err error
+		}
+		ch := make(chan built, 1)
+		go func() {
+			w, err := NewWorld(WorldConfig{Env: env, Seed: seed, MuteTrace: true})
+			ch <- built{w, err}
+		}()
+		b := <-ch
+		if b.err != nil {
+			return nil, b.err
+		}
+		k = b.w.K
+		for i := 0; i < 20_000; i++ {
+			k.Schedule(time.Duration(i+1)*time.Second, "slow", func() {
+				time.Sleep(500 * time.Microsecond)
+			})
+		}
+		if err := k.RunFor(30_000 * time.Second); err != nil {
+			return nil, err
+		}
+		return nil, errors.New("ZZ-off-goroutine ran to completion under a deadline that should have reaped it")
+	})
+	rep := runOne(&Env{Deadline: 60 * time.Millisecond}, "ZZ-off-goroutine", 1)
+	if !rep.Partial || !errors.Is(rep.Err, sim.ErrDeadline) {
+		t.Fatalf("report = partial=%v err=%v, want partial ErrDeadline", rep.Partial, rep.Err)
+	}
+	ps := k.PoolStats()
+	if gets, accounted := ps.Hits+ps.Misses, ps.Puts+uint64(k.Pending()); gets != accounted {
+		t.Fatalf("pool ledger unbalanced after the abort: %d gets, %d puts + pending", gets, accounted)
+	}
+}
+
 // TestShutdownCancelsInFlightAndSkipsQueued: a graceful shutdown aborts
 // the running experiment at its next step boundary and skips everything
 // not yet started.
 func TestShutdownCancelsInFlightAndSkipsQueued(t *testing.T) {
-	defer ResetShutdown()
+	ctx, shutdown := context.WithCancelCause(context.Background())
+	defer shutdown(nil)
 	started := make(chan struct{})
 	var once sync.Once
-	registerTempExperiment(t, "ZZ-interrupt", func(seed uint64) (*Result, error) {
-		w, err := NewWorld(WorldConfig{Seed: seed, MuteTrace: true})
+	registerTempExperiment(t, "ZZ-interrupt", func(env *Env, seed uint64) (*Result, error) {
+		w, err := NewWorld(WorldConfig{Env: env, Seed: seed, MuteTrace: true})
 		if err != nil {
 			return nil, err
 		}
@@ -149,17 +185,14 @@ func TestShutdownCancelsInFlightAndSkipsQueued(t *testing.T) {
 	})
 	go func() {
 		<-started
-		RequestShutdown(errors.New("test interrupt"))
+		shutdown(errors.New("test interrupt"))
 	}()
-	reports := RunExperiments([]string{"ZZ-interrupt", "F3"}, 1, 1)
+	reports := RunExperimentsOpts([]string{"ZZ-interrupt", "F3"}, 1, RunOptions{Env: &Env{Ctx: ctx}, Workers: 1})
 	if !reports[0].Partial || !strings.Contains(reports[0].Err.Error(), "test interrupt") {
 		t.Fatalf("in-flight report = partial=%v err=%v, want aborted by the interrupt", reports[0].Partial, reports[0].Err)
 	}
 	if !reports[1].Skipped || !strings.Contains(reports[1].Err.Error(), "test interrupt") {
 		t.Fatalf("queued report = skipped=%v err=%v, want skipped", reports[1].Skipped, reports[1].Err)
-	}
-	if ShutdownCause() == nil {
-		t.Fatal("shutdown cause lost")
 	}
 }
 
@@ -168,7 +201,7 @@ func TestShutdownCancelsInFlightAndSkipsQueued(t *testing.T) {
 // silent recovery.
 func TestRetryFlagsDeterminismViolation(t *testing.T) {
 	attempt := 0
-	registerTempExperiment(t, "ZZ-flaky", func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-flaky", func(*Env, uint64) (*Result, error) {
 		attempt++
 		return nil, fmt.Errorf("flaky failure #%d", attempt)
 	})
@@ -177,7 +210,7 @@ func TestRetryFlagsDeterminismViolation(t *testing.T) {
 		t.Fatalf("flaky report = attempts=%d violation=%v, want 2 attempts flagged", rep.Attempts, rep.Violation)
 	}
 
-	registerTempExperiment(t, "ZZ-stable-fail", func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-stable-fail", func(*Env, uint64) (*Result, error) {
 		return nil, errors.New("always the same failure")
 	})
 	rep = runSupervised("ZZ-stable-fail", 1, RunOptions{MaxRetries: 2})
@@ -193,10 +226,8 @@ func TestRetryFlagsDeterminismViolation(t *testing.T) {
 // arming the supervisor (probes attached, sweeper polling) must not
 // change a healthy experiment's deterministic bytes.
 func TestSupervisionLeavesOutputBytesUnchanged(t *testing.T) {
-	want := payloadBytes(t, runOne("F3", 1))
-	EnableSupervision(SuperviseConfig{Stall: 5 * time.Second, Deadline: time.Hour})
-	defer DisableSupervision()
-	got := payloadBytes(t, runOne("F3", 1))
+	want := payloadBytes(t, runOne(nil, "F3", 1))
+	got := payloadBytes(t, runOne(&Env{Stall: 5 * time.Second, Deadline: time.Hour}, "F3", 1))
 	if !bytes.Equal(got, want) {
 		t.Fatal("arming supervision changed F3's output bytes")
 	}

@@ -67,6 +67,7 @@ type World struct {
 	Registry *malware.Registry
 	WU       *netsim.WindowsUpdate
 
+	env   *Env
 	lans  map[string]*netsim.LAN
 	hosts map[string]*netsim.LAN    // host name -> its LAN
 	extra map[string]map[string]any // host name -> implant Extra
@@ -74,6 +75,10 @@ type World struct {
 
 // WorldConfig parameterizes NewWorld.
 type WorldConfig struct {
+	// Env is the run environment the world belongs to (nil is the zero
+	// Env): its kernel joins the Env's experiment scope, and its fleets
+	// default to the Env's activity mix.
+	Env   *Env
 	Seed  uint64
 	Start time.Time // zero = sim.Epoch
 	// MuteTrace disables trace record retention (counters still work);
@@ -94,7 +99,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	k := sim.NewKernel(opts...)
 	runstats.AttachKernel(k)
-	superviseKernel(k)
+	cfg.Env.superviseKernel(k)
 	if cfg.MuteTrace {
 		k.Trace().SetMuted(true)
 	}
@@ -102,6 +107,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		K:        k,
 		Internet: netsim.NewInternet(k),
 		Radio:    netsim.NewRadio(k),
+		env:      cfg.Env,
 		lans:     make(map[string]*netsim.LAN),
 		hosts:    make(map[string]*netsim.LAN),
 		extra:    make(map[string]map[string]any),

@@ -66,7 +66,7 @@ const (
 type Mix string
 
 // The built-in mixes. The zero value "" means "unset" (scenario builders
-// fall back to the global -activity default); MixNone is the explicit
+// fall back to the run environment's mix); MixNone is the explicit
 // silent fleet.
 const (
 	MixNone      Mix = "none"
