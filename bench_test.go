@@ -138,7 +138,7 @@ func reportNsPerHostEvent(b *testing.B, events float64) {
 
 // BenchmarkClaimC7AramcoScale runs a 100,000-workstation fleet sharded
 // across the six-site partitioned world (DESIGN.md §14) — the
-// repository's heaviest workload: ~3.2 GB and half a minute to a minute
+// repository's heaviest workload: ~3.2 GB and ten seconds to a minute
 // of wall clock per iteration, depending on the machine (BENCH_C7.json
 // records the latest run). The registry C7 stays at the paper's 30,000
 // hosts; the bench proves the partitioned kernel holds the unit cost an

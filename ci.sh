@@ -35,9 +35,11 @@ go test -C benchmark -timeout 300s .
 # Race lane: prove the parallel runner is race-clean. Each experiment owns
 # an independent world, so these only fail if shared mutable state sneaks
 # into a substrate package. The Fault|Resilience sweep runs the adversity
-# engine and the R-series under -race across every touched package.
+# engine and the R-series under -race across every touched package. pki
+# rides along because its verified-signature memo is shared on purpose by
+# every host clone of a world's trust store (DESIGN.md §9).
 go test -race -timeout 300s -run 'Parallel|Sweep|RaceLane' ./internal/core
-go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/faults
+go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/faults ./internal/pki
 
 # Detect lane: the streaming engine subscribes to the live trace from
 # inside experiment worlds, so it and the CNI campaign run under -race
@@ -71,10 +73,10 @@ go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|
 # -race in the kernel, the network substrate, and the experiment layer.
 go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./internal/core
 
-# Bench lane: compile and run every obs/provenance benchmark once, so a
-# benchmark that rots (or an accidental per-event allocation regression
-# caught by its companion test) fails CI rather than bitrotting.
-go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults
+# Bench lane: compile and run every obs/provenance/faults/pki benchmark
+# once, so a benchmark that rots (or an accidental per-event allocation
+# regression caught by its companion test) fails CI rather than bitrotting.
+go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults ./internal/pki
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
 # with -benchmem, fold them into BENCH_C7.json's "after" snapshot via

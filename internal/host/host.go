@@ -235,20 +235,19 @@ func WithEagerDocs(v bool) Option { return func(h *Host) { h.EagerDocs = v } }
 // New creates a host attached to the kernel.
 func New(k *sim.Kernel, name string, opts ...Option) *Host {
 	h := &Host{
-		Name:      name,
-		OS:        Win7,
-		Arch:      pe.MachineX86,
-		K:         k,
-		Disk:      NewDisk(1 << 21), // 1 GiB of 512-byte sectors
-		FS:        NewFS(),
-		Registry:  NewRegistry(),
-		CertStore: pki.NewStore(),
-		patches:   make(map[string]bool),
-		services:  make(map[string]*Service),
-		procs:     make(map[int]*Process),
-		drivers:   make(map[string]*Driver),
-		nextPID:   1000,
-		mExec:     k.Metrics().Counter("host.process.exec"),
+		Name:     name,
+		OS:       Win7,
+		Arch:     pe.MachineX86,
+		K:        k,
+		Disk:     NewDisk(1 << 21), // 1 GiB of 512-byte sectors
+		FS:       NewFS(),
+		Registry: NewRegistry(),
+		patches:  make(map[string]bool),
+		services: make(map[string]*Service),
+		procs:    make(map[int]*Process),
+		drivers:  make(map[string]*Driver),
+		nextPID:  1000,
+		mExec:    k.Metrics().Counter("host.process.exec"),
 	}
 	for _, opt := range opts {
 		opt(h)
@@ -257,6 +256,10 @@ func New(k *sim.Kernel, name string, opts ...Option) *Host {
 	// draw from (or race on) the kernel RNG during sharded construction.
 	if h.RNG == nil {
 		h.RNG = k.RNG().Fork()
+	}
+	// Likewise a WithCertStore host never builds the empty default store.
+	if h.CertStore == nil {
+		h.CertStore = pki.NewStore()
 	}
 	return h
 }

@@ -32,6 +32,33 @@ func BenchmarkVerifyChain(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyImage prices a driver load's signature check both ways a
+// host can meet it: cold, on a fresh store per op (every host of a fleet
+// before the memo), and warm, on a fresh clone of a base store that has
+// verified the image once (every host after the first in a world).
+func BenchmarkVerifyImage(b *testing.B) {
+	f := newMemoFixture(b)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := VerifyImage(f.driver, NewStore(f.root.Cert), testNow, UsageDriverSign); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		base := NewStore(f.root.Cert)
+		f.warm(b, base)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := VerifyImage(f.driver, base.Clone(), testNow, UsageDriverSign); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkForgeFromWeakCert measures the collision search — the paper's
 // "very knowledgeable cryptographers" step, feasible here because the
 // legacy digest carries only 20 bits.

@@ -44,6 +44,11 @@ func SignImage(img *pe.File, key *Keypair, chain ...*Certificate) error {
 // store for the requested usage at time now, and the leaf key's signature
 // must cover the image digest. It returns the decoded signature on success
 // so callers can inspect the signer identity.
+//
+// The blob is parsed, the chain checked and the image digest recomputed on
+// every call; the two Ed25519 checks go through the store's memo (see
+// VerifyChain), so a host whose sibling already verified these exact bytes
+// skips only the curve arithmetic.
 func VerifyImage(img *pe.File, store *Store, now time.Time, usage KeyUsage) (*ImageSignature, error) {
 	if len(img.SigBlob) == 0 {
 		return nil, errors.New("pki: image is unsigned")
@@ -59,7 +64,7 @@ func VerifyImage(img *pe.File, store *Store, now time.Time, usage KeyUsage) (*Im
 	if err != nil {
 		return nil, err
 	}
-	if !ed25519.Verify(sig.Chain[0].PubKey, digest[:], sig.Signature) {
+	if !store.memo.verify(sig.Chain[0].PubKey, digest[:], sig.Signature) {
 		return nil, fmt.Errorf("%w: image digest", ErrBadSignature)
 	}
 	return sig, nil
@@ -97,11 +102,7 @@ func parseImageSignature(blob []byte) (*ImageSignature, error) {
 	}
 	sig := &ImageSignature{Chain: make([]*Certificate, 0, count)}
 	for i := 0; i < int(count); i++ {
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		enc, err := r.take(int(n))
+		enc, err := r.framed()
 		if err != nil {
 			return nil, err
 		}
@@ -115,10 +116,11 @@ func parseImageSignature(blob []byte) (*ImageSignature, error) {
 	if err != nil {
 		return nil, err
 	}
-	sig.Signature, err = r.take(int(n))
+	raw, err := r.next(int(n))
 	if err != nil {
 		return nil, err
 	}
+	sig.Signature = bytes.Clone(raw)
 	if r.pos != len(r.buf) {
 		return nil, errors.New("pki: trailing bytes in signature blob")
 	}
@@ -170,7 +172,7 @@ func parseCert(enc []byte) (*Certificate, error) {
 		return nil, err
 	}
 	c.Usages = KeyUsage(usages)
-	algo, err := r.take(1)
+	algo, err := r.next(1)
 	if err != nil {
 		return nil, err
 	}
@@ -192,39 +194,43 @@ func parseCert(enc []byte) (*Certificate, error) {
 	if len(pub) != ed25519.PublicKeySize {
 		return nil, fmt.Errorf("pki: bad public key length %d", len(pub))
 	}
-	c.PubKey = ed25519.PublicKey(pub)
-	if c.Padding, err = r.framed(); err != nil {
+	c.PubKey = ed25519.PublicKey(bytes.Clone(pub))
+	pad, err := r.framed()
+	if err != nil {
 		return nil, err
 	}
-	if len(c.Padding) == 0 {
-		c.Padding = nil
+	if len(pad) > 0 {
+		c.Padding = bytes.Clone(pad)
 	}
-	if c.Signature, err = r.framed(); err != nil {
+	sig, err := r.framed()
+	if err != nil {
 		return nil, err
 	}
+	c.Signature = bytes.Clone(sig)
 	if r.pos != len(r.buf) {
 		return nil, errors.New("pki: trailing bytes in certificate")
 	}
 	return c, nil
 }
 
+// blobReader reads a signature blob in place: next and framed return
+// slices of buf, so a caller that keeps bytes copies them.
 type blobReader struct {
 	buf []byte
 	pos int
 }
 
-func (r *blobReader) take(n int) ([]byte, error) {
+func (r *blobReader) next(n int) ([]byte, error) {
 	if n < 0 || r.pos+n > len(r.buf) {
 		return nil, errors.New("pki: truncated blob")
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.pos:r.pos+n])
+	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
-	return out, nil
+	return b, nil
 }
 
 func (r *blobReader) u16() (uint16, error) {
-	b, err := r.take(2)
+	b, err := r.next(2)
 	if err != nil {
 		return 0, err
 	}
@@ -232,7 +238,7 @@ func (r *blobReader) u16() (uint16, error) {
 }
 
 func (r *blobReader) u32() (uint32, error) {
-	b, err := r.take(4)
+	b, err := r.next(4)
 	if err != nil {
 		return 0, err
 	}
@@ -240,7 +246,7 @@ func (r *blobReader) u32() (uint32, error) {
 }
 
 func (r *blobReader) u64() (uint64, error) {
-	b, err := r.take(8)
+	b, err := r.next(8)
 	if err != nil {
 		return 0, err
 	}
@@ -252,7 +258,7 @@ func (r *blobReader) framed() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.take(int(n))
+	return r.next(int(n))
 }
 
 func writeFramed(b *bytes.Buffer, data []byte) {

@@ -18,7 +18,7 @@ func seed(b byte) [32]byte {
 	return s
 }
 
-func testRoot(t *testing.T, name string, algo HashAlgo) *Authority {
+func testRoot(t testing.TB, name string, algo HashAlgo) *Authority {
 	t.Helper()
 	return NewRoot(name, algo, seed(1), testNow.Add(-365*24*time.Hour), 20*365*24*time.Hour)
 }

@@ -2,24 +2,33 @@ package pki
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
 // Store is a host's certificate trust configuration: trusted roots plus the
 // Untrusted Certificate Store that Microsoft Security Advisory 2718704
 // populated to kill the Flame certificates (paper, Section III-A).
+//
+// A store also points at a verified-signature memo that NewStore creates
+// and Clone shares (DESIGN.md §9). The memo holds facts about bytes, not
+// trust decisions: roots and distrust stay per store.
 type Store struct {
 	roots     map[uint64]*Certificate // by serial
 	untrusted map[uint64]string       // serial -> reason
+	memo      *sigMemo
 }
 
-// NewStore returns a store trusting the given roots.
+// NewStore returns a store trusting the given roots, with an empty
+// verified-signature memo of its own.
 func NewStore(roots ...*Certificate) *Store {
 	s := &Store{
 		roots:     make(map[uint64]*Certificate, len(roots)),
 		untrusted: make(map[uint64]string),
+		memo:      &sigMemo{ok: make(map[sigKey]struct{})},
 	}
 	for _, r := range roots {
 		s.roots[r.Serial] = r
@@ -43,12 +52,16 @@ func (s *Store) IsDistrusted(serial uint64) bool {
 	return ok
 }
 
-// Clone returns an independent copy (each simulated host owns its store and
-// receives advisory updates separately).
+// Clone returns a copy whose roots and untrusted store are independent of
+// s (each simulated host owns its trust configuration and receives
+// advisory updates separately) and whose verified-signature memo is s's:
+// a world's base store and every host clone of it verify a given
+// signature once between them.
 func (s *Store) Clone() *Store {
 	c := &Store{
 		roots:     make(map[uint64]*Certificate, len(s.roots)),
 		untrusted: make(map[uint64]string, len(s.untrusted)),
+		memo:      s.memo,
 	}
 	for k, v := range s.roots {
 		c.roots[k] = v
@@ -79,6 +92,11 @@ var (
 // certificate's digest. Crucially the digest algorithm is the one recorded
 // in the certificate — so a weak-hash collision transplant passes, exactly
 // as the flawed production algorithm did.
+//
+// Every check runs on every call; only the Ed25519 verification of a
+// (key, digest, signature) triple that already verified through this
+// store's memo is answered from the memo. The digest itself is recomputed
+// each time, so a changed certificate misses.
 func (s *Store) VerifyChain(now time.Time, usage KeyUsage, chain ...*Certificate) error {
 	if len(chain) == 0 {
 		return ErrEmptyChain
@@ -116,7 +134,7 @@ func (s *Store) VerifyChain(now time.Time, usage KeyUsage, chain ...*Certificate
 		if c.Issuer != issuerCert.Subject {
 			return fmt.Errorf("%w: %q claims issuer %q, parent is %q", ErrIssuerMismatch, c.Subject, c.Issuer, issuerCert.Subject)
 		}
-		if !ed25519.Verify(issuerCert.PubKey, c.Digest(), c.Signature) {
+		if !s.memo.verify(issuerCert.PubKey, c.Digest(), c.Signature) {
 			return fmt.Errorf("%w: %q", ErrBadSignature, c.Subject)
 		}
 	}
@@ -135,4 +153,43 @@ func (s *Store) findRootFor(c *Certificate) *Certificate {
 		}
 	}
 	return nil
+}
+
+// sigMemo records Ed25519 checks that succeeded, keyed by the exact bytes
+// checked. Failures are never recorded, so a miss always re-runs
+// ed25519.Verify and a verdict can differ from a memo-free one only if the
+// same bytes verified differently, which Ed25519 rules out. It needs no
+// size bound: a store lineage only ever checks its own world's signed
+// certificates and images.
+type sigMemo struct {
+	mu sync.Mutex
+	ok map[sigKey]struct{}
+}
+
+// sigKey is public key, digest and signature, concatenated.
+type sigKey [ed25519.PublicKeySize + sha256.Size + ed25519.SignatureSize]byte
+
+// verify is ed25519.Verify(pub, digest, sig) through the memo. Inputs of
+// any other length than a sigKey holds go straight to ed25519.Verify.
+func (m *sigMemo) verify(pub ed25519.PublicKey, digest, sig []byte) bool {
+	if len(pub) != ed25519.PublicKeySize || len(digest) != sha256.Size || len(sig) != ed25519.SignatureSize {
+		return ed25519.Verify(pub, digest, sig)
+	}
+	var k sigKey
+	copy(k[:], pub)
+	copy(k[ed25519.PublicKeySize:], digest)
+	copy(k[ed25519.PublicKeySize+sha256.Size:], sig)
+	m.mu.Lock()
+	_, hit := m.ok[k]
+	m.mu.Unlock()
+	if hit {
+		return true
+	}
+	if !ed25519.Verify(pub, digest, sig) {
+		return false
+	}
+	m.mu.Lock()
+	m.ok[k] = struct{}{}
+	m.mu.Unlock()
+	return true
 }
