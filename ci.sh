@@ -78,6 +78,13 @@ go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./
 # regression caught by its companion test) fails CI rather than bitrotting.
 go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults ./internal/pki
 
+# Fuzz lane (ROADMAP, determinism and input robustness, item (b)): every
+# reader of user-supplied bytes returns an error, never panics or hangs.
+# FuzzParseJSONL also checks the trace decoder against its encoding/json
+# reference (internal/obs/jsonl_ref_test.go); a failing input lands under
+# internal/obs/testdata/fuzz/ and joins the seed corpus once committed.
+go test -run '^$' -fuzz '^FuzzParseJSONL$' -fuzztime 15s ./internal/obs
+
 # Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
 # with -benchmem, fold them into BENCH_C7.json's "after" snapshot via
 # benchjson, and gate the perf trajectory. Two gates run: the committed

@@ -62,12 +62,6 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ParseJSONL(strings.NewReader("{\"t\":1}\nnot json\n")); err == nil {
-		t.Fatal("garbage line parsed without error")
-	}
-}
-
 func TestGet(t *testing.T) {
 	e := Event{Tags: []Tag{T("a", "1"), T("b", "2")}}
 	if v, ok := e.Get("b"); !ok || v != "2" {

@@ -71,7 +71,7 @@ func (n *Node) Size() int {
 type Forest struct {
 	Nodes   map[NodeID]*Node
 	Roots   []*Node // parent 0, sorted by (Exp, At, Seq, Span)
-	Orphans []*Node // parent span never appeared in the stream
+	Orphans []*Node // parent span missing from the stream or not allocated before the node
 	Total   int     // events scanned
 	Spanned int     // events carrying a span
 }
@@ -107,8 +107,11 @@ func Build(events []obs.Event) *Forest {
 			f.Roots = append(f.Roots, n)
 			continue
 		}
+		// Link only a parent allocated before the child (Validate's
+		// allocation-order clause). Every cycle has an edge that breaks
+		// it, so every Up chain ends at a root or an orphan.
 		p, ok := f.Nodes[NodeID{Exp: n.ID.Exp, Span: n.Parent}]
-		if !ok {
+		if !ok || n.Parent >= n.ID.Span {
 			f.Orphans = append(f.Orphans, n)
 			continue
 		}

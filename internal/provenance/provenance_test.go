@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -128,8 +129,49 @@ func TestValidateFlagsViolations(t *testing.T) {
 	if len(issues) != 3 {
 		t.Fatalf("issues = %v, want 3", issues)
 	}
-	if len(f.Orphans) != 1 {
-		t.Fatalf("orphans = %d, want 1", len(f.Orphans))
+	// s10's parent is missing and s5's is allocated after it: neither links.
+	if len(f.Orphans) != 2 {
+		t.Fatalf("orphans = %d, want 2", len(f.Orphans))
+	}
+}
+
+// TestCyclicParentsTerminate builds a self-parented span and a two-span
+// cycle. Parents that do not precede their child are not linked, so every
+// walk returns, and Validate still reports each cycle.
+func TestCyclicParentsTerminate(t *testing.T) {
+	events := []obs.Event{
+		{At: t0, Seq: 1, Cat: "x", Actor: "a", Msg: "self", Span: 5, Parent: 5},
+		{At: t0, Seq: 2, Cat: "x", Actor: "b", Msg: "pair", Span: 3, Parent: 4},
+		{At: t0, Seq: 3, Cat: "x", Actor: "c", Msg: "pair", Span: 4, Parent: 3},
+	}
+	f := Build(events)
+	for _, span := range []obs.Span{5, 3, 4} {
+		id := NodeID{Span: span}
+		if chain := f.Chain(id); len(chain) == 0 || chain[len(chain)-1].ID != id {
+			t.Fatalf("Chain(%s) = %v", id, chain)
+		}
+		_ = f.Node(id).Depth()
+	}
+	if d := f.Node(NodeID{Span: 4}).Depth(); d != 1 {
+		t.Fatalf("s4 depth = %d, want 1 under s3", d)
+	}
+	if len(f.Orphans) != 2 || len(f.Roots) != 0 {
+		t.Fatalf("orphans = %d, roots = %d, want 2 orphans (s3, s5) and no roots", len(f.Orphans), len(f.Roots))
+	}
+	if s := f.Stats(); s.Nodes != 3 || s.Orphans != 2 {
+		t.Fatalf("stats = %+v", s)
+	}
+	var buf bytes.Buffer
+	if err := f.Text(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DOT(&buf); err != nil {
+		t.Fatal(err)
+	}
+	issues := f.Validate()
+	want := []string{"s5: parent span 5 not allocated before it", "s3: parent span 4 not allocated before it"}
+	if !reflect.DeepEqual(issues, want) {
+		t.Fatalf("issues = %q, want %q", issues, want)
 	}
 }
 
