@@ -53,8 +53,8 @@ type Snapshot struct {
 }
 
 // File is the BENCH_C7.json schema: named snapshots, typically "baseline"
-// (frozen at the commit before the perf work) and "after" (refreshed by
-// the ci.sh bench lane).
+// (frozen at the commit before the perf work) and "after" (refreshed on
+// purpose with -o; the ci.sh bench lane gates a temp copy).
 type File struct {
 	Note      string              `json:"note,omitempty"`
 	Snapshots map[string]Snapshot `json:"snapshots"`

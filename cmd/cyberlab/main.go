@@ -438,7 +438,6 @@ func runProfile(ctx context.Context, args []string) error {
 		parallel = fs.Int("parallel", 1, "worker goroutines")
 		out      = fs.String("o", "", "write the JSON run manifest to this file (default stdout)")
 		progress = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
-		every    = fs.Duration("every", runstats.DefaultProgressPeriod, "progress ticker period")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -464,7 +463,7 @@ func runProfile(ctx context.Context, args []string) error {
 	defer runstats.Disable()
 	var stopTicker func()
 	if *progress {
-		stopTicker = c.StartProgress(os.Stderr, *every)
+		stopTicker = c.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)
 	}
 	reports := core.RunExperimentsOpts(ids, *seed, core.RunOptions{Env: &env, Workers: *parallel})
 	if stopTicker != nil {

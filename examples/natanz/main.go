@@ -72,12 +72,11 @@ func main() {
 	fmt.Printf("centrifuges destroyed: %d of %d\n", sc.Plant.DestroyedCount(), len(sc.Plant.Centrifuges()))
 
 	fmt.Println("\n=== PLC trace (last events) ===")
-	recs := w.K.Trace().Filter(sim.CatPLC)
-	for i, r := range recs {
+	for i, e := range w.K.Trace().Filter(sim.CatPLC) {
 		if i >= 12 {
 			break
 		}
-		fmt.Println(" ", r.String())
+		fmt.Printf("  %s [%s] %s: %s\n", e.At.Format(time.RFC3339), e.Cat, e.Actor, e.Msg)
 	}
 }
 

@@ -169,9 +169,9 @@ func (sb *Sandbox) Run(img *pe.File, observeFor time.Duration) *BehaviorReport {
 	rep.WipeActions = tr.Count(sim.CatWipe)
 	rep.USBActivity = tr.Count(sim.CatUSB)
 	rep.SuicideEvents = tr.Count(sim.CatSuicide)
-	for _, r := range tr.Filter(sim.CatCert) {
-		if strings.Contains(r.Message, "loaded driver") {
-			rep.DriversLoaded = append(rep.DriversLoaded, r.Message)
+	for _, e := range tr.Filter(sim.CatCert) {
+		if strings.Contains(e.Msg, "loaded driver") {
+			rep.DriversLoaded = append(rep.DriversLoaded, e.Msg)
 		}
 	}
 	rep.HostWiped = sb.Victim.Wiped

@@ -2,13 +2,27 @@ package cnc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/host"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// findMsg returns the kernel's retained trace records whose message
+// contains substr, in order.
+func findMsg(k *sim.Kernel, substr string) []obs.Event {
+	var out []obs.Event
+	for _, e := range k.Trace().Events() {
+		if strings.Contains(e.Msg, substr) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // TestFaultBeaconAuditTrail pins the satellite contract: a Contact cycle
 // that walks only dead domains must not fail silently — every dead domain
@@ -34,13 +48,12 @@ func TestFaultBeaconAuditTrail(t *testing.T) {
 	if got := k.Metrics().Counter("cnc.beacon.failover").Value(); got != 3 {
 		t.Fatalf("cnc.beacon.failover = %g, want 3", got)
 	}
-	recs := k.Trace().Find("beacon failed at")
+	recs := findMsg(k, "beacon failed at")
 	if len(recs) != 3 {
 		t.Fatalf("failover trace records = %d, want 3", len(recs))
 	}
 	reasons := make(map[string]string)
-	for _, r := range recs {
-		e := r.Event()
+	for _, e := range recs {
 		domain, _ := e.Get("domain")
 		reason, _ := e.Get("reason")
 		reasons[domain] = reason
@@ -106,7 +119,7 @@ func TestFaultBeaconRotationAfterTakedown(t *testing.T) {
 	if bc.Stats.Rotations != 1 || bc.Stats.Failovers != 1 || bc.Stats.ConsecFailures != 0 {
 		t.Fatalf("stats = %+v", bc.Stats)
 	}
-	if recs := k.Trace().Find("beacon rotated preferred domain"); len(recs) != 1 {
+	if recs := findMsg(k, "beacon rotated preferred domain"); len(recs) != 1 {
 		t.Fatalf("rotation trace records = %d, want 1", len(recs))
 	}
 }

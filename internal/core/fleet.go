@@ -7,6 +7,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/netsim"
 	"repro/internal/runstats"
+	"repro/internal/sim"
 )
 
 // HostSpec describes one host of a sharded fleet build: its name, its
@@ -50,7 +51,7 @@ func (w *World) AddHostsSharded(lan *netsim.LAN, workers int, specs []HostSpec) 
 
 	hosts := make([]*host.Host, len(specs))
 	errs := make([]error, len(specs))
-	runPool(len(specs), workers, func(i int) {
+	sim.RunPool(len(specs), workers, func(i int) {
 		all := append([]host.Option{
 			host.WithCertStore(w.PKI.BaseStore.Clone()),
 			host.WithRNG(anchor.ForkAt(uint64(i))),

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -50,37 +49,6 @@ type RunReport struct {
 	// latest attempt's outcome is kept, but the run must not be trusted
 	// (and is never journaled).
 	Violation bool
-}
-
-// runPool executes run(0..n-1) across at most workers goroutines.
-// workers <= 1 degenerates to a plain sequential loop on the caller's
-// goroutine.
-func runPool(n, workers int, run func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // runOne executes a single experiment, converting panics into errors so
@@ -260,7 +228,7 @@ func RunExperimentsOpts(ids []string, seed uint64, opt RunOptions) []RunReport {
 		c.SetTotalExperiments(len(ids))
 	}
 	reports := make([]RunReport, len(ids))
-	runPool(len(ids), opt.Workers, func(i int) {
+	sim.RunPool(len(ids), opt.Workers, func(i int) {
 		reports[i] = runSupervised(ids[i], seed, opt)
 	})
 	return reports
@@ -304,7 +272,7 @@ func SweepSeeds(env *Env, ids []string, seeds []uint64, workers int) []SweepEntr
 		c.SetTotalExperiments(len(ids) * len(seeds))
 	}
 	reports := make([]RunReport, len(ids)*len(seeds))
-	runPool(len(reports), workers, func(i int) {
+	sim.RunPool(len(reports), workers, func(i int) {
 		reports[i] = runOne(env, ids[i/len(seeds)], seeds[i%len(seeds)])
 		if res := reports[i].Result; res != nil {
 			// A sweep only needs aggregates; retaining every seed's trace

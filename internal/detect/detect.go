@@ -282,9 +282,7 @@ func Attach(k *sim.Kernel, rules []Rule) (*Engine, error) {
 	}
 	en.mTotal = k.Metrics().Counter("detect.alert.total")
 	en.mSeen = k.Metrics().Counter("detect.event.seen")
-	k.Trace().Subscribe(func(rec sim.Record) {
-		en.Handle(rec.Event())
-	})
+	k.Trace().Subscribe(en.Handle)
 	return en, nil
 }
 

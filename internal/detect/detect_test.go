@@ -244,7 +244,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	k, live := run()
 
 	var buf bytes.Buffer
-	if err := k.Trace().WriteJSONL(&buf); err != nil {
+	if err := obs.WriteJSONL(&buf, k.Trace().Events()); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := obs.ParseJSONL(&buf)

@@ -350,23 +350,10 @@ func (k *Kernel) PoolStats() PoolStat {
 	return PoolStat{Hits: k.poolHits, Misses: k.poolMisses, Puts: k.poolPuts, Free: len(k.free)}
 }
 
-// DefaultProbeEvery is the sampling cadence SetProbe installs when the
-// caller passes every <= 0: one sample per 1024 executed events keeps
+// DefaultProbeEvery is the sampling cadence AttachProbe installs when
+// the caller passes every <= 0: one sample per 1024 executed events keeps
 // the hot-loop cost of an attached probe under 0.1%.
 const DefaultProbeEvery = 1024
-
-// SetProbe installs a wall-clock telemetry probe, sampled every `every`
-// executed events (<= 0 selects DefaultProbeEvery). A nil probe detaches.
-// The probe plane is read-only: installing one never changes scheduling,
-// tracing, metrics, or RNG draws, so outputs stay byte-identical
-// (asserted by TestProbeDoesNotPerturbDeterminism).
-func (k *Kernel) SetProbe(p Probe, every uint64) {
-	if every == 0 {
-		every = DefaultProbeEvery
-	}
-	k.probe = p
-	k.probeEvery = every
-}
 
 // teeProbe fans one sample stream out to two probes in attach order.
 type teeProbe struct{ a, b Probe }
@@ -376,11 +363,15 @@ func (t teeProbe) KernelSample(s Sample) {
 	t.b.KernelSample(s)
 }
 
-// AttachProbe chains p onto whatever probe is already installed; every
-// delivered sample reaches both. The effective cadence becomes the
-// smaller of the existing and requested `every` (<= 0 selects
-// DefaultProbeEvery). The telemetry collector and the stall watchdog
-// both ride the same hook this way without knowing about each other.
+// AttachProbe installs a wall-clock telemetry probe, sampled every
+// `every` executed events (<= 0 selects DefaultProbeEvery), and chains it
+// onto whatever probe is already installed: every delivered sample
+// reaches both, at the smaller of the existing and requested cadence.
+// The telemetry collector and the stall watchdog both ride the same hook
+// this way without knowing about each other. The probe plane is
+// read-only: attaching one never changes scheduling, tracing, metrics,
+// or RNG draws, so outputs stay byte-identical (asserted by
+// TestProbeDoesNotPerturbDeterminism).
 func (k *Kernel) AttachProbe(p Probe, every uint64) {
 	if p == nil {
 		return

@@ -50,7 +50,7 @@ func TestTraceEmitTagsAndSeq(t *testing.T) {
 	tr := k.Trace()
 	tr.Emit(k.Now(), CatInfect, "WS-01", "stuxnet installed", obs.T("vector", "usb"))
 	tr.Add(k.Now(), CatExec, "WS-01", "exec %s", "a.exe")
-	recs := tr.Records()
+	recs := tr.Events()
 	if len(recs) != 2 {
 		t.Fatalf("records = %d, want 2", len(recs))
 	}
@@ -60,8 +60,8 @@ func TestTraceEmitTagsAndSeq(t *testing.T) {
 	if len(recs[0].Tags) != 1 || recs[0].Tags[0] != obs.T("vector", "usb") {
 		t.Fatalf("tags = %v", recs[0].Tags)
 	}
-	if recs[1].Message != "exec a.exe" {
-		t.Fatalf("message = %q", recs[1].Message)
+	if recs[1].Msg != "exec a.exe" {
+		t.Fatalf("message = %q", recs[1].Msg)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestTraceWriteJSONL(t *testing.T) {
 	k := NewKernel()
 	k.Trace().Emit(k.Now(), CatC2, "server", "GET_NEWS", obs.Ti("packages", 2))
 	var buf bytes.Buffer
-	if err := k.Trace().WriteJSONL(&buf); err != nil {
+	if err := obs.WriteJSONL(&buf, k.Trace().Events()); err != nil {
 		t.Fatal(err)
 	}
 	line := strings.TrimSpace(buf.String())
@@ -93,7 +93,7 @@ func TestTraceJSONLIdenticalAcrossRuns(t *testing.T) {
 		}
 		stop()
 		var buf bytes.Buffer
-		if err := k.Trace().WriteJSONL(&buf); err != nil {
+		if err := obs.WriteJSONL(&buf, k.Trace().Events()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -30,7 +30,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -212,7 +211,7 @@ func (ps *PartitionSet) RunUntil(deadline time.Time, workers int) error {
 func (ps *PartitionSet) advance(end time.Time, workers int) error {
 	errs := make([]error, len(ps.parts))
 	panics := make([]any, len(ps.parts))
-	run := func(i int) {
+	RunPool(len(ps.parts), workers, func(i int) {
 		p := ps.parts[i]
 		t0 := time.Now()
 		defer func() {
@@ -222,32 +221,7 @@ func (ps *PartitionSet) advance(end time.Time, workers int) error {
 			}
 		}()
 		errs[i] = p.K.RunUntil(end)
-	}
-	if workers <= 1 || len(ps.parts) == 1 {
-		for i := range ps.parts {
-			run(i)
-		}
-	} else {
-		if workers > len(ps.parts) {
-			workers = len(ps.parts)
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					run(i)
-				}
-			}()
-		}
-		for i := range ps.parts {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	})
 	for i := range ps.parts {
 		if panics[i] != nil {
 			ps.abortAll(i, panics[i])

@@ -92,8 +92,8 @@ func traceFingerprint(ps *PartitionSet) string {
 	for i := 0; i < ps.Len(); i++ {
 		k := ps.Partition(i).K
 		out += fmt.Sprintf("== partition %d steps=%d spans=%d\n", i, k.Steps(), k.SpanCount())
-		for _, r := range k.Trace().Records() {
-			out += fmt.Sprintf("%s #%d [%s] %s: %s\n", r.At.Format(time.RFC3339), r.Seq, r.Cat, r.Actor, r.Message)
+		for _, e := range k.Trace().Events() {
+			out += fmt.Sprintf("%s #%d [%s] %s: %s\n", e.At.Format(time.RFC3339), e.Seq, e.Cat, e.Actor, e.Msg)
 		}
 	}
 	return out

@@ -33,7 +33,7 @@ func (p *recordingProbe) KernelSample(s Sample) {
 func TestProbeSamplingCadence(t *testing.T) {
 	k := NewKernel()
 	p := &recordingProbe{}
-	k.SetProbe(p, 10)
+	k.AttachProbe(p, 10)
 	for i := 0; i < 95; i++ {
 		k.Schedule(time.Duration(i)*time.Second, "tick", func() {})
 	}
@@ -56,7 +56,7 @@ func TestProbeSamplingCadence(t *testing.T) {
 // TestProbeDefaultCadence: every <= 0 selects DefaultProbeEvery.
 func TestProbeDefaultCadence(t *testing.T) {
 	k := NewKernel()
-	k.SetProbe(&recordingProbe{}, 0)
+	k.AttachProbe(&recordingProbe{}, 0)
 	if k.probeEvery != DefaultProbeEvery {
 		t.Fatalf("probeEvery = %d, want %d", k.probeEvery, DefaultProbeEvery)
 	}
@@ -80,7 +80,7 @@ func TestPoolStatsAccounting(t *testing.T) {
 		t.Fatalf("pool unbalanced after drained run: %+v", ps)
 	}
 	p := &recordingProbe{}
-	k.SetProbe(p, 1)
+	k.AttachProbe(p, 1)
 	k.FlushProbe()
 	if p.hits != ps.Hits || p.misses != ps.Misses {
 		t.Fatalf("probe saw %d/%d, PoolStats says %d/%d", p.hits, p.misses, ps.Hits, ps.Misses)
@@ -94,7 +94,7 @@ func TestProbeDoesNotPerturbDeterminism(t *testing.T) {
 	run := func(attach bool) (uint64, string, string) {
 		k := NewKernel(WithSeed(7))
 		if attach {
-			k.SetProbe(&recordingProbe{}, 16)
+			k.AttachProbe(&recordingProbe{}, 16)
 		}
 		for i := 0; i < 300; i++ {
 			d := time.Duration(1+k.RNG().Intn(3600)) * time.Second
@@ -148,7 +148,7 @@ func TestProbeDisabledPathAllocs(t *testing.T) {
 // struct is passed by value, never boxed).
 func TestProbeEnabledPathAllocs(t *testing.T) {
 	k := NewKernel()
-	k.SetProbe(&recordingProbe{}, 1)
+	k.AttachProbe(&recordingProbe{}, 1)
 	fn := func() {}
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.Schedule(time.Second, "steady", fn)
@@ -164,7 +164,7 @@ func TestProbeEnabledPathAllocs(t *testing.T) {
 func BenchmarkScheduleFireProbed(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
-	k.SetProbe(&recordingProbe{}, DefaultProbeEvery)
+	k.AttachProbe(&recordingProbe{}, DefaultProbeEvery)
 	fn := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

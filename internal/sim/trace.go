@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -35,57 +33,28 @@ const (
 	CatUser      Category = "user"      // benign user activity (internal/users)
 )
 
-// Record is one structured trace entry: a timestamped, tagged event.
-// Seq is assigned by the owning Trace and, with At, gives records a
-// total order that survives export and concatenation.
-//
-// Span attributes the record to a causal episode (zero = unattributed);
-// Parent is non-zero only on the record that opens the span, where it
-// names the causing span.
-type Record struct {
-	At      time.Time
-	Seq     uint64
-	Cat     Category
-	Actor   string // emitting component, e.g. host name or module name
-	Message string
-	Span    obs.Span
-	Parent  obs.Span
-	Tags    []obs.Tag
-}
-
-// Event converts the record to its export form.
-func (r Record) Event() obs.Event {
-	return obs.Event{
-		At: r.At, Seq: r.Seq, Cat: string(r.Cat), Actor: r.Actor, Msg: r.Message,
-		Span: r.Span, Parent: r.Parent, Tags: r.Tags,
-	}
-}
-
-func (r Record) String() string {
-	return fmt.Sprintf("%s [%s] %s: %s", r.At.Format(time.RFC3339), r.Cat, r.Actor, r.Message)
-}
-
-// Trace is a bounded ring buffer of Records plus running per-category
-// counters. Counters are never evicted, so fleet-scale runs can rely on
-// counts even after old records rotate out.
+// Trace is a bounded ring buffer of obs.Event records plus running
+// per-category counters. Counters are never evicted, so fleet-scale runs
+// can rely on counts even after old records rotate out.
 //
 // Span-opening records (the first record of each causal episode, emitted
 // by Kernel.OpenSpan) are additionally retained in an unbounded side
 // index so ring eviction at fleet scale never orphans a provenance
 // parent. Ordinary records are stamped with the ambient span installed
-// by the kernel's causal context.
+// by the kernel's causal context. Seq is assigned here and, with At,
+// gives records a total order that survives export and concatenation.
 type Trace struct {
-	records []Record
+	records []obs.Event
 	next    int
 	full    bool
 	seq     uint64
 	counts  map[Category]int
 	muted   bool
 
-	ambient obs.Span // stamped onto every Emit/Add record
-	spans   []Record // span-opening records, seq-ascending, never evicted
+	ambient obs.Span    // stamped onto every Emit/Add record
+	spans   []obs.Event // span-opening records, seq-ascending, never evicted
 
-	sinks []func(Record) // live subscribers, called on every record
+	sinks []func(obs.Event) // live subscribers, called on every record
 }
 
 // NewTrace returns a trace holding at most capacity records.
@@ -94,7 +63,7 @@ func NewTrace(capacity int) *Trace {
 		capacity = 1
 	}
 	return &Trace{
-		records: make([]Record, capacity),
+		records: make([]obs.Event, capacity),
 		counts:  make(map[Category]int),
 	}
 }
@@ -117,12 +86,12 @@ func (t *Trace) Live() bool { return !t.muted || len(t.sinks) > 0 }
 // detector sees the full stream even at fleet scale. Sinks run on the
 // emitting goroutine in emission order; a sink that emits back into the
 // trace (an alert, say) must guard against re-entering itself.
-func (t *Trace) Subscribe(fn func(Record)) { t.sinks = append(t.sinks, fn) }
+func (t *Trace) Subscribe(fn func(obs.Event)) { t.sinks = append(t.sinks, fn) }
 
 // publish fans a freshly-stamped record out to subscribers.
-func (t *Trace) publish(r Record) {
+func (t *Trace) publish(e obs.Event) {
 	for _, fn := range t.sinks {
-		fn(r)
+		fn(e)
 	}
 }
 
@@ -141,9 +110,9 @@ func (t *Trace) Add(at time.Time, cat Category, actor, format string, args ...an
 func (t *Trace) Emit(at time.Time, cat Category, actor, msg string, tags ...obs.Tag) {
 	t.counts[cat]++
 	t.seq++
-	rec := Record{At: at, Seq: t.seq, Cat: cat, Actor: actor, Message: msg, Span: t.ambient, Tags: tags}
+	e := obs.Event{At: at, Seq: t.seq, Cat: string(cat), Actor: actor, Msg: msg, Span: t.ambient, Tags: tags}
 	if !t.muted {
-		t.records[t.next] = rec
+		t.records[t.next] = e
 		t.next++
 		if t.next == len(t.records) {
 			t.next = 0
@@ -151,7 +120,7 @@ func (t *Trace) Emit(at time.Time, cat Category, actor, msg string, tags ...obs.
 		}
 	}
 	if len(t.sinks) > 0 {
-		t.publish(rec)
+		t.publish(e)
 	}
 }
 
@@ -162,102 +131,55 @@ func (t *Trace) Emit(at time.Time, cat Category, actor, msg string, tags ...obs.
 func (t *Trace) EmitSpan(at time.Time, cat Category, actor, msg string, span, parent obs.Span, tags ...obs.Tag) {
 	t.counts[cat]++
 	t.seq++
-	rec := Record{
-		At: at, Seq: t.seq, Cat: cat, Actor: actor, Message: msg,
+	e := obs.Event{
+		At: at, Seq: t.seq, Cat: string(cat), Actor: actor, Msg: msg,
 		Span: span, Parent: parent, Tags: tags,
 	}
 	if !t.muted {
-		t.spans = append(t.spans, rec)
+		t.spans = append(t.spans, e)
 	}
 	if len(t.sinks) > 0 {
-		t.publish(rec)
+		t.publish(e)
 	}
 }
 
 // Count returns how many records of the category were ever added.
 func (t *Trace) Count(cat Category) int { return t.counts[cat] }
 
-// Records returns retained records in chronological order: the ring
-// contents merged with the span index by sequence number.
-func (t *Trace) Records() []Record {
-	var ring []Record
-	if !t.full {
-		ring = t.records[:t.next]
-	} else {
-		ring = make([]Record, 0, len(t.records))
-		ring = append(ring, t.records[t.next:]...)
-		ring = append(ring, t.records[:t.next]...)
-	}
-	if len(t.spans) == 0 {
-		out := make([]Record, len(ring))
-		copy(out, ring)
-		return out
-	}
-	// Two-way merge: both slices are seq-ascending.
-	out := make([]Record, 0, len(ring)+len(t.spans))
-	i, j := 0, 0
-	for i < len(ring) && j < len(t.spans) {
-		if ring[i].Seq < t.spans[j].Seq {
-			out = append(out, ring[i])
-			i++
-		} else {
-			out = append(out, t.spans[j])
-			j++
-		}
-	}
-	out = append(out, ring[i:]...)
-	out = append(out, t.spans[j:]...)
-	return out
-}
-
 // setAmbient installs the span stamped onto subsequent Emit/Add records.
 func (t *Trace) setAmbient(s obs.Span) { t.ambient = s }
 
-// Filter returns retained records matching the category, in order.
-func (t *Trace) Filter(cat Category) []Record {
-	var out []Record
-	for _, r := range t.Records() {
-		if r.Cat == cat {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Find returns retained records whose message contains substr.
-func (t *Trace) Find(substr string) []Record {
-	var out []Record
-	for _, r := range t.Records() {
-		if strings.Contains(r.Message, substr) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Dump renders all retained records, one per line.
-func (t *Trace) Dump() string {
-	var b strings.Builder
-	for _, r := range t.Records() {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Events returns retained records in chronological order in their
-// export form.
+// Events returns the retained records in chronological order: the ring
+// contents, oldest first, merged with the span index by sequence number
+// into one fresh slice the caller owns.
 func (t *Trace) Events() []obs.Event {
-	recs := t.Records()
-	out := make([]obs.Event, len(recs))
-	for i, r := range recs {
-		out[i] = r.Event()
+	older, newer := t.records[:t.next], []obs.Event(nil)
+	if t.full {
+		older, newer = t.records[t.next:], t.records[:t.next]
 	}
-	return out
+	out := make([]obs.Event, 0, len(older)+len(newer)+len(t.spans))
+	// Two-way merge: the ring (older then newer) and the span index are
+	// both seq-ascending.
+	j := 0
+	for _, part := range [2][]obs.Event{older, newer} {
+		for i := range part {
+			for j < len(t.spans) && t.spans[j].Seq < part[i].Seq {
+				out = append(out, t.spans[j])
+				j++
+			}
+			out = append(out, part[i])
+		}
+	}
+	return append(out, t.spans[j:]...)
 }
 
-// WriteJSONL exports the retained records as JSON lines. Only virtual
-// time appears in the output, so equal-seed runs export identical bytes.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	return obs.WriteJSONL(w, t.Events())
+// Filter returns retained records matching the category, in order.
+func (t *Trace) Filter(cat Category) []obs.Event {
+	var out []obs.Event
+	for _, e := range t.Events() {
+		if e.Cat == string(cat) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/host"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -90,7 +91,7 @@ func TestDeterministicStream(t *testing.T) {
 			t.Fatalf("RunFor: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := k.Trace().WriteJSONL(&buf); err != nil {
+		if err := obs.WriteJSONL(&buf, k.Trace().Events()); err != nil {
 			t.Fatalf("WriteJSONL: %v", err)
 		}
 		return buf.Bytes(), p.Stats
@@ -132,7 +133,7 @@ func TestActionsEmitSubstrateTelemetry(t *testing.T) {
 	if !doced {
 		t.Error("no agent materialized documents on its filesystem")
 	}
-	if p.Stats.ShareCopies > 0 && len(tr.Find("smb copy")) == 0 {
+	if p.Stats.ShareCopies > 0 && !traceHas(tr, "smb copy") {
 		t.Error("share copies produced no cat=spread smb telemetry")
 	}
 	if p.Stats.WebVisits > 0 && tr.Count(sim.CatNetwork) == 0 {
@@ -144,12 +145,22 @@ func TestActionsEmitSubstrateTelemetry(t *testing.T) {
 	if p.Stats.Maintenances == 0 {
 		t.Fatal("admin never completed a maintenance round")
 	}
-	if len(tr.Find("rdp login")) == 0 || len(tr.Find("psexec")) == 0 {
+	if !traceHas(tr, "rdp login") || !traceHas(tr, "psexec") {
 		t.Error("maintenance rounds missing rdp/psexec telemetry")
 	}
-	if p.Stats.TasksCreated != 1 || len(tr.Find("task registered: inventory-scan")) == 0 {
+	if p.Stats.TasksCreated != 1 || !traceHas(tr, "task registered: inventory-scan") {
 		t.Error("admin inventory task missing")
 	}
+}
+
+// traceHas reports whether any retained record's message contains substr.
+func traceHas(tr *sim.Trace, substr string) bool {
+	for _, e := range tr.Events() {
+		if strings.Contains(e.Msg, substr) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSessionSpanAttribution: every substrate event an agent causes is
@@ -165,16 +176,16 @@ func TestSessionSpanAttribution(t *testing.T) {
 		sessions[a.H.Name] = struct{ span uint64 }{uint64(a.Session)}
 	}
 	checked := 0
-	for _, r := range k.Trace().Records() {
-		if r.Cat != sim.CatNetwork && r.Cat != sim.CatSpread && r.Cat != sim.CatUser {
+	for _, e := range k.Trace().Events() {
+		if c := sim.Category(e.Cat); c != sim.CatNetwork && c != sim.CatSpread && c != sim.CatUser {
 			continue
 		}
-		s, ok := sessions[r.Actor]
-		if !ok || r.Parent != 0 {
+		s, ok := sessions[e.Actor]
+		if !ok || e.Parent != 0 {
 			continue
 		}
-		if uint64(r.Span) != s.span {
-			t.Fatalf("record %q by %s carries span %d, want session %d", r.Message, r.Actor, r.Span, s.span)
+		if uint64(e.Span) != s.span {
+			t.Fatalf("record %q by %s carries span %d, want session %d", e.Msg, e.Actor, e.Span, s.span)
 		}
 		checked++
 	}
@@ -249,11 +260,11 @@ func TestBreadcrumbTaxonomy(t *testing.T) {
 	if err := k.RunFor(5 * 24 * time.Hour); err != nil {
 		t.Fatalf("RunFor: %v", err)
 	}
-	for _, r := range k.Trace().Filter(sim.CatUser) {
-		head := strings.SplitN(r.Message, " ", 2)[0]
+	for _, e := range k.Trace().Filter(sim.CatUser) {
+		head := strings.SplitN(e.Msg, " ", 2)[0]
 		parts := strings.Split(head, ".")
 		if len(parts) != 3 || parts[0] != "users" || parts[1] == "" || parts[2] == "" {
-			t.Fatalf("breadcrumb %q violates users.<noun>.<verb> taxonomy", r.Message)
+			t.Fatalf("breadcrumb %q violates users.<noun>.<verb> taxonomy", e.Msg)
 		}
 	}
 }
