@@ -73,10 +73,10 @@ go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|
 # -race in the kernel, the network substrate, and the experiment layer.
 go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./internal/core
 
-# Bench lane: compile and run every obs/provenance/faults/pki benchmark
+# Bench lane: compile and run every obs/provenance/faults/pki/pe benchmark
 # once, so a benchmark that rots (or an accidental per-event allocation
 # regression caught by its companion test) fails CI rather than bitrotting.
-go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults ./internal/pki
+go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults ./internal/pki ./internal/pe
 
 # Fuzz lane (ROADMAP, determinism and input robustness, item (b)): every
 # reader of user-supplied bytes returns an error, never panics or hangs.
@@ -84,6 +84,11 @@ go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal
 # reference (internal/obs/jsonl_ref_test.go); a failing input lands under
 # internal/obs/testdata/fuzz/ and joins the seed corpus once committed.
 go test -run '^$' -fuzz '^FuzzParseJSONL$' -fuzztime 15s ./internal/obs
+# FuzzParse holds pe.Parse to the contract host execution relies on: a
+# parsed image re-marshals to its input (flags word zeroed), its Digest is
+# the SHA-256 of that encoding without the signature, and appending to a
+# parsed slice never writes into the input it aliases.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/pe
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/host"
+	"repro/internal/malware/shamoon"
+	"repro/internal/pe"
 	"repro/internal/sim"
 )
 
@@ -131,5 +135,53 @@ func TestSeedingFailureSurfacesFromShardedBuild(t *testing.T) {
 	}}
 	if _, err := w.AddHostsSharded(lan, 1, specs); err == nil {
 		t.Fatal("sharded build swallowed the seeding failure")
+	}
+}
+
+// TestC7ImagesIntactAfterRun: every exec parses a host's trksvr.exe and
+// netinit.exe in place (pe.Parse aliases its input), and those files
+// alias one campaign buffer fleet-wide. After a reduced C7 run, every
+// host's copies must still equal the campaign's marshalled images, so
+// nothing wrote through a parsed slice.
+func TestC7ImagesIntactAfterRun(t *testing.T) {
+	f, err := BuildAramcoFleet(1, C7Options(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RunUntil(shamoon.AramcoTrigger.Add(2 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	marshal := func(img *pe.File) []byte {
+		raw, err := img.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	checked := 0
+	for _, sc := range f.Sites {
+		main, main64, reporter := marshal(sc.Shamoon.MainImage), marshal(sc.Shamoon.MainImage64), marshal(sc.Shamoon.ReporterImage)
+		for _, h := range sc.Hosts {
+			trk := main
+			if h.Arch == pe.MachineX64 {
+				trk = main64
+			}
+			for path, want := range map[string][]byte{
+				host.SystemDir + `\trksvr.exe`:  trk,
+				host.SystemDir + `\netinit.exe`: reporter,
+			} {
+				file, err := h.FS.Read(path)
+				if err != nil {
+					t.Fatalf("%s: %v", h.Name, err)
+				}
+				if !bytes.Equal(file.Bytes(), want) {
+					t.Fatalf("%s: %s no longer equals the campaign's image", h.Name, path)
+				}
+				checked++
+			}
+		}
+	}
+	if checked != 2*600 {
+		t.Fatalf("checked %d files, want %d", checked, 2*600)
 	}
 }

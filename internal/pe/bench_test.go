@@ -21,6 +21,7 @@ func benchImage(sectionBytes int) *File {
 func BenchmarkMarshal1MB(b *testing.B) {
 	img := benchImage(1 << 20)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := img.Marshal(); err != nil {
 			b.Fatal(err)
@@ -35,6 +36,7 @@ func BenchmarkParse1MB(b *testing.B) {
 	}
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(raw); err != nil {
 			b.Fatal(err)
@@ -45,6 +47,7 @@ func BenchmarkParse1MB(b *testing.B) {
 func BenchmarkDigest1MB(b *testing.B) {
 	img := benchImage(1 << 20)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := img.Digest(); err != nil {
 			b.Fatal(err)

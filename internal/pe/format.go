@@ -10,11 +10,11 @@
 package pe
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"time"
 )
 
@@ -109,45 +109,70 @@ const (
 //
 // All integers are little-endian.
 func (f *File) Marshal() ([]byte, error) {
-	if err := f.validate(); err != nil {
+	n, err := f.encodedSize(true)
+	if err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	b.Grow(f.marshalledSize())
-	b.Write(Magic[:])
-	writeU16(&b, uint16(f.Machine))
-	writeU16(&b, 0) // flags, reserved
-	writeI64(&b, f.Timestamp.Unix())
-	writeU32(&b, f.EntryPoint)
-	writeStr8(&b, f.Name)
+	e := encoder{buf: make([]byte, 0, n)}
+	f.encode(&e, true)
+	return e.buf, nil
+}
 
-	writeU16(&b, uint16(len(f.Sections)))
+// encode writes the layout Marshal documents, ending in the signature
+// blob when withSig is set and in an empty one otherwise. Marshal and
+// Digest both run it, so the wire format is written down once.
+func (f *File) encode(e *encoder, withSig bool) {
+	put(e, Magic[:])
+	e.u16(uint16(f.Machine))
+	e.u16(0) // flags, reserved
+	e.u64(uint64(f.Timestamp.Unix()))
+	e.u32(f.EntryPoint)
+	e.str8(f.Name)
+
+	e.u16(uint16(len(f.Sections)))
 	for _, s := range f.Sections {
-		writeStr8(&b, s.Name)
-		writeU32(&b, s.Characteristics)
-		writeBytes32(&b, s.Data)
+		e.str8(s.Name)
+		e.u32(s.Characteristics)
+		e.bytes32(s.Data)
 	}
 
-	writeU16(&b, uint16(len(f.Imports)))
+	e.u16(uint16(len(f.Imports)))
 	for _, imp := range f.Imports {
-		writeStr8(&b, imp.Library)
-		writeU16(&b, uint16(len(imp.Functions)))
+		e.str8(imp.Library)
+		e.u16(uint16(len(imp.Functions)))
 		for _, fn := range imp.Functions {
-			writeStr8(&b, fn)
+			e.str8(fn)
 		}
 	}
 
-	writeU16(&b, uint16(len(f.Resources)))
+	e.u16(uint16(len(f.Resources)))
 	for _, r := range f.Resources {
-		writeU16(&b, r.ID)
-		writeBytes32(&b, r.Raw)
+		e.u16(r.ID)
+		e.bytes32(r.Raw)
 	}
 
-	writeBytes32(&b, f.SigBlob)
-	if b.Len() > maxTotalLen {
-		return nil, fmt.Errorf("pe: image %q exceeds %d bytes", f.Name, maxTotalLen)
+	var sig []byte
+	if withSig {
+		sig = f.SigBlob
 	}
-	return b.Bytes(), nil
+	e.bytes32(sig)
+}
+
+// encodedSize validates the image and returns its encoded length, with
+// or without the signature blob. It fails where Marshal fails, with the
+// same errors, before anything is encoded.
+func (f *File) encodedSize(withSig bool) (int, error) {
+	if err := f.validate(); err != nil {
+		return 0, err
+	}
+	n := f.marshalledSize()
+	if !withSig {
+		n -= len(f.SigBlob)
+	}
+	if n > maxTotalLen {
+		return 0, fmt.Errorf("pe: image %q exceeds %d bytes", f.Name, maxTotalLen)
+	}
+	return n, nil
 }
 
 // marshalledSize computes the exact encoded length so Marshal can size its
@@ -217,15 +242,20 @@ func (f *File) validate() error {
 
 // Digest returns the SHA-256 of the image with the signature blob removed.
 // It is the value that signatures cover and the sample-identity key used by
-// the malware behaviour registry.
+// the malware behaviour registry. The encoding streams into the hash as it
+// is written, so no copy of the image is made: fixed fields and names pass
+// through a one-block scratch buffer, and section and resource payloads go
+// in as they are.
 func (f *File) Digest() ([32]byte, error) {
-	clone := *f
-	clone.SigBlob = nil
-	raw, err := clone.Marshal()
-	if err != nil {
-		return [32]byte{}, err
+	var d [32]byte
+	if _, err := f.encodedSize(false); err != nil {
+		return d, err
 	}
-	return sha256.Sum256(raw), nil
+	e := encoder{buf: make([]byte, 0, digestScratch), h: sha256.New()}
+	f.encode(&e, false)
+	e.flush()
+	copy(d[:], e.h.Sum(e.buf[:0]))
+	return d, nil
 }
 
 // MustDigest is Digest for images already known to marshal; it panics on
@@ -240,11 +270,11 @@ func (f *File) MustDigest() [32]byte {
 
 // Size returns the marshalled size in bytes, or 0 for malformed images.
 func (f *File) Size() int {
-	raw, err := f.Marshal()
+	n, err := f.encodedSize(true)
 	if err != nil {
 		return 0
 	}
-	return len(raw)
+	return n
 }
 
 // Section returns the named section, or nil.
@@ -276,30 +306,71 @@ func (f *File) AddEncryptedResource(id uint16, key, plaintext []byte) {
 // ErrBadMagic is returned by Parse for non-SPE input.
 var ErrBadMagic = errors.New("pe: bad magic (not an SPE image)")
 
-func writeU16(b *bytes.Buffer, v uint16) {
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], v)
-	b.Write(tmp[:])
+// encoder writes the SPE layout to one of two sinks. Without a hash, buf
+// is the output, pre-sized by Marshal to the exact encoded length. With
+// one, buf is a scratch buffer of digestScratch bytes that is flushed into
+// the hash whenever it fills, and payloads that do not fit in it go to
+// the hash directly.
+type encoder struct {
+	buf []byte
+	h   hash.Hash
 }
 
-func writeU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
+// digestScratch is the hashing encoder's scratch size: one SHA-256 block.
+// It holds the widest fixed integer and the digest Sum appends into it.
+const digestScratch = sha256.BlockSize
+
+// room flushes a hashing encoder's scratch if n more bytes would not fit.
+func (e *encoder) room(n int) {
+	if e.h != nil && len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
 }
 
-func writeI64(b *bytes.Buffer, v int64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-	b.Write(tmp[:])
+func (e *encoder) flush() {
+	e.h.Write(e.buf)
+	e.buf = e.buf[:0]
 }
 
-func writeStr8(b *bytes.Buffer, s string) {
-	b.WriteByte(byte(len(s)))
-	b.WriteString(s)
+// put appends b. A hashing encoder fills its scratch and flushes it as
+// often as b needs.
+func put[T string | []byte](e *encoder, b T) {
+	for e.h != nil && len(e.buf)+len(b) > cap(e.buf) {
+		n := copy(e.buf[len(e.buf):cap(e.buf)], b)
+		e.buf = e.buf[:cap(e.buf)]
+		e.flush()
+		b = b[n:]
+	}
+	e.buf = append(e.buf, b...)
 }
 
-func writeBytes32(b *bytes.Buffer, data []byte) {
-	writeU32(b, uint32(len(data)))
-	b.Write(data)
+func (e *encoder) u16(v uint16) {
+	e.room(2)
+	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
+}
+
+func (e *encoder) u32(v uint32) {
+	e.room(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+
+func (e *encoder) u64(v uint64) {
+	e.room(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+func (e *encoder) str8(s string) {
+	e.room(1)
+	e.buf = append(e.buf, byte(len(s)))
+	put(e, s)
+}
+
+func (e *encoder) bytes32(data []byte) {
+	e.u32(uint32(len(data)))
+	if e.h != nil && len(e.buf)+len(data) > cap(e.buf) {
+		e.flush()
+		e.h.Write(data)
+		return
+	}
+	e.buf = append(e.buf, data...)
 }

@@ -9,6 +9,12 @@ import (
 // Parse decodes an SPE image, validating every length field against both
 // the declared limits and the remaining input so that truncated or hostile
 // input fails cleanly instead of panicking.
+//
+// Parse does not copy payloads: section data, resource bytes and the
+// signature blob of the result are subslices of raw, so the caller must
+// not write raw while the image is in use. Each subslice has its capacity
+// clipped to its length, so an append to one copies it rather than
+// writing into raw. Names and function names are copied into strings.
 func Parse(raw []byte) (*File, error) {
 	r := reader{buf: raw}
 	magic, err := r.take(4)
@@ -188,7 +194,5 @@ func (r *reader) bytes32() ([]byte, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
+	return b[:len(b):len(b)], nil
 }

@@ -56,11 +56,19 @@ func NewDrive(label string) *Drive {
 	return &Drive{Label: label, files: make(map[string]*File)}
 }
 
-// Put stores a file on the drive (replacing any same-named file).
+// Put stores a copy of data as a file on the drive (replacing any
+// same-named file), so the caller keeps ownership of its slice.
 func (d *Drive) Put(name string, data []byte, hidden bool) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	d.files[strings.ToLower(name)] = &File{Name: name, Data: cp, Hidden: hidden}
+	d.PutShared(name, cp, hidden)
+}
+
+// PutShared is Put without the copy: the file's Data aliases data. The
+// caller promises the buffer is immutable for the rest of the run, the
+// contract host.FS.WriteShared asks of its callers too.
+func (d *Drive) PutShared(name string, data []byte, hidden bool) {
+	d.files[strings.ToLower(name)] = &File{Name: name, Data: data, Hidden: hidden}
 }
 
 // Get returns the named file, or nil.

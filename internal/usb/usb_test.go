@@ -33,6 +33,21 @@ func TestDrivePutCopiesData(t *testing.T) {
 	}
 }
 
+// TestDrivePutSharedAliasesData: PutShared, the immutable-buffer twin of
+// Put, stores the caller's slice itself instead of a copy.
+func TestDrivePutSharedAliasesData(t *testing.T) {
+	d := NewDrive("STICK")
+	data := []byte("immutable report")
+	d.PutShared("Report.DOCX", data, true)
+	f := d.Get("report.docx")
+	if f == nil || f.Name != "Report.DOCX" || !f.Hidden {
+		t.Fatalf("Get = %+v", f)
+	}
+	if len(f.Data) != len(data) || &f.Data[0] != &data[0] {
+		t.Fatal("PutShared copied the buffer")
+	}
+}
+
 func TestDrivePutReplaces(t *testing.T) {
 	d := NewDrive("STICK")
 	d.Put("f", []byte("one"), false)

@@ -396,16 +396,19 @@ func (p *Population) act(a *Agent) {
 	}
 }
 
-// breadcrumb emits the action's cat=user trace record. Skipped entirely
-// on dead traces (muted, no subscribers) so 30k busy hosts pay nothing
-// for it in fleet benchmarks; counters and substrate events are never
-// gated this way.
-func (p *Population) breadcrumb(a *Agent, msg string) {
+// breadcrumb emits the action's cat=user trace record, whose message is
+// verb followed by object. Skipped entirely on dead traces (muted, no
+// subscribers), and the message is joined only past that check, so 30k
+// busy hosts pay nothing for it in fleet benchmarks; counters and
+// substrate events are never gated this way. A message with no variable
+// part passes it whole as verb and "" as object, which keeps it a
+// constant instead of a fresh string per record.
+func (p *Population) breadcrumb(a *Agent, verb, object string) {
 	tr := p.K.Trace()
 	if !tr.Live() {
 		return
 	}
-	tr.Emit(p.K.Now(), sim.CatUser, a.H.Name, msg,
+	tr.Emit(p.K.Now(), sim.CatUser, a.H.Name, verb+object,
 		obs.T("user", a.user), obs.T("profile", string(a.Profile)))
 }
 
@@ -438,7 +441,7 @@ func (p *Population) writeDoc(a *Agent) {
 	}
 	p.Stats.DocWrites++
 	p.mDoc.Inc()
-	p.breadcrumb(a, "users.doc.write "+name)
+	p.breadcrumb(a, "users.doc.write ", name)
 }
 
 // mail sends (send=true) or polls (send=false) the corporate mail host.
@@ -458,11 +461,11 @@ func (p *Population) mail(a *Agent, send bool) {
 	if send {
 		p.Stats.MailsSent++
 		p.mMailSend.Inc()
-		p.breadcrumb(a, "users.mail.send "+MailDomain)
+		p.breadcrumb(a, "users.mail.send "+MailDomain, "")
 	} else {
 		p.Stats.MailsRead++
 		p.mMailRead.Inc()
-		p.breadcrumb(a, "users.mail.recv "+MailDomain)
+		p.breadcrumb(a, "users.mail.recv "+MailDomain, "")
 	}
 }
 
@@ -481,7 +484,7 @@ func (p *Population) browse(a *Agent) {
 	}
 	p.Stats.WebVisits++
 	p.mWeb.Inc()
-	p.breadcrumb(a, "users.web.browse "+site)
+	p.breadcrumb(a, "users.web.browse ", site)
 }
 
 // shareCopy drops the agent's report on the next peer's public share —
@@ -502,21 +505,22 @@ func (p *Population) shareCopy(a *Agent) {
 	}
 	p.Stats.ShareCopies++
 	p.mShare.Inc()
-	p.breadcrumb(a, "users.share.copy to "+target.Name)
+	p.breadcrumb(a, "users.share.copy to ", target.Name)
 }
 
 // usbCycle plugs the agent's personal stick, parks the report on it, and
-// removes it — the benign cat=usb telemetry.
+// removes it — the benign cat=usb telemetry. The report buffer is shared
+// and immutable, so the stick aliases it as the share targets do.
 func (p *Population) usbCycle(a *Agent) {
 	if a.drive == nil {
 		a.drive = usb.NewDrive("USB-" + a.H.Name)
 	}
 	a.H.InsertUSB(a.drive)
-	a.drive.Put("backup-"+a.user+".docx", p.reportMu, false)
+	a.drive.PutShared("backup-"+a.user+".docx", p.reportMu, false)
 	a.H.RemoveUSB()
 	p.Stats.USBCycles++
 	p.mUSB.Inc()
-	p.breadcrumb(a, "users.usb.cycle "+a.drive.Label)
+	p.breadcrumb(a, "users.usb.cycle ", a.drive.Label)
 }
 
 // toolRun executes the benign build tool — ordinary cat=exec telemetry
@@ -528,7 +532,7 @@ func (p *Population) toolRun(a *Agent) {
 	}
 	p.Stats.ToolRuns++
 	p.mTool.Inc()
-	p.breadcrumb(a, "users.tool.run "+p.toolImg.Name)
+	p.breadcrumb(a, "users.tool.run ", p.toolImg.Name)
 }
 
 // maintain is the admin's maintenance round against the next fleet host
@@ -563,7 +567,7 @@ func (p *Population) maintain(a *Agent) {
 		}
 		p.Stats.Maintenances++
 		p.mMaintain.Inc()
-		p.breadcrumb(a, "users.host.maintain "+target.Name)
+		p.breadcrumb(a, "users.host.maintain ", target.Name)
 	})
 }
 
