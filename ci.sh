@@ -135,7 +135,7 @@ rm -f "$tmp_bench" "$tmp_bench_json"
 # per-shard wall breakdown. Values are nondeterministic by design and
 # never compared; only presence is gated.
 tmp_manifest=$(mktemp)
-go run ./cmd/cyberlab profile -run C7 -partitions 4 -progress -o "$tmp_manifest"
+go run ./cmd/cyberlab -run C7 -partitions 4 -progress -manifest "$tmp_manifest" >/dev/null
 for key in '"plane": "wall-clock"' '"events_fired"' '"ns_per_event"' \
     '"max_queue_depth"' '"phases"' '"id": "C7"' '"wall_seconds"' \
     '"supervision"' '"partitions": 6' '"partition_wall"'; do

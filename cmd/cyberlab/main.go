@@ -17,12 +17,11 @@
 //	cyberlab -all -seeds 1..16 [-parallel 8]
 //	cyberlab -report [-o EXPERIMENTS.md]
 //	cyberlab -rules
-//	cyberlab -run C7 -progress
+//	cyberlab -run C7 [-progress] [-manifest manifest.json]
 //	cyberlab -all -journal run.journal [-stall 30s] [-deadline 10m] [-max-retries 1]
 //	cyberlab -all -journal run.journal -resume
 //	cyberlab checkpoint -run C1 -at 30m [-seed 7] [-o c1.checkpoint]
 //	cyberlab fork -from c1.checkpoint [-trace tail.jsonl]
-//	cyberlab profile -run C7 [-progress] [-o manifest.json]
 //	cyberlab trace -in t.jsonl [-cat X] [-actor Y] [-tag k=v] [-chain F1/s3] [-dot out.dot]
 //	cyberlab detect -in t.jsonl [-o alerts.jsonl]
 //
@@ -57,25 +56,27 @@
 // aggregates per-metric min/mean/max across seeds. -trace writes the
 // experiments' retained event records as JSONL (one object per line, each
 // tagged exp=<ID>); -metrics writes the merged obs snapshot as JSON.
-// -report renders EXPERIMENTS.md from the live run, making the committed
-// document a reproducible build artefact (ci.sh fails on drift).
-// -cpuprofile and -memprofile write pprof profiles of whatever the
-// invocation ran; both paths are validated up front (existence AND
-// writability of the destination) so a typo or a read-only directory
-// fails before the experiments burn wall clock.
+// -report renders the run as EXPERIMENTS.md markdown (every experiment
+// unless -run narrows it), making the committed document a reproducible
+// build artefact (ci.sh fails on drift). -cpuprofile and -memprofile
+// write pprof profiles of whatever the invocation ran. Every output
+// destination is validated up front (existence AND writability) so a
+// typo or a read-only directory fails before the experiments burn wall
+// clock, and a write that still fails at the end (a full disk) fails the
+// command. Stdout carries the report, so these outputs take a file name,
+// never "-".
 //
-// -progress attaches the wall-clock telemetry plane (internal/runstats,
-// DESIGN.md §12) and prints a live stderr ticker — experiments done,
-// hosts attached, virtual time reached, fired events per wall second,
-// queue depth, heap watermark — for long fleet-scale runs. The probe
+// -progress and -manifest attach the wall-clock telemetry plane
+// (internal/runstats, DESIGN.md §12) to any run mode. -progress prints a
+// live stderr ticker — experiments done, hosts attached, virtual time
+// reached, fired events per wall second, queue depth, heap watermark —
+// for long fleet-scale runs. -manifest writes a JSON run manifest
+// (wall-clock totals, per-phase and per-experiment breakdowns, kernel
+// hot-loop stats, heap watermarks, supervision counters) when the run
+// ends, failed experiments included. The manifest is explicitly marked
+// nondeterministic and is excluded from every drift gate. The probe
 // plane is read-only: every drift-gated artefact (report, trace,
 // metrics, alerts) stays byte-identical with or without it.
-//
-// The profile subcommand runs experiments with the telemetry plane
-// enabled and emits a JSON run manifest (wall-clock totals, per-phase
-// and per-experiment breakdowns, kernel hot-loop stats, heap
-// watermarks) to stdout or -o. The manifest is explicitly marked
-// nondeterministic and is excluded from every drift gate.
 //
 // The trace subcommand reads a `-trace` JSONL export back and
 // reconstructs the causal provenance forest: who infected whom, over
@@ -113,6 +114,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -159,20 +161,17 @@ func main() {
 // run dispatches the command line; ctx is the graceful shutdown every
 // subcommand that runs experiments builds its Env with.
 func run(ctx context.Context, args []string) (err error) {
-	if len(args) > 0 && args[0] == "trace" {
-		return runTrace(args[1:])
-	}
-	if len(args) > 0 && args[0] == "detect" {
-		return runDetect(args[1:])
-	}
-	if len(args) > 0 && args[0] == "profile" {
-		return runProfile(ctx, args[1:])
-	}
-	if len(args) > 0 && args[0] == "checkpoint" {
-		return runCheckpoint(ctx, args[1:])
-	}
-	if len(args) > 0 && args[0] == "fork" {
-		return runFork(ctx, args[1:])
+	if len(args) > 0 {
+		switch args[0] {
+		case "trace":
+			return runTrace(args[1:])
+		case "detect":
+			return runDetect(args[1:])
+		case "checkpoint":
+			return runCheckpoint(ctx, args[1:])
+		case "fork":
+			return runFork(ctx, args[1:])
+		}
 	}
 	fs := flag.NewFlagSet("cyberlab", flag.ContinueOnError)
 	env := core.Env{Ctx: ctx}
@@ -184,7 +183,7 @@ func run(ctx context.Context, args []string) (err error) {
 		rules      = fs.Bool("rules", false, "list the built-in detection rule pack and exit")
 		id         = fs.String("run", "", "run experiments by ID, comma-separated (e.g. F1 or F2,C1)")
 		all        = fs.Bool("all", false, "run every experiment")
-		genReport  = fs.Bool("report", false, "run every experiment and render EXPERIMENTS.md markdown")
+		genReport  = fs.Bool("report", false, "render the run as EXPERIMENTS.md markdown (every experiment unless -run)")
 		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
 		seeds      = fs.String("seeds", "", "seed sweep: A..B (inclusive) or comma list; aggregates min/mean/max per metric")
 		parallel   = fs.Int("parallel", 1, "worker goroutines for -all, -run lists and -seeds")
@@ -193,12 +192,13 @@ func run(ctx context.Context, args []string) (err error) {
 		metricsOut = fs.String("metrics", "", "write the merged metrics snapshot to this file as JSON")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file when the run finishes")
+		manifest   = fs.String("manifest", "", "write the wall-clock JSON run manifest to this file when the run finishes")
 		progress   = fs.Bool("progress", false, "print a live wall-clock telemetry ticker to stderr")
 		journalP   = fs.String("journal", "", "record completed experiments to this crash-safe JSONL file (fsync per record)")
 		resume     = fs.Bool("resume", false, "resume from -journal: serve journaled experiments without re-running them")
 		maxRetries = fs.Int("max-retries", 0, "re-run a failed experiment up to N times; a retry must reproduce identical bytes or the run is flagged nondeterministic")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *parallel < 1 {
@@ -218,47 +218,80 @@ func run(ctx context.Context, args []string) (err error) {
 			return fmt.Errorf("-report renders one seed's EXPERIMENTS.md; it cannot render a -seeds sweep")
 		case *maxRetries > 0:
 			return fmt.Errorf("-max-retries retries single-seed runs; a -seeds sweep never retries")
+		case *traceOut != "":
+			return fmt.Errorf("-trace needs per-run events, which a -seeds sweep discards; use a single-seed run")
 		}
 	}
 	if env.Stall < 0 || env.Deadline < 0 {
 		return fmt.Errorf("-stall and -deadline must be >= 0")
 	}
+	if *journalP != "" && !*genReport && *id == "" && !*all {
+		return fmt.Errorf("-journal needs a run (-run, -all, or -report)")
+	}
 	// Fail on unwritable output destinations before experiments burn wall
 	// clock, not minutes later at write time.
 	for _, o := range []struct{ flag, path string }{
-		{"-o", *out}, {"-trace", *traceOut}, {"-metrics", *metricsOut},
+		{"-o", *out}, {"-trace", *traceOut}, {"-metrics", *metricsOut}, {"-manifest", *manifest},
 		{"-cpuprofile", *cpuProf}, {"-memprofile", *memProf},
 	} {
-		if err := validateOutPath(o.flag, o.path); err != nil {
+		if err := validateOutPath(o.flag, o.path, false); err != nil {
 			return err
 		}
 	}
+
+	switch {
+	case *list:
+		for _, eid := range core.ExperimentIDs() {
+			fmt.Println(eid)
+		}
+		return nil
+	case *rules:
+		fmt.Printf("%-22s %-9s %-12s %s\n", "rule", "kind", "scope", "description")
+		for _, r := range detect.CNIRulePack() {
+			fmt.Printf("%-22s %-9s %-12s %s\n", r.Name, ruleKind(r), r.Scope, r.Desc)
+		}
+		fmt.Println("\nscope is the D2 transfer result: behavioural rules key on attacker technique and fire on")
+		fmt.Println("weapons they were never written for; campaign rules key on CNI artifacts and stay silent")
+		fmt.Println("elsewhere (run `cyberlab -run D2`; D4/D5 price each scope against benign noise).")
+		return nil
+	case *id == "" && !*all && !*genReport && *seeds == "":
+		fs.Usage()
+		return fmt.Errorf("specify -list, -rules, -run ID, -all, -report, or -seeds")
+	}
+	ids, seedList, err := selectIDs(*id, *seeds)
+	if err != nil {
+		return err
+	}
+
 	var journal *core.Journal
 	if *journalP != "" {
-		if !*genReport && *id == "" && !*all {
-			return fmt.Errorf("-journal needs a run (-run, -all, or -report)")
+		if journal, err = core.OpenJournal(*journalP, *resume, *seed, &env); err != nil {
+			return fmt.Errorf("-journal: %w", err)
 		}
-		j, jerr := core.OpenJournal(*journalP, *resume, *seed, &env)
-		if jerr != nil {
-			return fmt.Errorf("-journal: %w", jerr)
-		}
-		journal = j
 		// A journal write error (disk full, yanked volume) must fail the
 		// run even if every experiment passed: a silently incomplete
 		// journal would skip re-runs on the next -resume.
 		defer func() {
-			if cerr := journal.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("-journal: %w", cerr)
+			if cerr := journal.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("-journal: %w", cerr))
 			}
 		}()
 	}
-	opts := core.RunOptions{Env: &env, Workers: *parallel, MaxRetries: *maxRetries, Journal: journal}
-	if *progress {
+	// The end-of-run outputs below are deferred so they are written
+	// however the run ends, failed experiments included; a failed write
+	// joins the run's own error.
+	if *progress || *manifest != "" {
 		c := runstats.Enable()
-		stopTicker := c.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)
+		stopTicker := func() {}
+		if *progress {
+			stopTicker = c.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)
+		}
 		defer func() {
 			stopTicker()
 			runstats.Disable()
+			if *manifest != "" {
+				err = errors.Join(err, writeOut("-manifest", *manifest, c.Manifest().WriteJSON))
+			}
 		}()
 	}
 	if *cpuProf != "" {
@@ -277,62 +310,26 @@ func run(ctx context.Context, args []string) (err error) {
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cyberlab: -memprofile:", err)
-				return
-			}
-			defer f.Close()
 			runtime.GC() // settle live-heap numbers before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "cyberlab: -memprofile:", err)
-			}
+			err = errors.Join(err, writeOut("-memprofile", *memProf, pprof.WriteHeapProfile))
 		}()
 	}
-	var report strings.Builder
+	var report bytes.Buffer
 	emit := func(format string, a ...any) {
 		fmt.Fprintf(&report, format, a...)
 		fmt.Printf(format, a...)
 	}
-	defer func() {
-		if *out != "" {
-			if werr := os.WriteFile(*out, []byte(report.String()), 0o644); werr != nil {
-				fmt.Fprintln(os.Stderr, "cyberlab: write report:", werr)
-			}
-		}
-	}()
-
-	switch {
-	case *list:
-		for _, eid := range core.ExperimentIDs() {
-			fmt.Println(eid)
-		}
-		return nil
-	case *rules:
-		fmt.Printf("%-22s %-9s %-12s %s\n", "rule", "kind", "scope", "description")
-		for _, r := range detect.CNIRulePack() {
-			fmt.Printf("%-22s %-9s %-12s %s\n", r.Name, ruleKind(r), r.Scope, r.Desc)
-		}
-		fmt.Println("\nscope is the D2 transfer result: behavioural rules key on attacker technique and fire on")
-		fmt.Println("weapons they were never written for; campaign rules key on CNI artifacts and stay silent")
-		fmt.Println("elsewhere (run `cyberlab -run D2`; D4/D5 price each scope against benign noise).")
-		return nil
-	case *seeds != "":
-		if *traceOut != "" {
-			return fmt.Errorf("-trace needs per-run events, which a -seeds sweep discards; use a single-seed run")
-		}
-		ids := core.ExperimentIDs()
-		if *id != "" {
-			var err error
-			if ids, err = parseIDs(*id); err != nil {
+	if *out != "" {
+		defer func() {
+			err = errors.Join(err, writeOut("-o", *out, func(w io.Writer) error {
+				_, err := report.WriteTo(w)
 				return err
-			}
-		}
-		seedList, err := parseSeeds(*seeds)
-		if err != nil {
-			return err
-		}
-		started := time.Now()
+			}))
+		}()
+	}
+
+	started := time.Now()
+	if seedList != nil {
 		entries := core.SweepSeeds(&env, ids, seedList, *parallel)
 		emit("%s", core.RenderSweep(entries))
 		passes, runs, errored := 0, 0, 0
@@ -355,57 +352,94 @@ func run(ctx context.Context, args []string) (err error) {
 			return fmt.Errorf("%d sweep runs failed (%d runner errors)", runs-passes, errored)
 		}
 		return nil
-	case *genReport:
-		started := time.Now()
-		reports := core.RunExperimentsOpts(core.ExperimentIDs(), *seed, opts)
+	}
+
+	// One seed: -report and -run/-all share everything but what they
+	// print to stdout.
+	opts := core.RunOptions{Env: &env, Workers: *parallel, MaxRetries: *maxRetries, Journal: journal}
+	reports := core.RunExperimentsOpts(ids, *seed, opts)
+	if *genReport {
 		stopReport := runstats.Phase("report")
 		md := core.RenderExperimentsMarkdown(reports, *seed)
 		stopReport()
 		emit("%s", md)
-		for _, rep := range reports {
-			fmt.Fprintf(os.Stderr, "%-4s %8.3fs\n", rep.ID, rep.Wall.Seconds())
-		}
-		fmt.Fprintf(os.Stderr, "report wall %v (%d workers)\n",
-			time.Since(started).Round(time.Millisecond), *parallel)
-		if err := writeObsOutputs(*traceOut, *metricsOut, reports); err != nil {
-			return err
-		}
-		partialBanner(reports, *journalP, context.Cause(ctx))
-		return reportErr(reports)
-	case *id != "" || *all:
-		ids := core.ExperimentIDs()
-		if *id != "" {
-			var err error
-			if ids, err = parseIDs(*id); err != nil {
-				return err
-			}
-		}
-		started := time.Now()
-		reports := core.RunExperimentsOpts(ids, *seed, opts)
+	} else {
+		passed := 0
 		for _, rep := range reports {
 			if rep.Err != nil {
 				emit("%v\n\n", rep.Err)
 				continue
 			}
+			if rep.Result.Pass {
+				passed++
+			}
 			emit("%s\n", rep.Result.Render())
 		}
-		for _, rep := range reports {
-			fmt.Fprintf(os.Stderr, "%-4s %8.3fs\n", rep.ID, rep.Wall.Seconds())
+		emit("%d/%d experiments reproduced (seed %d)\n", passed, len(reports), *seed)
+	}
+	var merged obs.Snapshot
+	for _, rep := range reports {
+		fmt.Fprintf(os.Stderr, "%-4s %8.3fs\n", rep.ID, rep.Wall.Seconds())
+		if rep.Result != nil {
+			merged.Merge(rep.Result.Obs)
 		}
-		failed, errored := tally(reports)
-		emit("%d/%d experiments reproduced (seed %d)\n",
-			len(reports)-failed-errored, len(reports), *seed)
-		fmt.Fprintf(os.Stderr, "total wall %v (%d workers)\n",
-			time.Since(started).Round(time.Millisecond), *parallel)
-		if err := writeObsOutputs(*traceOut, *metricsOut, reports); err != nil {
+	}
+	fmt.Fprintf(os.Stderr, "total wall %v (%d workers)\n",
+		time.Since(started).Round(time.Millisecond), *parallel)
+	if *traceOut != "" {
+		// Reports are in input order, so the bytes do not depend on the
+		// worker count.
+		err := writeOut("-trace", *traceOut, func(w io.Writer) error {
+			for _, rep := range reports {
+				if rep.Result == nil {
+					continue
+				}
+				if err := obs.WriteJSONL(w, rep.Result.Events); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		partialBanner(reports, *journalP, context.Cause(ctx))
-		return reportErr(reports)
-	default:
-		fs.Usage()
-		return fmt.Errorf("specify -list, -rules, -run ID, -all, -report, or -seeds")
 	}
+	if err := writeMetrics(*metricsOut, merged); err != nil {
+		return err
+	}
+	partialBanner(reports, *journalP, context.Cause(ctx))
+	return reportErr(reports)
+}
+
+// selectIDs resolves what a run covers: the -run list, or every
+// experiment when -run is absent (-all, -report, or a bare -seeds
+// sweep), and the -seeds list, nil for a single-seed run.
+func selectIDs(run, seeds string) (ids []string, seedList []uint64, err error) {
+	ids = core.ExperimentIDs()
+	if run != "" {
+		if ids, err = parseIDs(run); err != nil {
+			return nil, nil, err
+		}
+	}
+	if seeds != "" {
+		if seedList, err = parseSeeds(seeds); err != nil {
+			return nil, nil, err
+		}
+	}
+	return ids, seedList, nil
+}
+
+// parseArgs parses args into fs and rejects the first word left over,
+// so a stray argument or an unknown subcommand fails instead of being
+// silently dropped.
+func parseArgs(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
 }
 
 // ruleKind names a rule's matching primitive for the -rules listing.
@@ -420,83 +454,6 @@ func ruleKind(r detect.Rule) string {
 	}
 }
 
-// runProfile implements `cyberlab profile`: run experiments with the
-// wall-clock telemetry plane enabled and emit the JSON run manifest.
-// Experiment reports go to stderr (summary lines only) so stdout stays
-// clean for the manifest; -o redirects the manifest to a file and
-// frees stdout. The manifest is nondeterministic by design and is
-// never drift-gated — the deterministic artefacts of the same run are
-// unchanged by profiling (the isolation property tests pin this).
-func runProfile(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("cyberlab profile", flag.ContinueOnError)
-	env := core.Env{Ctx: ctx}
-	bindEnv(fs, &env, true)
-	var (
-		id       = fs.String("run", "", "profile these experiments, comma-separated (e.g. C7 or R1..R5)")
-		all      = fs.Bool("all", false, "profile every experiment")
-		seed     = fs.Uint64("seed", 1, "deterministic simulation seed")
-		parallel = fs.Int("parallel", 1, "worker goroutines")
-		out      = fs.String("o", "", "write the JSON run manifest to this file (default stdout)")
-		progress = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *id == "" && !*all {
-		return fmt.Errorf("profile: specify -run IDs or -all")
-	}
-	if *parallel < 1 {
-		return fmt.Errorf("profile: -parallel must be >= 1 (got %d)", *parallel)
-	}
-	if err := validateOutPath("-o", *out); err != nil {
-		return err
-	}
-	ids := core.ExperimentIDs()
-	if *id != "" {
-		var err error
-		if ids, err = parseIDs(*id); err != nil {
-			return err
-		}
-	}
-
-	c := runstats.Enable()
-	defer runstats.Disable()
-	var stopTicker func()
-	if *progress {
-		stopTicker = c.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)
-	}
-	reports := core.RunExperimentsOpts(ids, *seed, core.RunOptions{Env: &env, Workers: *parallel})
-	if stopTicker != nil {
-		stopTicker()
-	}
-	for _, rep := range reports {
-		status := "pass"
-		switch {
-		case rep.Err != nil:
-			status = "error"
-		case !rep.Result.Pass:
-			status = "FAIL"
-		}
-		fmt.Fprintf(os.Stderr, "%-4s %8.3fs  %s\n", rep.ID, rep.Wall.Seconds(), status)
-	}
-
-	manifest := c.Manifest()
-	if *out == "" || *out == "-" {
-		if err := manifest.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	} else {
-		var buf bytes.Buffer
-		if err := manifest.WriteJSON(&buf); err != nil {
-			return fmt.Errorf("profile: render manifest: %w", err)
-		}
-		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("profile: write manifest: %w", err)
-		}
-	}
-	return reportErr(reports)
-}
-
 // runDetect implements `cyberlab detect`: replay a JSONL trace export
 // through the built-in rule pack and write the alert stream as JSONL.
 func runDetect(args []string) error {
@@ -505,42 +462,25 @@ func runDetect(args []string) error {
 		in  = fs.String("in", "", "JSONL trace export to read (required; \"-\" = stdin)")
 		out = fs.String("o", "", "write the alert stream as JSONL to this file (default stdout)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *in == "" {
 		return fmt.Errorf("detect: -in FILE is required")
 	}
-	if err := validateOutPath("-o", *out); err != nil {
+	if err := validateOutPath("-o", *out, true); err != nil {
 		return err
 	}
-	r := io.Reader(os.Stdin)
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return fmt.Errorf("detect: %w", err)
-		}
-		defer f.Close()
-		r = f
-	}
-	events, err := obs.ParseJSONL(r)
+	events, err := readTrace(*in)
 	if err != nil {
-		return fmt.Errorf("detect: read %s: %w", *in, err)
+		return fmt.Errorf("detect: %w", err)
 	}
 	alerts, err := detect.Replay(events, detect.CNIRulePack())
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := detect.WriteAlertsJSONL(&buf, alerts); err != nil {
-		return fmt.Errorf("detect: render alerts: %w", err)
-	}
-	if *out == "" || *out == "-" {
-		if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("detect: write alerts: %w", err)
+	if err := writeOut("-o", *out, func(w io.Writer) error { return detect.WriteAlertsJSONL(w, alerts) }); err != nil {
+		return fmt.Errorf("detect: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "%d alerts from %d events\n", len(alerts), len(events))
 	return nil
@@ -560,7 +500,7 @@ func runCheckpoint(ctx context.Context, args []string) error {
 		at   = fs.Duration("at", 0, "checkpoint boundary as virtual time past the simulation epoch (required, e.g. 30m)")
 		out  = fs.String("o", "", "write the checkpoint JSON to this file (default stdout)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *id == "" {
@@ -572,25 +512,15 @@ func runCheckpoint(ctx context.Context, args []string) error {
 	if *at <= 0 {
 		return fmt.Errorf("checkpoint: -at DURATION (virtual time past the epoch) is required")
 	}
-	if err := validateOutPath("-o", *out); err != nil {
+	if err := validateOutPath("-o", *out, true); err != nil {
 		return err
 	}
 	cp, err := core.CaptureCheckpoint(&env, *id, *seed, sim.Epoch.Add(*at))
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if *out == "" || *out == "-" {
-		if err := core.WriteCheckpoint(os.Stdout, cp); err != nil {
-			return err
-		}
-	} else {
-		var buf bytes.Buffer
-		if err := core.WriteCheckpoint(&buf, cp); err != nil {
-			return fmt.Errorf("checkpoint: render: %w", err)
-		}
-		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("checkpoint: write: %w", err)
-		}
+	if err := writeOut("-o", *out, func(w io.Writer) error { return core.WriteCheckpoint(w, cp) }); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "checkpoint %s seed %d at %s: %d of %d events in the verified prefix\n",
 		cp.Experiment, cp.Seed, cp.VTime.Format(time.RFC3339), cp.PrefixLen, cp.TotalLen)
@@ -608,13 +538,13 @@ func runFork(ctx context.Context, args []string) error {
 		from     = fs.String("from", "", "checkpoint file to restore (required)")
 		traceOut = fs.String("trace", "", "write the tail trace events (past the checkpoint) to this file as JSONL")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *from == "" {
 		return fmt.Errorf("fork: -from FILE is required")
 	}
-	if err := validateOutPath("-trace", *traceOut); err != nil {
+	if err := validateOutPath("-trace", *traceOut, false); err != nil {
 		return err
 	}
 	cp, err := core.ReadCheckpoint(*from)
@@ -627,12 +557,8 @@ func runFork(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("%s\n", fr.Result.Render())
 	if *traceOut != "" {
-		var buf bytes.Buffer
-		if err := obs.WriteJSONL(&buf, fr.Result.Events); err != nil {
-			return fmt.Errorf("fork: render trace: %w", err)
-		}
-		if err := os.WriteFile(*traceOut, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("fork: write trace: %w", err)
+		if err := writeOut("-trace", *traceOut, func(w io.Writer) error { return obs.WriteJSONL(w, fr.Result.Events) }); err != nil {
+			return fmt.Errorf("fork: %w", err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "fork %s seed %d: prefix of %d events verified at %s, %d tail events restored\n",
@@ -642,7 +568,7 @@ func runFork(ctx context.Context, args []string) error {
 
 // bindEnv registers the run-environment flags on fs, parsing straight
 // into env: -faults and -activity when withKey is set, -partitions
-// always. run, profile and checkpoint bind all three; fork binds only
+// always. run and checkpoint bind all three; fork binds only
 // -partitions, because it replays under the checkpoint's own key. One
 // binder gives every subcommand the same names, defaults and errors.
 func bindEnv(fs *flag.FlagSet, env *core.Env, withKey bool) {
@@ -731,18 +657,6 @@ func splitIDNum(id string) (string, int, error) {
 	return id[:i], n, nil
 }
 
-func tally(reports []core.RunReport) (failed, errored int) {
-	for _, rep := range reports {
-		switch {
-		case rep.Err != nil:
-			errored++
-		case !rep.Result.Pass:
-			failed++
-		}
-	}
-	return failed, errored
-}
-
 // reportErr turns a report slice into the process exit status: nil only
 // when every experiment ran to completion and passed. The error is a
 // one-line summary naming the experiments that did not complete and why,
@@ -809,63 +723,78 @@ func partialBanner(reports []core.RunReport, journalPath string, shutdown error)
 	}
 }
 
-// writeObsOutputs writes the optional -trace and -metrics artefacts from
-// a single-seed run. Both walk reports in report order, so the bytes do
-// not depend on the worker count.
-func writeObsOutputs(tracePath, metricsPath string, reports []core.RunReport) error {
-	if tracePath != "" {
-		var buf bytes.Buffer
-		for _, rep := range reports {
-			if rep.Result == nil {
-				continue
-			}
-			if err := obs.WriteJSONL(&buf, rep.Result.Events); err != nil {
-				return fmt.Errorf("render trace: %w", err)
-			}
-		}
-		if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
-	}
-	if metricsPath != "" {
-		var merged obs.Snapshot
-		for _, rep := range reports {
-			if rep.Result != nil {
-				merged.Merge(rep.Result.Obs)
-			}
-		}
-		if err := writeMetrics(metricsPath, merged); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
+// writeMetrics writes a merged obs snapshot as the -metrics JSON; an
+// empty path writes nothing.
 func writeMetrics(path string, snap obs.Snapshot) error {
 	if path == "" {
 		return nil
 	}
-	data, err := snap.JSON()
-	if err != nil {
-		return fmt.Errorf("render metrics: %w", err)
+	return writeOut("-metrics", path, func(w io.Writer) error {
+		data, err := snap.JSON()
+		if err == nil {
+			_, err = w.Write(append(data, '\n'))
+		}
+		return err
+	})
+}
+
+// writeOut renders one output artefact in memory, then writes it whole:
+// to stdout when path is "" or "-" (only an output that defaults to
+// stdout gets here with either), else to the file at path. Every output
+// flag except -cpuprofile, which streams during the run, goes through
+// here. A failed render touches no file, and any error names the flag,
+// so a full disk fails the command instead of passing unnoticed.
+func writeOut(flagName, path string, render func(io.Writer) error) error {
+	var buf bytes.Buffer
+	err := render(&buf)
+	if err == nil {
+		if path == "" || path == "-" {
+			_, err = os.Stdout.Write(buf.Bytes())
+		} else {
+			err = os.WriteFile(path, buf.Bytes(), 0o644)
+		}
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write metrics: %w", err)
+	if err != nil {
+		return fmt.Errorf("%s: %w", flagName, err)
 	}
 	return nil
+}
+
+// readTrace parses the JSONL trace export that trace and detect take as
+// -in; "-" reads stdin.
+func readTrace(path string) ([]obs.Event, error) {
+	r := io.Reader(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	events, err := obs.ParseJSONL(r)
+	if err != nil {
+		return nil, fmt.Errorf("read %s: %w", path, err)
+	}
+	return events, nil
 }
 
 // validateOutPath rejects output destinations that cannot possibly be
 // written: a missing or non-directory parent, a path that is itself a
 // directory, or a destination the process lacks permission to write
 // (a read-only directory would otherwise only fail minutes later, when
-// -memprofile or -o performs its deferred write). Every output flag —
-// -o, -trace, -metrics, -cpuprofile, -memprofile, profile -o — goes
-// through here, so a typo fails with the flag's name before any
-// experiment burns wall clock.
-func validateOutPath(flagName, path string) error {
-	if path == "" || path == "-" {
+// -memprofile or -o performs its deferred write). Every output flag
+// goes through here, so a typo fails with the flag's name before any
+// experiment burns wall clock. "-" is stdout, which only an output that
+// defaults to it (stdoutOK: detect -o, checkpoint -o, trace -dot) may
+// take; anywhere else stdout carries the command's own output, and "-"
+// is refused rather than created as a file.
+func validateOutPath(flagName, path string, stdoutOK bool) error {
+	if path == "" || (path == "-" && stdoutOK) {
 		return nil
+	}
+	if path == "-" {
+		return fmt.Errorf("%s -: stdout carries the command's output; give a file name", flagName)
 	}
 	dir := filepath.Dir(path)
 	info, err := os.Stat(dir)
@@ -911,13 +840,13 @@ func runTrace(args []string) error {
 		chain  = fs.String("chain", "", "print the causal chain of one span: EXP/sN, or sN/N when one experiment is present")
 		dotOut = fs.String("dot", "", "write the forest as Graphviz DOT to this file (\"-\" = stdout)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *in == "" {
 		return fmt.Errorf("trace: -in FILE is required")
 	}
-	if err := validateOutPath("-dot", *dotOut); err != nil {
+	if err := validateOutPath("-dot", *dotOut, true); err != nil {
 		return err
 	}
 	var tagKey, tagVal string
@@ -929,18 +858,9 @@ func runTrace(args []string) error {
 		}
 	}
 
-	r := io.Reader(os.Stdin)
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		defer f.Close()
-		r = f
-	}
-	events, err := obs.ParseJSONL(r)
+	events, err := readTrace(*in)
 	if err != nil {
-		return fmt.Errorf("trace: read %s: %w", *in, err)
+		return fmt.Errorf("trace: %w", err)
 	}
 	kept := events[:0]
 	for _, e := range events {
@@ -980,15 +900,8 @@ func runTrace(args []string) error {
 	}
 
 	if *dotOut != "" {
-		if *dotOut == "-" {
-			return forest.DOT(os.Stdout)
-		}
-		var buf bytes.Buffer
-		if err := forest.DOT(&buf); err != nil {
-			return fmt.Errorf("trace: render dot: %w", err)
-		}
-		if err := os.WriteFile(*dotOut, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("trace: write dot: %w", err)
+		if err := writeOut("-dot", *dotOut, forest.DOT); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
 		fmt.Fprint(os.Stderr, provenance.RenderStats(forest.Stats()))
 		return nil

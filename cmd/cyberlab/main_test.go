@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -47,8 +50,21 @@ func TestParseSeeds(t *testing.T) {
 }
 
 func TestSeedSweepSingleExperiment(t *testing.T) {
-	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-parallel", "2"}); err != nil {
+	manifest := filepath.Join(t.TempDir(), "m.json")
+	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..3", "-parallel", "2", "-manifest", manifest}); err != nil {
 		t.Fatalf("sweep F3: %v", err)
+	}
+	// The manifest holds one entry per (experiment, seed) run.
+	m := readManifest(t, manifest)
+	seen := make(map[uint64]bool)
+	for _, e := range m.Experiments {
+		if e.ID != "F3" || !e.Ok {
+			t.Fatalf("sweep manifest entry %+v, want a passing F3", e)
+		}
+		seen[e.Seed] = true
+	}
+	if len(m.Experiments) != 3 || !seen[1] || !seen[2] || !seen[3] {
+		t.Fatalf("sweep manifest experiments = %+v, want F3 at seeds 1, 2 and 3", m.Experiments)
 	}
 }
 
@@ -91,5 +107,28 @@ func TestNoModeIsError(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	if err := run(context.Background(), []string{"-bogus"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestStrayArgumentRejected: every flag set rejects the first word left
+// over after its flags and names it; a word that is no subcommand, such
+// as profile, is one such word to the main run.
+func TestStrayArgumentRejected(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		word string
+	}{
+		{[]string{"-run", "F3", "-seed", "2", "stray"}, "stray"},
+		{[]string{"bogus"}, "bogus"},
+		{[]string{"profile", "-run", "F3"}, "profile"},
+		{[]string{"detect", "-in", "x", "-o", "y", "extra"}, "extra"},
+		{[]string{"checkpoint", "-run", "C1", "-at", "1h", "extra"}, "extra"},
+		{[]string{"fork", "-from", "c1.checkpoint", "extra"}, "extra"},
+		{[]string{"trace", "-in", "x", "extra"}, "extra"},
+	} {
+		want := fmt.Sprintf("unexpected argument %q", c.word)
+		if err := run(context.Background(), c.args); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v = %v, want %s", c.args, err, want)
+		}
 	}
 }

@@ -10,14 +10,19 @@ import (
 
 // TestRunJournalResume drives the full CLI path: a journaled run, then a
 // -resume run that serves the journaled experiment instead of
-// re-executing it.
+// re-executing it, which its manifest counts.
 func TestRunJournalResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
 	if err := run(context.Background(), []string{"-run", "F3", "-journal", path}); err != nil {
 		t.Fatalf("journaled run: %v", err)
 	}
-	if err := run(context.Background(), []string{"-run", "F3,C8", "-journal", path, "-resume"}); err != nil {
+	manifest := filepath.Join(dir, "m.json")
+	if err := run(context.Background(), []string{"-run", "F3,C8", "-journal", path, "-resume", "-manifest", manifest}); err != nil {
 		t.Fatalf("resumed run: %v", err)
+	}
+	if m := readManifest(t, manifest); m.Supervision.JournalServed != 1 {
+		t.Fatalf("resumed run's manifest: journal_served = %d, want 1 (F3)", m.Supervision.JournalServed)
 	}
 	// Without -resume, reusing the journal must be refused.
 	if err := run(context.Background(), []string{"-run", "F3", "-journal", path}); err == nil ||
@@ -116,7 +121,7 @@ func TestCheckpointFlagValidation(t *testing.T) {
 	}
 }
 
-// TestEnvFlagsShareOneBinder: run, profile and checkpoint bind the
+// TestEnvFlagsShareOneBinder: run and checkpoint bind the
 // run-environment flags through one binder, so a bad value fails with
 // the same flag error in each; fork binds only -partitions.
 func TestEnvFlagsShareOneBinder(t *testing.T) {
@@ -128,7 +133,7 @@ func TestEnvFlagsShareOneBinder(t *testing.T) {
 		{"-partitions", "-1", `invalid value "-1" for flag -partitions`},
 	} {
 		var first string
-		for _, sub := range [][]string{nil, {"profile"}, {"checkpoint"}} {
+		for _, sub := range [][]string{nil, {"checkpoint"}} {
 			err := run(context.Background(), append(sub, c.flag, c.value))
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%v %s %s = %v, want %q", sub, c.flag, c.value, err, c.want)

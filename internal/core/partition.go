@@ -24,11 +24,14 @@ import (
 )
 
 // The C7 site layout: six sites (headquarters plus five regional
-// offices) exchanging mail every 15 simulated minutes. Both constants
-// are scenario state — changing either changes the simulated world.
+// offices) exchanging mail every 15 simulated minutes, with the hub
+// couriering the infection to the other sites an hour after the world
+// starts (delivery lands at the next epoch boundary). The constants are
+// scenario state — changing any changes the simulated world.
 const (
-	aramcoSiteCount = 6
-	aramcoEpoch     = 15 * time.Minute
+	aramcoSiteCount  = 6
+	aramcoEpoch      = 15 * time.Minute
+	aramcoCarryAfter = time.Hour
 )
 
 // Cross-partition message kinds of the Aramco campaign.
@@ -50,10 +53,6 @@ type AramcoFleetOptions struct {
 	EagerDocs    bool
 	Activity     users.Mix
 	MuteTrace    bool
-	// CarryAfter is when the hub couriers the infection to the other
-	// sites (default 1h after the world starts); delivery lands at the
-	// next epoch boundary.
-	CarryAfter time.Duration
 	// Workers overrides the Env's partition width for this fleet (<= 0
 	// defers to it). Any value is byte-equivalent.
 	Workers int
@@ -83,9 +82,6 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 	}
 	if opts.Sites > opts.Workstations {
 		opts.Sites = opts.Workstations
-	}
-	if opts.CarryAfter <= 0 {
-		opts.CarryAfter = time.Hour
 	}
 	workers := opts.Workers
 	if workers <= 0 && opts.Env != nil {
@@ -174,7 +170,7 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 	if len(f.Sites) > 1 {
 		hubPart := f.Set.Partition(0)
 		sites := len(f.Sites)
-		hub.World.K.Schedule(opts.CarryAfter, "aramco-carry-courier", func() {
+		hub.World.K.Schedule(aramcoCarryAfter, "aramco-carry-courier", func() {
 			for j := 1; j < sites; j++ {
 				hubPart.Send(j, aramcoCarryKind, nil)
 			}

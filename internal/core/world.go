@@ -89,7 +89,7 @@ type WorldConfig struct {
 // NewWorld builds the shared infrastructure. Every experiment kernel is
 // born here, so this is also where the wall-clock telemetry plane
 // attaches its sampling probe (a no-op unless `cyberlab -progress` or
-// `cyberlab profile` enabled a collector; probes are read-only and
+// `-manifest` enabled a collector; probes are read-only and
 // never perturb the deterministic plane — DESIGN.md §12).
 func NewWorld(cfg WorldConfig) (*World, error) {
 	defer runstats.Phase("world-build")()

@@ -138,6 +138,3 @@ func (d *Disk) Bootable() bool {
 	}
 	return false
 }
-
-// WrittenSectors reports how many sectors have ever been written.
-func (d *Disk) WrittenSectors() int { return len(d.written) }

@@ -166,11 +166,6 @@ func (in *Internet) BindServer(ip IP, h Handler) {
 	in.servers[ip] = h
 }
 
-// UnbindServer removes the server at ip.
-func (in *Internet) UnbindServer(ip IP) {
-	delete(in.servers, ip)
-}
-
 // Dispatch resolves req.Host and delivers the request to the bound server.
 // Failures are counted (net.dispatch.err plus a per-cause counter) so
 // takedown windows show up in metrics output, not just as client errors.

@@ -215,13 +215,5 @@ func (p *PLC) SetDriveCommand(idx int, hz float64) error {
 	return nil
 }
 
-// DriveCommand returns the commanded frequency on drive idx.
-func (p *PLC) DriveCommand(idx int) (float64, error) {
-	if idx < 0 || idx >= len(p.bus.drives) {
-		return 0, fmt.Errorf("plc: no drive %d", idx)
-	}
-	return p.bus.drives[idx].CommandHz, nil
-}
-
 // ErrNoBlock is returned when a requested block does not exist.
 var ErrNoBlock = errors.New("plc: no such block")

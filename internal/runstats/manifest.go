@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Manifest is the JSON run record `cyberlab profile` emits: one
+// Manifest is the JSON run record `cyberlab -manifest` writes: one
 // wall-clock profile of an invocation. Every field lives on the
 // nondeterministic plane — the Plane/Note header says so in-band, so a
 // manifest can never be mistaken for (or diffed like) a drift-gated

@@ -12,8 +12,8 @@
 // — varies run to run by construction. Runstats data therefore flows in
 // exactly one direction: out of kernels (via read-only sim.Probe
 // samples) into the Collector, and from there to stderr (the -progress
-// ticker) or the `cyberlab profile` JSON manifest. Nothing here may
-// ever be written into an obs registry, a kernel trace, or any
+// ticker) or the JSON run manifest (`cyberlab -manifest`). Nothing here
+// may ever be written into an obs registry, a kernel trace, or any
 // drift-gated artefact, and enabling a collector must leave every
 // deterministic byte stream unchanged (asserted by
 // TestRunstatsDeterminismIsolation in internal/core).
@@ -221,10 +221,6 @@ func (c *Collector) PartitionWalls() []PartitionWall {
 	}
 	return out
 }
-
-// QueueDepth returns the current summed queue depth across all sampled
-// kernels (the progress ticker's "queue" gauge).
-func (c *Collector) QueueDepth() int64 { return c.queueSum.Load() }
 
 // SetTotalExperiments sizes the progress ticker's "done/total" gauge.
 func (c *Collector) SetTotalExperiments(n int) { c.expTotal.Store(int64(n)) }
