@@ -89,6 +89,11 @@ go test -run '^$' -fuzz '^FuzzParseJSONL$' -fuzztime 15s ./internal/obs
 # the SHA-256 of that encoding without the signature, and appending to a
 # parsed slice never writes into the input it aliases.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/pe
+# FuzzEventQueue holds the kernel's typed event queue to a container/heap
+# reference (internal/sim/queue_test.go): the same Pending, NextEventAt,
+# Timer state and fire order after every schedule, cancel, step and Every
+# operation, and a balanced pool ledger once the queue is drained.
+go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of

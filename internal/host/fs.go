@@ -194,13 +194,13 @@ var (
 // registers parent directories.
 func (fs *FS) put(path string, node *FileNode) error {
 	clean := CleanPath(path)
-	key := fsKey(clean)
+	key := strings.ToLower(clean)
 	if existing, ok := fs.files[key]; ok && existing.Attr&AttrReadOnly != 0 {
 		return fmt.Errorf("%w: %s", ErrReadOnly, clean)
 	}
 	node.Path = clean
 	fs.files[key] = node
-	fs.mkParents(clean)
+	fs.mkParents(clean, key)
 	return nil
 }
 
@@ -233,14 +233,20 @@ func (fs *FS) WriteLazy(path string, lc LazyContent, attr FileAttr, modTime time
 	return fs.put(path, &FileNode{lazy: &lc, Attr: attr, ModTime: modTime})
 }
 
-func (fs *FS) mkParents(clean string) {
+// mkParents registers every parent directory of clean, whose key is
+// strings.ToLower(clean). It cuts both strings at their last '\\' in
+// lockstep, so each parent key is a substring of key and costs no
+// allocation. That is sound because ToLower maps rune by rune and never
+// creates or removes a '\\': the i-th separator of one string is the
+// i-th of the other, even where a rune's lower-case form has another
+// byte length.
+func (fs *FS) mkParents(clean, key string) {
 	for {
 		i := strings.LastIndexByte(clean, '\\')
 		if i <= 0 {
 			return
 		}
-		clean = clean[:i]
-		key := strings.ToLower(clean)
+		clean, key = clean[:i], key[:strings.LastIndexByte(key, '\\')]
 		if _, ok := fs.dirs[key]; ok {
 			return
 		}
@@ -251,8 +257,9 @@ func (fs *FS) mkParents(clean string) {
 // Mkdir registers a directory (and its parents).
 func (fs *FS) Mkdir(path string) {
 	clean := CleanPath(path)
-	fs.dirs[strings.ToLower(clean)] = clean
-	fs.mkParents(clean)
+	key := strings.ToLower(clean)
+	fs.dirs[key] = clean
+	fs.mkParents(clean, key)
 }
 
 // Read returns the file at path.
@@ -287,18 +294,24 @@ func (fs *FS) Delete(path string) error {
 }
 
 // Rename moves a file, preserving contents and attributes. This is how
-// Stuxnet swaps s7otbxdx.dll for s7otbxsx.dll.
+// Stuxnet swaps s7otbxdx.dll for s7otbxsx.dll. Like Write, it refuses to
+// replace a read-only file, and then leaves the source where it was; a
+// rename onto the file's own path (a change of case) always succeeds.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	oldKey := fsKey(oldPath)
 	f, ok := fs.files[oldKey]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, CleanPath(oldPath))
 	}
-	delete(fs.files, oldKey)
 	clean := CleanPath(newPath)
+	key := strings.ToLower(clean)
+	if dst, ok := fs.files[key]; ok && key != oldKey && dst.Attr&AttrReadOnly != 0 {
+		return fmt.Errorf("%w: %s", ErrReadOnly, clean)
+	}
+	delete(fs.files, oldKey)
 	f.Path = clean
-	fs.files[fsKey(clean)] = f
-	fs.mkParents(clean)
+	fs.files[key] = f
+	fs.mkParents(clean, key)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package host
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,6 +92,49 @@ func TestFSRename(t *testing.T) {
 	fs.Write(`C:\Step7\s7otbxdx.dll`, []byte("trojanized"), 0, t0)
 	if fs.FileCount() != 2 {
 		t.Fatalf("file count = %d, want 2", fs.FileCount())
+	}
+}
+
+// TestFSRenameReadOnlyDestination: like Write, Rename refuses to replace
+// a read-only file and leaves its source in place; a rename onto the
+// file's own key (a change of case) still succeeds.
+func TestFSRenameReadOnlyDestination(t *testing.T) {
+	cases := []struct {
+		from, to string
+		refused  bool
+		want     string   // content at to afterwards
+		wantAttr FileAttr // attributes at to afterwards
+	}{
+		{from: `C:\src.dll`, to: `C:\RO.dll`, refused: true, want: "keep", wantAttr: AttrReadOnly},
+		{from: `C:\src.dll`, to: `C:\rw.dll`, want: "new"},
+		{from: `C:\ro.dll`, to: `C:\RO.DLL`, want: "keep", wantAttr: AttrReadOnly},
+		{from: `C:\src.dll`, to: `C:\lib\new.dll`, want: "new"},
+	}
+	for _, c := range cases {
+		t.Run(c.from+"->"+c.to, func(t *testing.T) {
+			fs := NewFS()
+			fs.Write(`C:\ro.dll`, []byte("keep"), AttrReadOnly, t0)
+			fs.Write(`C:\rw.dll`, []byte("old"), 0, t0)
+			fs.Write(`C:\src.dll`, []byte("new"), 0, t0)
+			err := fs.Rename(c.from, c.to)
+			if c.refused {
+				if !errors.Is(err, ErrReadOnly) || !strings.Contains(err.Error(), c.to) {
+					t.Fatalf("Rename = %v, want ErrReadOnly naming %s", err, c.to)
+				}
+				if f, err := fs.Read(c.from); err != nil || string(f.Bytes()) != "new" {
+					t.Fatalf("refused rename moved its source: %v", err)
+				}
+			} else if err != nil {
+				t.Fatalf("Rename: %v", err)
+			}
+			f, err := fs.Read(c.to)
+			if err != nil || string(f.Bytes()) != c.want || f.Attr != c.wantAttr {
+				t.Fatalf("%s = %+v (%v), want %q with attr %d", c.to, f, err, c.want, c.wantAttr)
+			}
+			if !c.refused && !strings.EqualFold(c.from, c.to) && fs.Exists(c.from) {
+				t.Fatalf("%s survived the rename", c.from)
+			}
+		})
 	}
 }
 
@@ -207,5 +252,107 @@ func TestCleanPathProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refMkParents is mkParents as it was when it lower-cased each parent
+// afresh: the reference for cutting parent keys out of the child's key.
+func refMkParents(fs *FS, clean string) {
+	for {
+		i := strings.LastIndexByte(clean, '\\')
+		if i <= 0 {
+			return
+		}
+		clean = clean[:i]
+		key := strings.ToLower(clean)
+		if _, ok := fs.dirs[key]; ok {
+			return
+		}
+		fs.dirs[key] = clean
+	}
+}
+
+// refPut, refMkdir and refRename are put, Mkdir and Rename over
+// refMkParents, for files that are not read-only.
+func refPut(fs *FS, path string, node *FileNode) {
+	clean := CleanPath(path)
+	node.Path = clean
+	fs.files[fsKey(clean)] = node
+	refMkParents(fs, clean)
+}
+
+func refMkdir(fs *FS, path string) {
+	clean := CleanPath(path)
+	fs.dirs[strings.ToLower(clean)] = clean
+	refMkParents(fs, clean)
+}
+
+func refRename(fs *FS, oldPath, newPath string) {
+	f := fs.files[fsKey(oldPath)]
+	delete(fs.files, fsKey(oldPath))
+	refPut(fs, newPath, f)
+}
+
+// TestFSKeysMatchReference runs every path-registering operation on an
+// FS and on the reference, over paths whose lower-case form differs from
+// the original in length or shape, and requires the same file keys,
+// paths and directory map.
+func TestFSKeysMatchReference(t *testing.T) {
+	paths := []string{
+		`C:\Users\Ali\Documents\Plan.DOCX`,
+		`C:/Users/ali/Downloads/Setup.exe`,
+		`C:\\Data\\\\Deep\\x.bin`,
+		`C:\Data\Trail\`,
+		`\Server\Share\File.txt`,
+		`C:`,
+		`D:\a\B\c\D\e\F\g\H\i\Deep.txt`,
+		"C:\\\u212Aelvin\\\u212A\\K\u212A.txt", // Kelvin sign: 3 bytes, lower-case 'k' 1
+		"C:\\\u0130stanbul\\D\u0130R\\f.txt",   // dotted capital I: 2 bytes, lower-case 'i' 1
+		"C:\\Bad\xff\\Dir\xff\\F\xff.txt",      // invalid byte: lower-cases to 3-byte U+FFFD
+	}
+	empty := func() *FS { return &FS{files: map[string]*FileNode{}, dirs: map[string]string{}} }
+	fs, ref := empty(), empty()
+	for _, p := range paths {
+		fs.Write(p, []byte("w"), 0, t0)
+		refPut(ref, p, &FileNode{})
+		fs.WriteShared(p+`\Shared.BIN`, []byte("s"), 0, t0)
+		refPut(ref, p+`\Shared.BIN`, &FileNode{})
+		fs.WriteLazy(p+`\Lazy\Doc.TXT`, LazyContent{Seed: 1, Len: 8}, 0, t0)
+		refPut(ref, p+`\Lazy\Doc.TXT`, &FileNode{})
+		fs.Mkdir(p + `\Sub\DIR`)
+		refMkdir(ref, p+`\Sub\DIR`)
+		if err := fs.Rename(p, `R:\Moved\`+p); err != nil {
+			t.Fatalf("Rename(%q): %v", p, err)
+		}
+		refRename(ref, p, `R:\Moved\`+p)
+	}
+	if !maps.Equal(fs.dirs, ref.dirs) {
+		t.Fatalf("dirs differ:\n got %q\nwant %q", fs.dirs, ref.dirs)
+	}
+	if len(fs.files) != len(ref.files) {
+		t.Fatalf("%d files, reference %d", len(fs.files), len(ref.files))
+	}
+	for key, f := range ref.files {
+		if got, ok := fs.files[key]; !ok || got.Path != f.Path {
+			t.Fatalf("file key %q: got %+v, reference path %q", key, got, f.Path)
+		}
+	}
+}
+
+// TestFSWriteAllocs pins a write into a known mixed-case directory at
+// three allocations: the copy of the data, the node, and the one
+// lower-cased key. Parent keys are cut from that key, so none is built.
+func TestFSWriteAllocs(t *testing.T) {
+	fs := NewFS()
+	data := []byte("draft")
+	path := `C:\Users\Ali\Documents\Plan.DOCX`
+	fs.Write(path, data, 0, t0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := fs.Write(path, data, 0, t0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("FS.Write allocates %.1f objects per call, want 3", allocs)
 	}
 }

@@ -111,7 +111,7 @@ func (k *Kernel) Diagnostic() Diagnostic {
 		Spans:       k.spans,
 	}
 	if len(k.queue) > 0 {
-		d.NextEvent = k.queue[0].name
+		d.NextEvent = k.queue[0].ev.name
 	}
 	return d
 }
@@ -145,8 +145,8 @@ func (k *Kernel) abortIfCancelled() {
 func (k *Kernel) releasePending() {
 	for len(k.queue) > 0 {
 		n := len(k.queue) - 1
-		ev := k.queue[n]
-		k.queue[n] = nil
+		ev := k.queue[n].ev
+		k.queue[n] = slot{}
 		k.queue = k.queue[:n]
 		ev.index = -1
 		k.release(ev)

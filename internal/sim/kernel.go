@@ -15,9 +15,9 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -77,7 +77,7 @@ type Event struct {
 	name  string
 	fn    func()
 	cause Cause
-	index int // heap index; -1 once popped or cancelled
+	index int // queue slot index; -1 once popped or cancelled
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -113,37 +113,116 @@ func (t Timer) Name() string {
 	return t.ev.name
 }
 
-type eventHeap []*Event
+// queueArity is the fan-out of the event queue's heap. Four children per
+// node halve the depth of a binary heap, and a sift-down's four child
+// keys share one or two cache lines (DESIGN.md §9 item 8).
+const queueArity = 4
 
-func (h eventHeap) Len() int { return len(h) }
+// slot is one event-queue entry. It carries the event's order key inline,
+// so a sift compares contiguous memory instead of chasing two *Events.
+// The fire time is split into Unix seconds and nanoseconds: that pair
+// orders exactly as time.Time.Before for every time a kernel can hold,
+// where UnixNano is undefined outside the years 1678-2262.
+type slot struct {
+	sec  int64
+	nsec int64
+	seq  uint64
+	ev   *Event
+}
 
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// before is the queue's total order: fire time, then schedule sequence.
+func (a *slot) before(b *slot) bool {
+	if a.sec != b.sec {
+		return a.sec < b.sec
 	}
-	return h[i].seq < h[j].seq
+	if a.nsec != b.nsec {
+		return a.nsec < b.nsec
+	}
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// eventQueue is a min-heap of slots with queueArity children per node.
+// Every move writes the event's new position into Event.index, so Cancel
+// removes an event in O(log n) and Timer.Active reads it in O(1).
+type eventQueue []slot
+
+// push inserts ev. The backing array grows by doubling: append grows a
+// large slice by about 1.25x, which re-copies a deep queue often enough
+// to show in a fleet run's allocated bytes (DESIGN.md §9 item 8).
+func (q *eventQueue) push(ev *Event) {
+	if len(*q) == cap(*q) {
+		*q = slices.Grow(*q, max(len(*q), 256))
+	}
+	*q = append(*q, slot{sec: ev.at.Unix(), nsec: int64(ev.at.Nanosecond()), seq: ev.seq, ev: ev})
+	q.up(len(*q) - 1)
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() *Event {
+	ev := (*q)[0].ev
+	q.remove(0)
 	return ev
+}
+
+// remove deletes the slot at i and marks its event unqueued.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	ev := h[i].ev
+	last := h[n]
+	h[n] = slot{} // the backing array must not pin a retired event
+	*q = h[:n]
+	if i < n {
+		// The last slot fills the hole. It came from another subtree,
+		// so it may belong below i or above it.
+		h[i] = last
+		q.up(q.down(i))
+	}
+	ev.index = -1
+}
+
+// up moves the slot at i towards the root until its parent is earlier.
+func (q eventQueue) up(i int) {
+	s := q[i]
+	for i > 0 {
+		p := (i - 1) / queueArity
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = s
+	s.ev.index = i
+}
+
+// down moves the slot at i towards the leaves until no child is earlier
+// and returns where it settled.
+func (q eventQueue) down(i int) int {
+	n := len(q)
+	s := q[i]
+	for {
+		first := queueArity*i + 1
+		if first >= n {
+			break
+		}
+		m := first
+		for c := first + 1; c < min(first+queueArity, n); c++ {
+			if q[c].before(&q[m]) {
+				m = c
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = s
+	s.ev.index = i
+	return i
 }
 
 // Kernel is the discrete-event simulation core. It is not safe for
@@ -151,7 +230,7 @@ func (h *eventHeap) Pop() any {
 type Kernel struct {
 	now   time.Time
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
 	// free recycles fired/cancelled Event structs. A 30,000-host timer
 	// storm schedules millions of events; without the pool every one is a
 	// fresh heap allocation that survives until the next GC cycle.
@@ -323,7 +402,7 @@ func (k *Kernel) NextEventAt() (time.Time, bool) {
 	if len(k.queue) == 0 {
 		return time.Time{}, false
 	}
-	return k.queue[0].at, true
+	return k.queue[0].ev.at, true
 }
 
 // PoolStat is the event free list's get/put ledger. Gets (Hits+Misses)
@@ -442,7 +521,7 @@ func (k *Kernel) ScheduleAt(t time.Time, name string, fn func()) Timer {
 		ev = &Event{at: t, seq: k.seq, name: name, fn: fn, cause: k.cause}
 		k.poolMisses++
 	}
-	heap.Push(&k.queue, ev)
+	k.queue.push(ev)
 	k.mSchedule.Inc()
 	if k.kernelEvents {
 		k.trace.Emit(k.now, CatKernel, "kernel", "schedule "+name, obs.Ti("seq", int64(ev.seq)))
@@ -501,8 +580,7 @@ func (k *Kernel) Cancel(t Timer) {
 		return
 	}
 	ev := t.ev
-	heap.Remove(&k.queue, ev.index)
-	ev.index = -1
+	k.queue.remove(ev.index)
 	k.mCancel.Inc()
 	if k.kernelEvents {
 		k.trace.Emit(k.now, CatKernel, "kernel", "cancel "+ev.name, obs.Ti("seq", int64(ev.seq)))
@@ -527,7 +605,7 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&k.queue).(*Event)
+	ev := k.queue.pop()
 	if k.haveLastStep {
 		k.hVTDelta.Observe(ev.at.Sub(k.lastStepAt).Seconds())
 	}
@@ -604,7 +682,7 @@ func (k *Kernel) RunUntil(deadline time.Time) error {
 		if len(k.queue) == 0 {
 			break
 		}
-		if k.queue[0].at.After(deadline) {
+		if k.queue[0].ev.at.After(deadline) {
 			break
 		}
 		k.Step()

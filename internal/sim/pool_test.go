@@ -139,8 +139,57 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
+// deepQueue is the backlog of the deep benches: about one C7 site
+// partition's queue during the busy fleet's run.
+const deepQueue = 20_000
+
+// deepKernel returns a kernel holding deepQueue events spread over the
+// next deepQueue seconds. Each of them, when it fires, reschedules itself
+// at a random time in that window, so stepping it keeps the depth fixed.
+func deepKernel() *Kernel {
+	k := NewKernel()
+	var hold func()
+	hold = func() { k.Schedule(time.Duration(1+k.RNG().Intn(deepQueue))*time.Second, "hold", hold) }
+	for range deepQueue {
+		hold()
+	}
+	return k
+}
+
+// BenchmarkScheduleFireDeep is BenchmarkScheduleFire at fleet depth: one
+// op pops the earliest of deepQueue events, runs it, and pushes its
+// successor at a random later time.
+func BenchmarkScheduleFireDeep(b *testing.B) {
+	k := deepKernel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
+// BenchmarkScheduleCancelDeep is BenchmarkScheduleCancel at fleet depth:
+// one op cancels the oldest of deepQueue events, wherever the queue holds
+// it, and schedules its replacement at a random time.
+func BenchmarkScheduleCancelDeep(b *testing.B) {
+	k := NewKernel()
+	fn := func() {}
+	timers := make([]Timer, deepQueue)
+	for j := range timers {
+		timers[j] = k.Schedule(time.Duration(1+k.RNG().Intn(deepQueue))*time.Second, "bench", fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % deepQueue
+		k.Cancel(timers[j])
+		timers[j] = k.Schedule(time.Duration(1+k.RNG().Intn(deepQueue))*time.Second, "bench", fn)
+	}
+}
+
 // TestScheduleFireSteadyStateAllocs is the CI-facing regression gate for
-// the pool: the schedule/fire cycle must not allocate once warmed up.
+// the pool and the queue: the schedule/fire cycle must not allocate once
+// warmed up, on an empty queue or behind deepQueue others.
 func TestScheduleFireSteadyStateAllocs(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
@@ -150,5 +199,9 @@ func TestScheduleFireSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("schedule/fire allocates %.1f objects per op, want 0", allocs)
+	}
+	deep := deepKernel()
+	if allocs := testing.AllocsPerRun(1000, func() { deep.Step() }); allocs > 0 {
+		t.Fatalf("deep schedule/fire allocates %.1f objects per op, want 0", allocs)
 	}
 }
