@@ -48,6 +48,13 @@ go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./in
 go test -race -timeout 300s ./internal/detect ./internal/malware/cni ./internal/users
 go test -race -timeout 300s -run 'Fault|Resilience' ./internal/core ./internal/netsim ./internal/cnc ./internal/faults
 
+# Trace-reader race lane (DESIGN.md §6): obs.ParseJSONL decodes chunks of
+# lines on worker goroutines and takes their results back in line order.
+# Its chunking-invariance and error-order tests run 1, 2 and 7 workers
+# under -race, beside provenance, which rebuilds forests from the parsed
+# events.
+go test -race -timeout 300s ./internal/obs ./internal/provenance
+
 # Runstats race lane (DESIGN.md §12): the wall-clock telemetry collector
 # is fed concurrently by every kernel probe plus the progress ticker
 # goroutine, so the collector package and the determinism-isolation

@@ -3,6 +3,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -155,18 +156,21 @@ type FS struct {
 
 // NewFS returns an empty filesystem with the standard Windows skeleton.
 func NewFS() *FS {
-	fs := &FS{
-		files: make(map[string]*FileNode),
-		dirs:  make(map[string]string),
-	}
+	return &FS{files: make(map[string]*FileNode), dirs: maps.Clone(skeletonDirs)}
+}
+
+// skeletonDirs is the directory map of the standard Windows skeleton,
+// built once; every NewFS starts from a copy.
+var skeletonDirs = func() map[string]string {
+	fs := &FS{dirs: make(map[string]string)}
 	for _, d := range []string{
 		`C:`, `C:\Windows`, `C:\Windows\System32`, `C:\Windows\System32\drivers`,
 		`C:\Users`, `C:\Program Files`,
 	} {
 		fs.Mkdir(d)
 	}
-	return fs
-}
+	return fs.dirs
+}()
 
 // SystemDir is the simulated %system% directory the paper's droppers copy
 // themselves into.

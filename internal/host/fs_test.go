@@ -356,3 +356,34 @@ func TestFSWriteAllocs(t *testing.T) {
 		t.Fatalf("FS.Write allocates %.1f objects per call, want 3", allocs)
 	}
 }
+
+// TestNewFSSkeleton checks that the cloned skeleton is the directory map
+// the Mkdir calls on an empty FS build, and that a clone is a copy: one
+// FS's Mkdir does not reach another.
+func TestNewFSSkeleton(t *testing.T) {
+	ref := &FS{files: map[string]*FileNode{}, dirs: map[string]string{}}
+	for _, d := range []string{
+		`C:`, `C:\Windows`, `C:\Windows\System32`, `C:\Windows\System32\drivers`,
+		`C:\Users`, `C:\Program Files`,
+	} {
+		refMkdir(ref, d)
+	}
+	a, b := NewFS(), NewFS()
+	if !maps.Equal(a.dirs, ref.dirs) || len(a.files) != 0 {
+		t.Fatalf("NewFS dirs = %q, want %q", a.dirs, ref.dirs)
+	}
+	a.Mkdir(`C:\Temp`)
+	if b.DirExists(`C:\Temp`) || len(b.dirs) != len(ref.dirs) {
+		t.Fatal("a Mkdir on one FS reached another")
+	}
+}
+
+// TestNewFSAllocs pins NewFS at four allocations: the FS, its file map,
+// and the skeleton copy's map header and entry storage. Building
+// the skeleton with Mkdir took ten, six of them lower-cased keys.
+func TestNewFSAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() { _ = NewFS() })
+	if allocs > 4 {
+		t.Fatalf("NewFS allocates %.1f objects per call, want at most 4", allocs)
+	}
+}

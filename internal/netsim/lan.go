@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/host"
 	"repro/internal/obs"
@@ -128,9 +129,24 @@ func (l *LAN) Attach(h *host.Host) *Node {
 	return n
 }
 
-// Node returns the attachment record for a host name, or nil.
+// Node returns the attachment record for a host name, or nil. Names match
+// case-insensitively, as strings.ToLower folds them. An ASCII name is
+// lower-cased into a stack buffer, and indexing with the converted bytes
+// does not allocate.
 func (l *LAN) Node(name string) *Node {
-	return l.nodes[strings.ToLower(name)]
+	var buf [64]byte
+	key := buf[:0]
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return l.nodes[strings.ToLower(name)]
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		key = append(key, c)
+	}
+	return l.nodes[string(key)]
 }
 
 // HostCount returns the number of attached hosts.

@@ -156,3 +156,61 @@ func TestPeerAtMatchesPeers(t *testing.T) {
 		t.Fatalf("peerless host should get nil, got %v", got)
 	}
 }
+
+// TestLANNodeCaseInsensitive looks hosts up under other spellings of
+// their names and requires the match a strings.ToLower key gives. Names
+// with non-ASCII runes take that path: the Kelvin sign folds to an ASCII
+// k and the dotted capital I to an ASCII i.
+func TestLANNodeCaseInsensitive(t *testing.T) {
+	k := testKernel()
+	l := NewLAN(k, "office", "10.0.0", nil)
+	long := strings.Repeat("Long-", 20) // past Node's stack buffer
+	for _, name := range []string{"WS-01", "srv-Mail", "kiosk-K", "\u0130zmir-01", long} {
+		l.Attach(host.New(k, name))
+	}
+	cases := []struct {
+		query, want string // want "" for no match
+	}{
+		{"WS-01", "WS-01"},
+		{"ws-01", "WS-01"},
+		{"wS-01", "WS-01"},
+		{"SRV-MAIL", "srv-Mail"},
+		{"KIOSK-k", "kiosk-K"},
+		{"kiosk-\u212A", "kiosk-K"},
+		{"izmir-01", "\u0130zmir-01"},
+		{"IZMIR-01", "\u0130zmir-01"},
+		{"\u0130ZMIR-01", "\u0130zmir-01"},
+		{strings.ToUpper(long), long},
+		{"ws-1", ""},
+		{"WS-01 ", ""},
+		{"", ""},
+		{"ws-01\xff", ""},
+	}
+	for _, c := range cases {
+		got := ""
+		if n := l.Node(c.query); n != nil {
+			got = n.Host.Name
+		}
+		if got != c.want {
+			t.Errorf("Node(%q) = %q, want %q", c.query, got, c.want)
+		}
+		if ref := l.nodes[strings.ToLower(c.query)]; ref != l.Node(c.query) {
+			t.Errorf("Node(%q) differs from the strings.ToLower lookup", c.query)
+		}
+	}
+}
+
+// TestLANNodeAllocs pins a mixed-case ASCII lookup at zero allocations.
+func TestLANNodeAllocs(t *testing.T) {
+	k := testKernel()
+	l := NewLAN(k, "office", "10.0.0", nil)
+	l.Attach(host.New(k, "WS-0042"))
+	allocs := testing.AllocsPerRun(100, func() {
+		if l.Node("ws-0042") == nil || l.Node("Ws-0042") == nil {
+			t.Fatal("lookup missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("LAN.Node allocates %.1f objects per lookup, want 0", allocs)
+	}
+}

@@ -9,7 +9,9 @@
 // "flame.module.install"); see DESIGN.md §6 for the full catalogue.
 //
 // Determinism contract: nothing in this package reads the wall clock or
-// any other ambient state. Snapshots encode with stable key ordering
+// any other ambient state, except that ParseJSONL sizes its decoding
+// workers by GOMAXPROCS, which its result does not depend on. Snapshots
+// encode with stable key ordering
 // (sorted names), and Event JSONL lines carry virtual sim time only, so
 // two runs with the same seed produce byte-identical exports regardless
 // of worker count. Types are not safe for concurrent use: like the

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unicode/utf8"
 )
@@ -157,43 +159,194 @@ func WriteJSONL(w io.Writer, events []Event) error {
 //   - Strings resolve JSON escapes, and invalid UTF-8 in them becomes
 //     U+FFFD.
 //
-// No returned string aliases the input.
+// No returned string aliases the input. Lines are decoded on up to
+// GOMAXPROCS goroutines; the result, errors included, does not depend on
+// how many.
 func ParseJSONL(r io.Reader) ([]Event, error) {
+	return parseJSONL(r, runtime.GOMAXPROCS(0), chunkBytes)
+}
+
+// chunkBytes is about how many bytes of lines one worker decodes at a
+// time: large enough that handing a chunk over costs little next to
+// decoding it, small enough that a few in flight stay near a megabyte.
+const chunkBytes = 256 << 10
+
+// parseJSONL frames lines on the calling goroutine and packs whole lines
+// into chunks of up to chunkBytes (a longer line gets a chunk of its own),
+// which up to workers goroutines decode. Chunk results are taken back in
+// input order, so the first error in line order wins whichever worker hit
+// it, and a decode error wins over a later scanner error.
+func parseJSONL(r io.Reader, workers, chunkBytes int) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	d := lineDecoder{strs: make(map[string]string)}
-	var out []Event
+	p := pipeline{
+		workers: workers, chunkBytes: chunkBytes,
+		jobs: make(chan *chunk, 2*workers), ring: make([]*chunk, 2*workers),
+	}
+	defer p.stop()
+	var c *chunk
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if c != nil && len(c.buf)+len(line) > chunkBytes {
+			p.dispatch(c)
+			c = nil
 		}
-		e, err := d.decode(line)
-		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
+		if c == nil {
+			if c = p.take(); p.err != nil {
+				return nil, p.err
+			}
+			c.first = lineNo
 		}
-		out = append(out, e)
+		c.buf = append(c.buf, line...)
+		c.ends = append(c.ends, len(c.buf))
+	}
+	if c != nil {
+		p.dispatch(c)
+	}
+	for p.taken < p.sent {
+		if p.collect(); p.err != nil {
+			return nil, p.err
+		}
 	}
 	if err := sc.Err(); err != nil {
 		// The scanner stops at the first bad line: the one after the
 		// last line it delivered.
 		return nil, fmt.Errorf("obs: line %d: scan: %w", lineNo+1, err)
 	}
+	if p.total == 0 {
+		return nil, nil
+	}
+	out := make([]Event, 0, p.total)
+	for _, part := range p.parts {
+		out = append(out, part...)
+	}
 	return out, nil
 }
 
+// chunk is a run of consecutive lines, blank ones included, that one
+// worker decodes.
+type chunk struct {
+	first int    // line number of the first line
+	buf   []byte // the lines back to back, without their newlines
+	ends  []int  // line first+i ends at buf[ends[i]]
+	// Set by the worker before it signals done.
+	events []Event
+	err    error
+	done   chan struct{} // capacity 1: one send per dispatch
+}
+
+// pipeline hands chunks to lazily started workers and takes their
+// results back in dispatch order. A worker touches only the chunk it
+// received, until it signals done; everything else belongs to the caller.
+type pipeline struct {
+	workers, chunkBytes int
+	wg                  sync.WaitGroup
+	// jobs holds the dispatched chunks no worker has picked up yet; it
+	// has room for every chunk in flight, so a send never blocks.
+	jobs chan *chunk
+	// ring bounds the chunks in flight: chunk i is ring[i%len(ring)], and
+	// a slot is refilled once its chunk has been taken back.
+	ring        []*chunk
+	sent, taken int // chunks dispatched and taken back
+	parts       [][]Event
+	total       int
+	err         error
+}
+
+// take returns the chunk to fill next: a new one until the ring is full,
+// then the oldest in flight once it has been taken back.
+func (p *pipeline) take() *chunk {
+	if p.sent-p.taken == len(p.ring) {
+		p.collect()
+	}
+	i := p.sent % len(p.ring)
+	if p.ring[i] == nil {
+		c := &chunk{done: make(chan struct{}, 1)}
+		if p.sent > 0 {
+			// The input fills more than one chunk, so this one will fill
+			// too: allocate its buffer once instead of growing it. The
+			// first grows from empty, which keeps a short input cheap.
+			c.buf = make([]byte, 0, p.chunkBytes)
+		}
+		p.ring[i] = c
+	}
+	return p.ring[i]
+}
+
+// dispatch queues c for decoding, starting a worker while fewer than
+// workers run.
+func (p *pipeline) dispatch(c *chunk) {
+	if p.sent < p.workers {
+		p.wg.Add(1)
+		go p.work()
+	}
+	p.sent++
+	p.jobs <- c
+}
+
+// collect waits for the oldest chunk in flight, keeps its events and its
+// error, and empties its line buffers for reuse.
+func (p *pipeline) collect() {
+	c := p.ring[p.taken%len(p.ring)]
+	p.taken++
+	<-c.done
+	if c.err != nil && p.err == nil {
+		p.err = c.err
+	}
+	p.parts = append(p.parts, c.events)
+	p.total += len(c.events)
+	c.buf, c.ends, c.events, c.err = c.buf[:0], c.ends[:0], nil, nil
+}
+
+// stop lets the workers finish what they hold and waits for them.
+func (p *pipeline) stop() {
+	close(p.jobs)
+	p.wg.Wait()
+}
+
+// work decodes chunks until jobs closes. Each worker interns strings in
+// its own table.
+func (p *pipeline) work() {
+	defer p.wg.Done()
+	d := lineDecoder{strs: make(map[string]string)}
+	for c := range p.jobs {
+		d.decodeChunk(c)
+		c.done <- struct{}{}
+	}
+}
+
 // lineDecoder decodes one JSONL line at a time in a single pass over its
-// bytes. One decoder serves one ParseJSONL call.
+// bytes. One decoder serves one worker of one ParseJSONL call.
 type lineDecoder struct {
-	line []byte // the line being decoded; it aliases the scanner buffer
+	line []byte // the line being decoded; it aliases a chunk buffer
 	pos  int
 	// strs interns decoded strings. A trace repeats a few categories,
 	// actors and tags on most of its records, so each distinct string is
-	// copied out of the scanner buffer once.
+	// copied out of the chunk buffers once per worker.
 	strs map[string]string
 	tags []Tag // scratch for the tags object being decoded
+}
+
+// decodeChunk decodes the non-blank lines of c into c.events, stopping at
+// the first error.
+func (d *lineDecoder) decodeChunk(c *chunk) {
+	c.events = make([]Event, 0, len(c.ends))
+	start := 0
+	for i, end := range c.ends {
+		line := c.buf[start:end]
+		start = end
+		if len(line) == 0 {
+			continue
+		}
+		e, err := d.decode(line)
+		if err != nil {
+			c.err = fmt.Errorf("obs: line %d: %w", c.first+i, err)
+			return
+		}
+		c.events = append(c.events, e)
+	}
 }
 
 // decode decodes one non-blank line.

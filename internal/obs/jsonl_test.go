@@ -126,6 +126,82 @@ func realisticTrace(n int) []byte {
 	return buf
 }
 
+// chunkings are the worker counts and chunk sizes parseJSONL must not
+// depend on: one line per chunk, a few short lines per chunk, and the
+// size ParseJSONL uses.
+var chunkings = func() (out []struct{ workers, size int }) {
+	for _, workers := range []int{1, 2, 7} {
+		for _, size := range []int{1, 64, chunkBytes} {
+			out = append(out, struct{ workers, size int }{workers, size})
+		}
+	}
+	return out
+}()
+
+// TestParseJSONLChunkInvariance decodes streams at every chunking and
+// requires the reference's events in an exactly sized slice. The
+// generated trace needs more chunks than are ever in flight at once, so
+// line buffers are reused while earlier results are held: a returned
+// string that aliased one would be overwritten before the comparison.
+func TestParseJSONLChunkInvariance(t *testing.T) {
+	streams := []struct{ name, in string }{
+		{"generated", string(realisticTrace(20000))},
+		{"corner lines", strings.Join(cornerLines, "\n") + "\n"},
+		{"blank and CRLF lines", "\n\r\n" + goodLine + "\r\n\r\n\n" + goodLine + "\n\n"},
+		{"no final newline", string(realisticTrace(40)) + goodLine},
+		{"blank lines only", "\n\n\r\n"},
+		{"empty", ""},
+	}
+	for _, st := range streams {
+		want, err := parseJSONLRef(strings.NewReader(st.in))
+		if err != nil {
+			t.Fatalf("%s: reference: %v", st.name, err)
+		}
+		for _, c := range chunkings {
+			got, err := parseJSONL(strings.NewReader(st.in), c.workers, c.size)
+			if err != nil {
+				t.Fatalf("%s at %d workers, %d-byte chunks: %v", st.name, c.workers, c.size, err)
+			}
+			if !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+				t.Fatalf("%s at %d workers, %d-byte chunks: %d events (cap %d) differ from the reference's %d",
+					st.name, c.workers, c.size, len(got), cap(got), len(want))
+			}
+		}
+	}
+}
+
+// TestParseJSONLFirstErrorInLineOrder puts a malformed line and a line
+// over the scanner's limit in either order and requires the error of the
+// earlier one, with its line number, at every chunking.
+func TestParseJSONLFirstErrorInLineOrder(t *testing.T) {
+	body := string(realisticTrace(3000)) // lines 2..3001, many chunks
+	long := strings.Repeat("x", 2<<20) + "\n"
+	cases := []struct{ name, in, want string }{
+		{"malformed, then too long",
+			goodLine + "\n" + `{"seq":-1}` + "\n" + body + long,
+			"obs: line 2: seq: strconv.ParseUint"},
+		{"too long, then malformed",
+			goodLine + "\n" + body + long + `{"seq":-1}` + "\n",
+			"obs: line 3002: scan: bufio.Scanner: token too long"},
+		{"two malformed",
+			goodLine + "\n" + body + `{"tags":1}` + "\n" + body + `{"seq":-1}` + "\n",
+			"obs: line 3002: tags: want"},
+	}
+	for _, c := range cases {
+		_, err := ParseJSONL(strings.NewReader(c.in))
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Fatalf("%s: err = %v, want %s...", c.name, err, c.want)
+		}
+		for _, ck := range chunkings {
+			got, cerr := parseJSONL(strings.NewReader(c.in), ck.workers, ck.size)
+			if got != nil || cerr == nil || cerr.Error() != err.Error() {
+				t.Fatalf("%s at %d workers, %d-byte chunks: err = %v, want %v",
+					c.name, ck.workers, ck.size, cerr, err)
+			}
+		}
+	}
+}
+
 func TestParseJSONLAllocs(t *testing.T) {
 	const n = 2000
 	data := realisticTrace(n)
@@ -154,7 +230,8 @@ func BenchmarkParseJSONL(b *testing.B) {
 // FuzzParseJSONL checks ParseJSONL against the encoding/json reference
 // in jsonl_ref_test.go. Where ParseJSONL returns events, the reference
 // returns the same events; where the reference accepts a stream whose
-// object keys are all wire fields, ParseJSONL accepts it too.
+// object keys are all wire fields, ParseJSONL accepts it too. A chunked
+// decode returns what ParseJSONL does, error text included.
 func FuzzParseJSONL(f *testing.F) {
 	shapes := []Event{
 		{At: eventAt, Seq: 14, Cat: "exploit", Actor: "IIS-01", Msg: "webshell written",
@@ -178,6 +255,13 @@ func FuzzParseJSONL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		got, err := ParseJSONL(strings.NewReader(in))
 		want, refErr := parseJSONLRef(strings.NewReader(in))
+		// Three workers on 64-byte chunks put chunk boundaries inside
+		// every input longer than a line or two.
+		chunked, chunkedErr := parseJSONL(strings.NewReader(in), 3, 64)
+		if !reflect.DeepEqual(chunked, got) || fmt.Sprint(chunkedErr) != fmt.Sprint(err) {
+			t.Fatalf("chunked decode differs: %d events, err %v; want %d events, err %v",
+				len(chunked), chunkedErr, len(got), err)
+		}
 		switch {
 		case err == nil && refErr != nil:
 			t.Fatalf("accepted a stream the reference rejects (%v)", refErr)

@@ -10,8 +10,11 @@
 package provenance
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -74,6 +77,10 @@ type Forest struct {
 	Orphans []*Node // parent span missing from the stream or not allocated before the node
 	Total   int     // events scanned
 	Spanned int     // events carrying a span
+
+	// order is every node in compareNodes order. Build sorts once, and
+	// Validate and DOT walk the same slice.
+	order []*Node
 }
 
 // Build reconstructs the forest from an event stream (as exported by
@@ -95,14 +102,25 @@ func Build(events []obs.Event) *Forest {
 			continue
 		}
 		vector, _ := e.Get("vector")
-		f.Nodes[id] = &Node{
+		n := &Node{
 			ID: id, Parent: e.Parent, Vector: vector,
 			Cat: e.Cat, Actor: e.Actor, Msg: e.Msg,
 			At: e.At, Seq: e.Seq, Events: 1,
 		}
+		f.Nodes[id] = n
+		if len(f.order) == cap(f.order) {
+			// Double: append's 1.25x steps past 256 elements allocate
+			// about 5x a large final slice, doubling about 2x.
+			f.order = append(make([]*Node, 0, max(2*cap(f.order), 64)), f.order...)
+		}
+		f.order = append(f.order, n)
 	}
+	// A trace opens episodes roughly in time order, so first-seen order is
+	// nearly sorted, the cheap case for the sort. (Exp, Span) is unique,
+	// so the order is total.
+	slices.SortFunc(f.order, compareNodes)
 
-	for _, n := range f.sorted() {
+	for _, n := range f.order {
 		if n.Parent == 0 {
 			f.Roots = append(f.Roots, n)
 			continue
@@ -121,27 +139,19 @@ func Build(events []obs.Event) *Forest {
 	return f
 }
 
-// sorted returns every node in deterministic order: experiment, then
-// time, then capture sequence, then span.
-func (f *Forest) sorted() []*Node {
-	out := make([]*Node, 0, len(f.Nodes))
-	for _, n := range f.Nodes {
-		out = append(out, n)
+// compareNodes orders nodes by experiment, then time, then capture
+// sequence, then span.
+func compareNodes(a, b *Node) int {
+	if c := strings.Compare(a.ID.Exp, b.ID.Exp); c != 0 {
+		return c
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.ID.Exp != b.ID.Exp {
-			return a.ID.Exp < b.ID.Exp
-		}
-		if !a.At.Equal(b.At) {
-			return a.At.Before(b.At)
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.ID.Span < b.ID.Span
-	})
-	return out
+	if c := a.At.Compare(b.At); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID.Span, b.ID.Span)
 }
 
 // Node returns the node for an ID, or nil.
@@ -172,7 +182,7 @@ func (f *Forest) Chain(id NodeID) []*Node {
 //   - parent span IDs precede child span IDs (allocation order).
 func (f *Forest) Validate() []string {
 	var issues []string
-	for _, n := range f.sorted() {
+	for _, n := range f.order {
 		if n.Parent == 0 {
 			continue
 		}

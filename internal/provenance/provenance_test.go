@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -240,13 +243,109 @@ func TestRenderDeterministic(t *testing.T) {
 	}
 }
 
+// refSorted is the node order as Build, Validate and DOT each computed it
+// before Build kept one: every node of the map, ordered by sort.Slice.
+// The order oracle.
+func refSorted(f *Forest) []*Node {
+	out := make([]*Node, 0, len(f.Nodes))
+	for _, n := range f.Nodes {
+		out = append(out, n)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.ID.Exp != b.ID.Exp {
+			return a.ID.Exp < b.ID.Exp
+		}
+		if !a.At.Equal(b.At) {
+			return a.At.Before(b.At)
+		}
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
+		}
+		return a.ID.Span < b.ID.Span
+	})
+	return out
+}
+
+// mergedStream is a time-merged capture of several kernels per
+// experiment, as CaptureObsMerged exports it, with the experiments'
+// records interleaved out of tag order. Kernels open episodes at the same
+// instants, so nodes tie on At across kernels. Each kernel's spans are
+// shifted past the ones before it, as capture does, while its sequence
+// numbers run on their own: kernels in a pair share them, so only the
+// span orders the pair, and later pairs start lower, so Seq orders pairs
+// against span order. Seq values also repeat across experiments.
+func mergedStream(exps []string, kernels, perKernel int) []obs.Event {
+	rng := rand.New(rand.NewSource(3))
+	var events []obs.Event
+	for step := 0; step < perKernel; step++ {
+		at := t0.Add(time.Duration(step/2) * time.Minute)
+		for _, exp := range exps {
+			for k := 0; k < kernels; k++ {
+				base := obs.Span(k * perKernel)
+				span, parent, vector := base+obs.Span(step)+1, obs.Span(0), "root"
+				if step > 0 {
+					parent, vector = base+obs.Span(rng.Intn(step))+1, "psexec"
+				}
+				host := fmt.Sprintf("WS-%d-%d", k, step)
+				seq := uint64(step + 1 + 5*((kernels-1-k)/2))
+				events = append(events, obs.Event{At: at, Seq: seq,
+					Cat: "infect", Actor: host, Msg: "installed", Span: span, Parent: parent,
+					Tags: []obs.Tag{obs.T("exp", exp), obs.T("vector", vector)}})
+				if rng.Intn(2) == 0 {
+					events = append(events, obs.Event{At: at, Seq: seq,
+						Cat: "exec", Actor: host, Msg: "detail", Span: span, Tags: []obs.Tag{obs.T("exp", exp)}})
+				}
+			}
+		}
+	}
+	return events
+}
+
+// TestSortedMatchesReference checks the order Build keeps against the
+// reference sort on streams whose first-seen order is sorted, nearly
+// sorted and reversed, and checks the roots and orphans follow it.
+func TestSortedMatchesReference(t *testing.T) {
+	merged := mergedStream([]string{"D2", "C7", "A1"}, 4, 60)
+	reversed := slices.Clone(merged)
+	slices.Reverse(reversed)
+	violations := []obs.Event{
+		{At: t0.Add(time.Hour), Seq: 2, Cat: "infect", Actor: "b", Msg: "m", Span: 11},
+		{At: t0, Seq: 3, Cat: "infect", Actor: "c", Msg: "m", Span: 12, Parent: 11},
+		{At: t0, Seq: 1, Cat: "infect", Actor: "a", Msg: "m", Span: 10, Parent: 9},
+		{At: t0, Seq: 4, Cat: "infect", Actor: "d", Msg: "m", Span: 5, Parent: 13},
+		{At: t0, Seq: 5, Cat: "infect", Actor: "e", Msg: "m", Span: 13},
+	}
+	for name, events := range map[string][]obs.Event{
+		"fixture": fixture(), "merged": merged, "reversed": reversed, "violations": violations,
+	} {
+		f := Build(events)
+		want := refSorted(f)
+		if !slices.Equal(f.order, want) {
+			t.Fatalf("%s: Build's node order differs from the reference sort", name)
+		}
+		var roots, orphans []*Node
+		for _, n := range want {
+			switch {
+			case n.Parent == 0:
+				roots = append(roots, n)
+			case n.Up == nil:
+				orphans = append(orphans, n)
+			}
+		}
+		if !slices.Equal(f.Roots, roots) || !slices.Equal(f.Orphans, orphans) {
+			t.Fatalf("%s: roots or orphans are out of the reference order", name)
+		}
+	}
+}
+
 func BenchmarkBuild(b *testing.B) {
 	// A 4096-node spread tree with fan-out 8 plus per-node detail events.
-	var events []obs.Event
+	var tree []obs.Event
 	seq := uint64(0)
 	emit := func(cat, actor, msg string, span, parent obs.Span, tags ...obs.Tag) {
 		seq++
-		events = append(events, obs.Event{
+		tree = append(tree, obs.Event{
 			At: t0.Add(time.Duration(seq) * time.Second), Seq: seq,
 			Cat: cat, Actor: actor, Msg: msg, Span: span, Parent: parent, Tags: tags,
 		})
@@ -261,12 +360,32 @@ func BenchmarkBuild(b *testing.B) {
 			obs.T("exp", "C7"), obs.T("vector", vector))
 		emit("exec", fmt.Sprintf("WS-%d", s), "detail", s, 0, obs.T("exp", "C7"))
 	}
+	for _, c := range []struct {
+		name   string
+		events []obs.Event
+		nodes  int
+	}{
+		{"tree", tree, 4096},
+		{"merged", mergedStream([]string{"D2", "C7"}, 6, 700), 2 * 6 * 700},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if f := Build(c.events); len(f.Nodes) != c.nodes {
+					b.Fatalf("nodes = %d", len(f.Nodes))
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkValidate(b *testing.B) {
+	f := Build(mergedStream([]string{"D2", "C7"}, 6, 700))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := Build(events)
-		if len(f.Nodes) != 4096 {
-			b.Fatalf("nodes = %d", len(f.Nodes))
+		if issues := f.Validate(); len(issues) != 0 {
+			b.Fatal(issues[0])
 		}
 	}
 }

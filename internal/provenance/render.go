@@ -37,7 +37,7 @@ func (f *Forest) DOT(w io.Writer) error {
 	bw.printf("  node [shape=box, fontsize=10, fontname=\"monospace\"];\n")
 	bw.printf("  edge [fontsize=9, fontname=\"monospace\"];\n")
 
-	nodes := f.sorted()
+	nodes := f.order
 	exps := f.Exps()
 	multi := len(exps) > 1
 	for ci, exp := range exps {
