@@ -169,9 +169,11 @@ func BenchmarkClaimC7AramcoScale(b *testing.B) {
 // lane runs at a fixed partition worker width. The Partitioned1 vs
 // Partitioned4 pair in BENCH_C7.json makes the §14 overhead bound
 // machine-checkable: identical world, identical bytes, only the worker
-// pool differs, so any ns/host-event gap is pure epoch-barrier and
-// mailbox cost (on a single hardware thread the pair is equivalent by
-// design; on a multi-core box Partitioned4 pulls ahead).
+// pool differs. The pool both builds the sites and advances them, so
+// the ns/host-event gap covers the concurrent site build as well as the
+// epoch-barrier and mailbox cost (on a single hardware thread the pair
+// is equivalent by design; on a multi-core box Partitioned4 pulls
+// ahead).
 func benchC7Partitioned(b *testing.B, workers int) {
 	b.Helper()
 	b.ReportAllocs()

@@ -63,21 +63,24 @@ go test -race -timeout 300s ./internal/obs ./internal/provenance
 go test -race -timeout 300s ./internal/runstats
 go test -race -timeout 300s -run 'Runstats' ./internal/core
 
-# Supervision race lane (DESIGN.md §13): the watchdog sweeper, shutdown
-# signal path, and journal writer all cross goroutines by construction
-# (the supervisor goroutine cancelling a worker's kernels, the signal
-# handler racing in-flight experiments), so every cancellation, stall,
-# deadline, retry, journal and checkpoint test runs under -race, in the
-# substrate and at the CLI.
+# Supervision race lane (DESIGN.md §13): a stalled kernel's probe
+# cancels its scope's sibling kernels from its own goroutine, deadline
+# timers and the shutdown path cancel from theirs (the signal handler
+# racing in-flight experiments), and the journal writer is shared by the
+# runner's workers, so every cancellation, stall, deadline, retry,
+# journal and checkpoint test runs under -race, in the substrate and at
+# the CLI.
 go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|Journal|Checkpoint|Fork|Supervision' \
     ./internal/sim ./internal/core ./cmd/cyberlab
 
-# Partition race lane (DESIGN.md §14): the epoch-barrier worker pool,
-# the cross-partition mailboxes, and the cancel fan-out across shard
-# kernels all cross goroutines by construction, so every partition test
-# — mailbox ordering, worker-count byte identity, deadline fan-out, and
-# the compose-with-parallel/journal/checkpoint properties — runs under
-# -race in the kernel, the network substrate, and the experiment layer.
+# Partition race lane (DESIGN.md §14): the partition workers build the
+# site worlds side by side and then advance them between epoch barriers,
+# and the cross-partition mailboxes and the cancel fan-out across shard
+# kernels cross goroutines by construction, so every partition test —
+# mailbox ordering, worker-count byte identity of the concurrent build
+# and advance, deadline fan-out, and the compose-with-parallel/journal/
+# checkpoint properties — runs under -race in the kernel, the network
+# substrate, and the experiment layer.
 go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./internal/core
 
 # Bench lane: compile and run every obs/provenance/faults/pki/pe benchmark
@@ -131,9 +134,9 @@ go test -timeout 300s -run '^$' -bench 'ScheduleFire|ScheduleCancel' -benchtime=
 # B/op next to the silent number is the machine-checkable form of the
 # "busy fleet within 1.3x of the silent fleet" bound, which
 # TestBusyFleetMemoryBound asserts at the same 2,000-host size.
-# The Partitioned1/Partitioned4 pair prices the §14 epoch-barrier and
-# mailbox machinery at two worker widths over an identical world — both
-# must carry the ns/host-event unit cost.
+# The Partitioned1/Partitioned4 pair prices the §14 site build plus the
+# epoch-barrier and mailbox machinery at two worker widths over an
+# identical world — both must carry the ns/host-event unit cost.
 go test -timeout 600s -run '^$' -bench 'ClaimC7Reduced|ClaimC7AramcoScale|ClaimC7Partitioned|UsersC7BusyReduced' -benchtime=1x -benchmem . | tee -a "$tmp_bench"
 go run ./cmd/benchjson -o "$tmp_bench_json" -label after \
     -require "$bench_req" -min-bytes-ratio ClaimC7Reduced=2 -require-metric "$bench_metric" < "$tmp_bench"

@@ -44,15 +44,15 @@
 // experiment owns an independent world and results are emitted in report
 // order.
 //
-// -partitions sizes the worker pool that advances a partitioned world's
-// site shards between deterministic sync epochs (DESIGN.md §14; today
-// the C7 Aramco fleet, sharded across six sites). The site layout is
-// scenario state, the worker count is not: reports, traces, metrics,
-// provenance and alerts are byte-identical at -partitions 1, 2, 4 or 8
-// (0 = all cores), and the flag composes with -parallel, -journal,
-// -resume and checkpoint/fork — a run journaled at one width resumes at
-// any other. Per-experiment wall-clock timings go to stderr so the report
-// itself stays deterministic. -seeds switches to a Monte Carlo sweep that
+// -partitions sizes the worker pool that builds a partitioned world's
+// site shards and advances them between deterministic sync epochs
+// (DESIGN.md §14; today the C7 Aramco fleet, sharded across six sites).
+// The site layout is scenario state, the worker count is not: reports,
+// traces, metrics, provenance and alerts are byte-identical at
+// -partitions 1, 2, 4 or 8 (0 = all cores), and the flag composes with
+// -parallel, -journal, -resume and checkpoint/fork — a run journaled at
+// one width resumes at any other. Per-experiment wall-clock timings go to
+// stderr so the report itself stays deterministic. -seeds switches to a Monte Carlo sweep that
 // aggregates per-metric min/mean/max across seeds. -trace writes the
 // experiments' retained event records as JSONL (one object per line, each
 // tagged exp=<ID>); -metrics writes the merged obs snapshot as JSON.
@@ -584,7 +584,7 @@ func bindEnv(fs *flag.FlagSet, env *core.Env, withKey bool) {
 			return env.ParseKey(k)
 		})
 	}
-	fs.Func("partitions", "worker goroutines advancing a partitioned world's site shards (default 1; 0 = all cores); output bytes are identical at any width", func(s string) error {
+	fs.Func("partitions", "worker goroutines building and advancing a partitioned world's site shards (default 1; 0 = all cores); output bytes are identical at any width", func(s string) error {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			return fmt.Errorf("want a worker count >= 1, or 0 for all cores")

@@ -24,10 +24,10 @@ type Env struct {
 	// Experiments that need a populated world (D4/D5) pass an explicit
 	// mix instead, so their results do not depend on it.
 	Activity users.Mix
-	// Partitions sizes the worker pool advancing a partitioned world's
-	// shards (<= 1 is sequential). It never changes simulation bytes, so
-	// it is not part of Key: a run may be journaled at one width and
-	// resumed at another, like -parallel.
+	// Partitions sizes the worker pool that builds a partitioned world's
+	// shards and then advances them (<= 1 is sequential). It never
+	// changes simulation bytes, so it is not part of Key: a run may be
+	// journaled at one width and resumed at another, like -parallel.
 	Partitions int
 	// Stall is the vtime-stall watchdog window: an experiment kernel that
 	// keeps executing events while its virtual clock stays frozen for

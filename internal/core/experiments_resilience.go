@@ -42,17 +42,7 @@ func RunR1StuxnetTakedownP2P(env *Env, seed uint64) (*Result, error) {
 		}))
 	}
 	const fleet = 10
-	specs := make([]HostSpec, fleet)
-	for i := range specs {
-		specs[i] = HostSpec{
-			Name: fmt.Sprintf("FAC-%02d", i+1),
-			Opts: []host.Option{host.WithOS(host.Win7), host.WithShares(true), host.WithInternet(true)},
-		}
-	}
-	hosts, err := w.AddHostsSharded(lan, 0, specs)
-	if err != nil {
-		return nil, err
-	}
+	hosts := w.AddHosts(lan, hostNames("FAC", fleet), host.WithOS(host.Win7), host.WithShares(true), host.WithInternet(true))
 	if _, err := hosts[0].Execute(sx.MainImage, true); err != nil {
 		return nil, fmt.Errorf("infect patient zero: %w", err)
 	}
@@ -302,20 +292,7 @@ func RunR4CrashPersistence(env *Env, seed uint64) (*Result, error) {
 	sx.BindTo(w.Registry)
 
 	const waveACount, waveBCount = 7, 6
-	waveSpecs := func(prefix string, n int) []HostSpec {
-		specs := make([]HostSpec, n)
-		for i := range specs {
-			specs[i] = HostSpec{
-				Name: fmt.Sprintf("%s-%02d", prefix, i+1),
-				Opts: []host.Option{host.WithOS(host.Win7), host.WithShares(true)},
-			}
-		}
-		return specs
-	}
-	waveA, err := w.AddHostsSharded(lan, 0, waveSpecs("WAVEA", waveACount))
-	if err != nil {
-		return nil, err
-	}
+	waveA := w.AddHosts(lan, hostNames("WAVEA", waveACount), host.WithOS(host.Win7), host.WithShares(true))
 	if _, err := waveA[0].Execute(sx.MainImage, true); err != nil {
 		return nil, err
 	}
@@ -330,12 +307,7 @@ func RunR4CrashPersistence(env *Env, seed uint64) (*Result, error) {
 	}
 	var waveB []*host.Host
 	w.K.Schedule(patchAt+24*time.Hour, "r4-wave-b", func() {
-		// Sharded build mid-run is safe: the kernel is inside this event,
-		// and workers only read shared state.
-		waveB, err = w.AddHostsSharded(lan, 0, waveSpecs("WAVEB", waveBCount))
-		if err != nil {
-			return
-		}
+		waveB = w.AddHosts(lan, hostNames("WAVEB", waveBCount), host.WithOS(host.Win7), host.WithShares(true))
 		if prof.Active() && prof.PatchAt > 0 {
 			// The rollout closed the spooler gate before these machines
 			// ever saw the worm.
@@ -343,9 +315,6 @@ func RunR4CrashPersistence(env *Env, seed uint64) (*Result, error) {
 		}
 	})
 	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
-	if err != nil { // wave-B build failure inside the timer event
 		return nil, err
 	}
 

@@ -161,17 +161,7 @@ func RunD5NoiseFloor(env *Env, seed uint64) (*Result, error) {
 	start := w.K.Now()
 	lan := w.NewLAN("corp-users", "10.80.0", false)
 	const fleetSize = 24
-	specs := make([]HostSpec, fleetSize)
-	for i := range specs {
-		specs[i] = HostSpec{
-			Name: fmt.Sprintf("CORP-WS-%02d", i+1),
-			Opts: []host.Option{host.WithShares(true), host.WithInternet(true)},
-		}
-	}
-	hosts, err := w.AddHostsSharded(lan, 0, specs)
-	if err != nil {
-		return nil, err
-	}
+	hosts := w.AddHosts(lan, hostNames("CORP-WS", fleetSize), host.WithShares(true), host.WithInternet(true))
 	pop, err := users.Attach(w.K, lan, w.Internet, hosts, users.Config{Mix: users.MixEnterprise})
 	if err != nil {
 		return nil, err

@@ -94,22 +94,23 @@ func busyC7Options(hosts int) AramcoFleetOptions {
 
 // TestAramcoBusyBuildWorkerInvariant: the populated fleet is
 // byte-identical (same experiment metrics, same benign action counts)
-// whatever the sharded-build worker count — the users layer attaches
-// after the merge, so agent RNG forks happen in host order.
+// whatever the partition width that builds and advances its sites —
+// each site attaches its users after its hosts, in host order, on one
+// goroutine.
 func TestAramcoBusyBuildWorkerInvariant(t *testing.T) {
 	get := func(workers int) string {
 		opts := busyC7Options(200)
-		opts.BuildWorkers = workers
+		opts.Workers = workers
 		res, err := RunAramcoFleet(1, opts)
 		if err != nil {
-			t.Fatalf("busy RunAramcoFleet(build workers=%d): %v", workers, err)
+			t.Fatalf("busy RunAramcoFleet(workers=%d): %v", workers, err)
 		}
 		return res.Render()
 	}
 	want := get(1)
 	for _, workers := range []int{4, 8} {
 		if got := get(workers); got != want {
-			t.Fatalf("busy fleet with %d build workers diverged:\n%s\nvs\n%s", workers, got, want)
+			t.Fatalf("busy fleet with %d workers diverged:\n%s\nvs\n%s", workers, got, want)
 		}
 	}
 }

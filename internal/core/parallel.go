@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -358,15 +357,4 @@ func RenderSweep(entries []SweepEntry) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// JoinErrors folds every per-report error into one, or nil.
-func JoinErrors(reports []RunReport) error {
-	var errs []error
-	for _, rep := range reports {
-		if rep.Err != nil {
-			errs = append(errs, rep.Err)
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -133,9 +133,6 @@ func TestRunExperimentsCollectsErrorsAndKeepsRunning(t *testing.T) {
 	if last.Err != nil || last.Result == nil || !last.Result.Pass {
 		t.Fatalf("F3 after failures: err=%v result=%v", last.Err, last.Result)
 	}
-	if err := JoinErrors(reports); err == nil || !strings.Contains(err.Error(), "ZZ-boom") {
-		t.Fatalf("JoinErrors = %v, want joined failures", err)
-	}
 }
 
 func TestSweepSeedsEmptyInputs(t *testing.T) {

@@ -6,10 +6,10 @@ package core
 // one campaign through a sim.PartitionSet's epoch-boundary mailboxes.
 // The site layout (count, sizes, seeds, epoch width) is part of the
 // scenario, like a seed; the -partitions flag only sizes the worker
-// pool that advances the shards, so any worker count produces
-// byte-identical reports, traces, metrics and alerts — the same
-// invariance contract AddHostsSharded established for fleet
-// construction.
+// pool that builds the sites and then advances them, so any worker
+// count produces byte-identical reports, traces, metrics and alerts.
+// A site's state is touched by one goroutine at a time; only whole
+// sites run side by side.
 
 import (
 	"fmt"
@@ -46,15 +46,15 @@ type AramcoFleetOptions struct {
 	Sites        int // default aramcoSiteCount
 	// The per-site knobs below pass through to every site's
 	// AramcoOptions.
-	DocsPerHost  int
-	SpreadEvery  time.Duration
-	LeanImages   bool
-	BuildWorkers int
-	EagerDocs    bool
-	Activity     users.Mix
-	MuteTrace    bool
+	DocsPerHost int
+	SpreadEvery time.Duration
+	LeanImages  bool
+	EagerDocs   bool
+	Activity    users.Mix
+	MuteTrace   bool
 	// Workers overrides the Env's partition width for this fleet (<= 0
-	// defers to it). Any value is byte-equivalent.
+	// defers to it): the number of goroutines that build the sites and
+	// then advance them. Any value is byte-equivalent.
 	Workers int
 	// Env is the run environment every site world is built under (nil
 	// is the zero Env): each site kernel joins its experiment scope, so
@@ -90,14 +90,21 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 	start := shamoon.AramcoTrigger.Add(-24 * time.Hour)
 	f := &AramcoFleet{Set: sim.NewPartitionSet(aramcoEpoch), workers: workers}
 
-	// Site seeds are independent forks of one anchor, so the whole fleet
-	// is a pure function of (seed, layout) — not of build or run order.
+	// Site seeds are independent forks of one anchor, and sites share no
+	// state, so the whole fleet is a pure function of (seed, layout) —
+	// not of which worker builds which site, or in what order.
 	anchor := sim.NewRNG(seed)
 	base := opts.Workstations / opts.Sites
 	extra := opts.Workstations % opts.Sites
-	first := 0
-	for i := 0; i < opts.Sites; i++ {
-		size := base
+	f.Sites = make([]*AramcoScenario, opts.Sites)
+	errs := make([]error, opts.Sites)
+	panics := make([]any, opts.Sites)
+	sim.RunPool(opts.Sites, workers, func(i int) {
+		// A panic on a pool goroutine would kill the process; it is
+		// re-raised on the caller below, where runOne recovers it.
+		defer func() { panics[i] = recover() }()
+		// The first `extra` sites hold one host more than the rest.
+		size, first := base, i*base+min(i, extra)
 		if i < extra {
 			size++
 		}
@@ -108,15 +115,14 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 			MuteTrace: opts.MuteTrace,
 		})
 		if err != nil {
-			return nil, err
+			errs[i] = err
+			return
 		}
-		part := f.Set.Add(w.K)
 		siteOpts := AramcoOptions{
 			Workstations: size,
 			DocsPerHost:  opts.DocsPerHost,
 			SpreadEvery:  opts.SpreadEvery,
 			LeanImages:   opts.LeanImages,
-			BuildWorkers: opts.BuildWorkers,
 			EagerDocs:    opts.EagerDocs,
 			Activity:     opts.Activity,
 			LANName:      fmt.Sprintf("aramco-site-%02d", i+1),
@@ -125,15 +131,18 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 			NoPatient0:   i > 0,
 		}
 		if i > 0 {
-			p := part
-			siteOpts.ReporterForward = func(req *netsim.Request) { p.Send(0, aramcoReportKind, req) }
+			siteOpts.ReporterForward = func(req *netsim.Request) { f.Set.Partition(i).Send(0, aramcoReportKind, req) }
 		}
-		sc, err := BuildAramco(w, siteOpts)
-		if err != nil {
-			return nil, err
+		f.Sites[i], errs[i] = BuildAramco(w, siteOpts)
+	})
+	for i, sc := range f.Sites {
+		if panics[i] != nil {
+			panic(panics[i])
 		}
-		f.Sites = append(f.Sites, sc)
-		first += size
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		f.Set.Add(sc.World.K)
 	}
 
 	// Mailbox handlers. The hub re-dispatches forwarded wipe reports
@@ -262,9 +271,9 @@ func C7Options(hosts int) AramcoFleetOptions {
 
 // RunAramcoFleet is the C7 runner: it builds the partitioned fleet,
 // runs it to two hours past the trigger, and scores the wipe. Reports
-// are byte-identical across any Workers/BuildWorkers value and across
-// eager/lazy seeding — the properties the partition, fleet-build and
-// seeding determinism tests pin.
+// are byte-identical across any Workers value and across eager/lazy
+// seeding — the properties the partition and seeding determinism tests
+// pin.
 func RunAramcoFleet(seed uint64, opts AramcoFleetOptions) (*Result, error) {
 	f, err := BuildAramcoFleet(seed, opts)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/pki"
 	"repro/internal/plc"
+	"repro/internal/runstats"
 	"repro/internal/usb"
 	"repro/internal/users"
 )
@@ -234,9 +235,6 @@ type AramcoOptions struct {
 	LeanImages   bool // small code bulk for fleet-scale runs
 	JPEGBug      *bool
 	MaxPerSweep  int // bound on new victims per host per spread round
-	// BuildWorkers sizes the sharded fleet-construction pool (0 =
-	// GOMAXPROCS). Any value produces byte-identical worlds.
-	BuildWorkers int
 	// EagerDocs seeds document bytes eagerly instead of lazily; the modes
 	// are byte-equivalent (DESIGN.md §9) and this exists for the
 	// equivalence tests.
@@ -312,26 +310,15 @@ func BuildAramco(w *World, opts AramcoOptions) (*AramcoScenario, error) {
 	if opts.LeanImages {
 		docBytes = 3 * 1024
 	}
-	specs := make([]HostSpec, opts.Workstations)
-	for i := range specs {
-		specs[i] = HostSpec{
-			Name: fmt.Sprintf("WS-%05d", opts.FirstIndex+i+1),
-			Opts: []host.Option{host.WithDomain("ARAMCO"), host.WithShares(true),
-				host.WithInternet(true), host.WithEagerDocs(opts.EagerDocs)},
-			Seed: func(h *host.Host) error {
-				if _, failed := h.SeedDocumentsSized("emp", opts.DocsPerHost, docBytes); failed != 0 {
-					return fmt.Errorf("%d documents failed to seed", failed)
-				}
-				return nil
-			},
-		}
+	names := make([]string, opts.Workstations)
+	for i := range names {
+		names[i] = fmt.Sprintf("WS-%05d", opts.FirstIndex+i+1)
 	}
-	if sc.Hosts, err = w.AddHostsSharded(sc.LAN, opts.BuildWorkers, specs); err != nil {
+	sc.Hosts = w.AddHosts(sc.LAN, names, host.WithDomain("ARAMCO"), host.WithShares(true),
+		host.WithInternet(true), host.WithEagerDocs(opts.EagerDocs))
+	if err := seedFleetDocs(sc.Hosts, opts.DocsPerHost, docBytes); err != nil {
 		return nil, err
 	}
-	// The benign population attaches in the sequential phase after the
-	// sharded merge, so agent RNG forks happen in host-index order and
-	// the activity stream is invariant under BuildWorkers.
 	if mix := w.env.fleetMix(opts.Activity); mix != "" {
 		if sc.Users, err = users.Attach(w.K, sc.LAN, w.Internet, sc.Hosts, users.Config{Mix: mix}); err != nil {
 			return nil, err
@@ -344,6 +331,19 @@ func BuildAramco(w *World, opts AramcoOptions) (*AramcoScenario, error) {
 		}
 	}
 	return sc, nil
+}
+
+// seedFleetDocs seeds every host's documents, in host order. The time
+// counts toward the fleet-build phase with host construction. A host
+// whose documents do not all seed fails the build, naming the host.
+func seedFleetDocs(hosts []*host.Host, n, maxBytes int) error {
+	defer runstats.Phase("fleet-build")()
+	for _, h := range hosts {
+		if _, failed := h.SeedDocumentsSized("emp", n, maxBytes); failed != 0 {
+			return fmt.Errorf("core: build host %s: %d documents failed to seed", h.Name, failed)
+		}
+	}
+	return nil
 }
 
 // Infect runs the Shamoon dropper on the site's designated landing host

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/runstats"
@@ -27,7 +26,8 @@ import (
 // joins the scope, whichever goroutine builds it. The scope is armed from
 // the Env: a deadline cancels it through a timer, shutdown (Ctx
 // cancellation) through context.AfterFunc, and a stall window through a
-// sweep goroutine that watches only the scope's own kernels.
+// watch probe on each of the scope's kernels, which checks for a stall
+// on the kernel's own goroutine every time it samples.
 
 // expScope is one in-flight experiment: its identity and every kernel
 // its worlds have built so far. The scope is the unit of cancellation —
@@ -38,12 +38,12 @@ type expScope struct {
 
 	mu      sync.Mutex
 	kernels []*sim.Kernel
-	watches []*kernelWatch
 	cause   error // the first cancellation cause; nil while live
+	ended   bool  // set by the disarm func; a later cancel is ignored
 }
 
 // supervise arms the scope's cancellation sources from env and returns
-// the func that disarms them (it waits for the stall sweep to exit).
+// the func that disarms them and ends the scope.
 func (sc *expScope) supervise(env *Env) (stop func()) {
 	var stops []func()
 	if env.Deadline > 0 {
@@ -59,49 +59,22 @@ func (sc *expScope) supervise(env *Env) (stop func()) {
 		})
 		stops = append(stops, func() { stopCtx() })
 	}
-	if env.Stall > 0 {
-		done, exited := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(exited)
-			sc.watchStall(env.Stall, done)
-		}()
-		stops = append(stops, func() { close(done); <-exited })
-	}
 	return func() {
 		for _, s := range stops {
 			s()
 		}
-	}
-}
-
-// watchStall polls the scope's kernels at a quarter of the window,
-// clamped to [5ms, 250ms], until done; the first stall cancels the
-// scope.
-func (sc *expScope) watchStall(window time.Duration, done <-chan struct{}) {
-	t := time.NewTicker(min(max(window/4, 5*time.Millisecond), 250*time.Millisecond))
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case now := <-t.C:
-			for _, w := range sc.watchList() {
-				if w.stalled(now, window) {
-					sc.cancel(fmt.Errorf("%w: experiment %s executed events for %v of wall clock without advancing vtime",
-						sim.ErrStalled, sc.id, window), (*runstats.Collector).CountStall)
-					return
-				}
-			}
-		}
+		sc.mu.Lock()
+		sc.ended = true
+		sc.mu.Unlock()
 	}
 }
 
 // cancel requests cancellation of every kernel in the scope, once, and
 // counts it on the wall-clock collector; count, when set, also records
-// the reason.
+// the reason. A scope that has ended ignores it.
 func (sc *expScope) cancel(cause error, count func(*runstats.Collector)) {
 	sc.mu.Lock()
-	if sc.cause != nil {
+	if sc.cause != nil || sc.ended {
 		sc.mu.Unlock()
 		return
 	}
@@ -119,12 +92,6 @@ func (sc *expScope) cancel(cause error, count func(*runstats.Collector)) {
 	}
 }
 
-func (sc *expScope) watchList() []*kernelWatch {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return append([]*kernelWatch(nil), sc.watches...)
-}
-
 // kernelList snapshots the scope's kernels (used by the abort path's
 // pool-balance self-check, on the experiment's own goroutine).
 func (sc *expScope) kernelList() []*sim.Kernel {
@@ -135,24 +102,18 @@ func (sc *expScope) kernelList() []*sim.Kernel {
 
 // superviseKernel registers a freshly built kernel with the env's
 // experiment scope (no-op outside one) and, when a stall window is
-// armed, attaches its sampling watch to the kernel's probe chain. Called
-// from NewWorld for every world.
+// armed, attaches a watch to the kernel's probe chain. Called from
+// NewWorld for every world.
 func (e *Env) superviseKernel(k *sim.Kernel) {
 	if e == nil || e.scope == nil {
 		return
 	}
 	sc := e.scope
-	var w *kernelWatch
 	if e.Stall > 0 {
-		w = &kernelWatch{}
-		w.reset()
-		k.AttachProbe(w, 0)
+		k.AttachProbe(&kernelWatch{sc: sc, window: e.Stall}, 0)
 	}
 	sc.mu.Lock()
 	sc.kernels = append(sc.kernels, k)
-	if w != nil {
-		sc.watches = append(sc.watches, w)
-	}
 	cause := sc.cause
 	sc.mu.Unlock()
 	if cause != nil {
@@ -162,44 +123,34 @@ func (e *Env) superviseKernel(k *sim.Kernel) {
 	}
 }
 
-// kernelWatch is the watchdog's view of one kernel, fed by probe
-// samples on the kernel goroutine and read by the sweep goroutine.
-// All fields are atomics; the probe path must not block.
+// kernelWatch is the stall watchdog of one kernel. Its fields are
+// written only by its own probe, on the kernel's goroutine.
 type kernelWatch struct {
-	sampled      atomic.Bool
-	vtime        atomic.Int64  // last sampled vtime (ns since epoch)
-	steps        atomic.Uint64 // last sampled step count
-	advanceWall  atomic.Int64  // wall ns when vtime last advanced
-	advanceSteps atomic.Uint64 // step count at that advance
+	sc     *expScope
+	window time.Duration
+
+	sampled      bool
+	vtime        time.Time // vtime at the last advance
+	advanceWall  time.Time // wall clock at that advance
+	advanceSteps uint64    // step count at that advance
 }
 
-func (w *kernelWatch) reset() { w.advanceWall.Store(time.Now().UnixNano()) }
-
-// KernelSample implements sim.Probe.
-func (w *kernelWatch) KernelSample(s sim.Sample) {
-	vt := s.VNow.UnixNano()
-	if !w.sampled.Load() || vt > w.vtime.Load() {
-		w.vtime.Store(vt)
-		w.advanceWall.Store(time.Now().UnixNano())
-		w.advanceSteps.Store(s.Steps)
-		w.sampled.Store(true)
-	}
-	w.steps.Store(s.Steps)
-}
-
-// stalled reports a vtime stall: the kernel has executed events since
-// its virtual clock last advanced, and that advance is more than the
-// window ago. A kernel that is simply idle (no steps — e.g. the
-// experiment is doing CPU work between runs) is never flagged, because
-// a cancel could then false-positive on healthy experiments; a handler
+// KernelSample implements sim.Probe. It cancels the scope on a vtime
+// stall: the kernel has executed events since its virtual clock last
+// advanced, and that advance is more than the window ago. A kernel that
+// is simply idle (no steps — e.g. the experiment is doing CPU work
+// between runs) delivers no samples, so it is never flagged; a handler
 // that blocks forever inside one event cannot be unwound at a step
 // boundary at all and is left to the deadline/shutdown path to report.
-func (w *kernelWatch) stalled(now time.Time, window time.Duration) bool {
-	if !w.sampled.Load() {
-		return false
+func (w *kernelWatch) KernelSample(s sim.Sample) {
+	now := time.Now()
+	if !w.sampled || s.VNow.After(w.vtime) {
+		w.sampled = true
+		w.vtime, w.advanceWall, w.advanceSteps = s.VNow, now, s.Steps
+		return
 	}
-	if w.steps.Load() <= w.advanceSteps.Load() {
-		return false
+	if s.Steps > w.advanceSteps && now.Sub(w.advanceWall) > w.window {
+		w.sc.cancel(fmt.Errorf("%w: experiment %s executed events for %v of wall clock without advancing vtime",
+			sim.ErrStalled, w.sc.id, w.window), (*runstats.Collector).CountStall)
 	}
-	return now.UnixNano()-w.advanceWall.Load() > window.Nanoseconds()
 }

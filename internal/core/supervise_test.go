@@ -223,7 +223,7 @@ func TestRetryFlagsDeterminismViolation(t *testing.T) {
 }
 
 // TestSupervisionLeavesOutputBytesUnchanged pins the plane separation:
-// arming the supervisor (probes attached, sweeper polling) must not
+// arming the supervisor (stall probes attached, deadline timer set) must not
 // change a healthy experiment's deterministic bytes.
 func TestSupervisionLeavesOutputBytesUnchanged(t *testing.T) {
 	want := payloadBytes(t, runOne(nil, "F3", 1))

@@ -224,9 +224,9 @@ func WithPatches(ids ...string) Option {
 func WithHardware(hw Hardware) Option { return func(h *Host) { h.Hardware = hw } }
 
 // WithRNG installs a pre-derived RNG stream instead of forking one from
-// the kernel. Sharded fleet builders use it to hand host i the stream
-// ForkAt(i) derives, so construction order (and worker count) cannot
-// perturb per-host randomness.
+// the kernel. Fleet builders (core.World.AddHosts) use it to hand host i
+// the stream ForkAt(i) derives, so a host's randomness does not depend
+// on the hosts built before it.
 func WithRNG(r *sim.RNG) Option { return func(h *Host) { h.RNG = r } }
 
 // WithEagerDocs makes the host seed documents eagerly (see Host.EagerDocs).
@@ -252,8 +252,8 @@ func New(k *sim.Kernel, name string, opts ...Option) *Host {
 	for _, opt := range opts {
 		opt(h)
 	}
-	// Fork only when no option supplied a stream: WithRNG hosts must not
-	// draw from (or race on) the kernel RNG during sharded construction.
+	// Fork only when no option supplied a stream: a WithRNG host must not
+	// draw from the kernel RNG, or it would shift every later fork.
 	if h.RNG == nil {
 		h.RNG = k.RNG().Fork()
 	}

@@ -64,7 +64,6 @@ func (f HandlerFunc) ServeSim(req *Request) *Response { return f(req) }
 
 // Errors surfaced by the fabric.
 var (
-	ErrNoRoute      = errors.New("netsim: no route to host")
 	ErrNXDomain     = errors.New("netsim: domain does not resolve")
 	ErrNoInternet   = errors.New("netsim: host has no internet connectivity")
 	ErrNoSuchServer = errors.New("netsim: no server at address")

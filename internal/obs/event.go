@@ -77,13 +77,23 @@ func TagAll(events []Event, t Tag) {
 	}
 }
 
-// appendString appends a JSON-quoted string.
+// appendString appends s quoted exactly as json.Marshal quotes it. A
+// string of printable ASCII that json.Marshal leaves unescaped (no '"',
+// '\\', '<', '>' or '&') is copied between quotes as it is; any other
+// string goes through json.Marshal.
 func appendString(b []byte, s string) []byte {
-	q, err := json.Marshal(s)
-	if err != nil { // cannot happen for a string
-		return append(b, `""`...)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, err := json.Marshal(s)
+			if err != nil { // cannot happen for a string
+				return append(b, `""`...)
+			}
+			return append(b, q...)
+		}
 	}
-	return append(b, q...)
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // AppendJSONL appends the event as one JSON line (with trailing newline)

@@ -70,3 +70,46 @@ func TestWriteJSONL(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendStringMatchesMarshal: appendString must quote every string
+// exactly as json.Marshal does, on its plain-ASCII fast path and off it.
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendString([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Fatalf("appendString(%q) = %s, want x%s", s, got, want)
+		}
+	}
+	check("")
+	for a := 0; a < 256; a++ {
+		check(string([]byte{byte(a)}))
+		for b := 0; b < 256; b++ {
+			check(string([]byte{byte(a), byte(b)}))
+		}
+	}
+	for _, s := range []string{
+		"\u2028", "\u2029", "line\u2028sep", "para\u2029sep",
+		"\xff\xfe", "ok\xc3", "\xed\xa0\x80", "héllo", "日本",
+		"WS-00001", `C:\Users\emp\Documents\report-0001.docx`, "<a&b>",
+	} {
+		check(s)
+	}
+}
+
+// TestAppendJSONLAllocs pins the plain-string path: a record whose
+// strings need no escaping encodes into a presized buffer without
+// allocating.
+func TestAppendJSONLAllocs(t *testing.T) {
+	e := Event{
+		At: eventAt, Seq: 42, Cat: "exec", Actor: "WS-00001", Msg: "exec trksvr.exe",
+		Span: 9, Parent: 3, Tags: []Tag{T("host", "WS-00001"), Ti("pid", 1004)},
+	}
+	buf := make([]byte, 0, 512)
+	if allocs := testing.AllocsPerRun(100, func() { buf = e.AppendJSONL(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendJSONL of an all-plain record made %.0f allocations, want 0", allocs)
+	}
+}

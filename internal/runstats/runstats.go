@@ -77,8 +77,9 @@ type Collector struct {
 	expsDone atomic.Int64
 	expTotal atomic.Int64
 
-	// Supervision-layer counters (DESIGN.md §13), fed by the watchdog
-	// sweeper and the supervised runner.
+	// Supervision-layer counters (DESIGN.md §13), fed by the stall
+	// probes, the deadline and shutdown callbacks and the supervised
+	// runner.
 	supStalls     atomic.Uint64 // vtime-stall watchdog aborts
 	supDeadlines  atomic.Uint64 // wall-clock deadline aborts
 	supCancels    atomic.Uint64 // experiment cancellations, any cause

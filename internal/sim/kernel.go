@@ -253,10 +253,6 @@ type Kernel struct {
 	hVTDelta        *obs.Histogram
 	lastStepAt      time.Time
 	haveLastStep    bool
-	// kernelEvents gates per-event trace records (schedule/execute/
-	// cancel). Off by default: a 30,000-host fleet steps millions of
-	// times and would evict every interesting record from the ring.
-	kernelEvents bool
 
 	// Wall-clock-plane sampling (DESIGN.md §12). probe is nil unless a
 	// telemetry collector attached one, so the disabled hot-loop cost is
@@ -296,13 +292,6 @@ func WithSeed(seed uint64) Option {
 // WithTraceCapacity sets the trace ring-buffer capacity (default 4096).
 func WithTraceCapacity(n int) Option {
 	return func(k *Kernel) { k.trace = NewTrace(n) }
-}
-
-// WithKernelEvents enables per-event trace records for every schedule,
-// execute and cancel (category CatKernel). Debug aid; the counters in
-// Metrics are always maintained regardless.
-func WithKernelEvents(v bool) Option {
-	return func(k *Kernel) { k.kernelEvents = v }
 }
 
 // NewKernel returns a kernel positioned at Epoch with a seeded RNG.
@@ -523,9 +512,6 @@ func (k *Kernel) ScheduleAt(t time.Time, name string, fn func()) Timer {
 	}
 	k.queue.push(ev)
 	k.mSchedule.Inc()
-	if k.kernelEvents {
-		k.trace.Emit(k.now, CatKernel, "kernel", "schedule "+name, obs.Ti("seq", int64(ev.seq)))
-	}
 	return Timer{ev: ev, seq: ev.seq}
 }
 
@@ -582,9 +568,6 @@ func (k *Kernel) Cancel(t Timer) {
 	ev := t.ev
 	k.queue.remove(ev.index)
 	k.mCancel.Inc()
-	if k.kernelEvents {
-		k.trace.Emit(k.now, CatKernel, "kernel", "cancel "+ev.name, obs.Ti("seq", int64(ev.seq)))
-	}
 	k.release(ev)
 }
 
@@ -617,9 +600,6 @@ func (k *Kernel) Step() bool {
 	k.handlerCounter(ev.name).Inc()
 	if k.probe != nil && k.steps%k.probeEvery == 0 {
 		k.probe.KernelSample(k.sample())
-	}
-	if k.kernelEvents {
-		k.trace.Emit(k.now, CatKernel, "kernel", "execute "+ev.name, obs.Ti("seq", int64(ev.seq)))
 	}
 	k.lastHandler = ev.name
 	// Reinstate the causal context captured at scheduling time, so work

@@ -29,22 +29,6 @@ func TestKernelMetricsCounters(t *testing.T) {
 	}
 }
 
-func TestKernelEventsGated(t *testing.T) {
-	quiet := NewKernel()
-	quiet.Schedule(time.Minute, "x", func() {})
-	quiet.Drain(10)
-	if quiet.Trace().Count(CatKernel) != 0 {
-		t.Fatal("kernel events emitted without WithKernelEvents")
-	}
-
-	loud := NewKernel(WithKernelEvents(true))
-	loud.Schedule(time.Minute, "x", func() {})
-	loud.Drain(10)
-	if loud.Trace().Count(CatKernel) < 2 { // schedule + execute
-		t.Fatalf("kernel events = %d, want >= 2", loud.Trace().Count(CatKernel))
-	}
-}
-
 func TestTraceEmitTagsAndSeq(t *testing.T) {
 	k := NewKernel()
 	tr := k.Trace()

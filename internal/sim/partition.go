@@ -22,10 +22,11 @@ package sim
 // Delivery order is therefore a pure function of virtual time and the
 // per-sender counters — never of which worker finished first — so the
 // number of workers advancing the set only controls wall-clock
-// concurrency, exactly like AddHostsSharded's build workers. The
-// logical partition layout itself is part of the scenario: changing it
-// changes the simulated world (different kernels, RNG streams and span
-// sequences), while changing the worker count never changes a byte.
+// concurrency. Each kernel is stepped by one worker at a time, and only
+// whole partitions run side by side. The logical partition layout
+// itself is part of the scenario: changing it changes the simulated
+// world (different kernels, RNG streams and span sequences), while
+// changing the worker count never changes a byte.
 
 import (
 	"fmt"

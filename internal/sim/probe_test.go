@@ -100,7 +100,7 @@ func TestProbeDoesNotPerturbDeterminism(t *testing.T) {
 			d := time.Duration(1+k.RNG().Intn(3600)) * time.Second
 			k.Schedule(d, "churn", func() {
 				if k.RNG().Bool(0.5) {
-					k.Trace().Add(k.Now(), CatKernel, "t", "spawn")
+					k.Trace().Add(k.Now(), CatExec, "t", "spawn")
 					k.Schedule(time.Duration(1+k.RNG().Intn(600))*time.Second, "child", func() {})
 				}
 			})

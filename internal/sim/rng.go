@@ -24,8 +24,8 @@ func (r *RNG) Fork() *RNG {
 
 // ForkAt derives the i-th member of a family of independent child streams
 // without advancing the parent. The result is a pure function of (parent
-// state, i), so sharded builders can hand host i its own stream from any
-// worker goroutine and still replay bit-for-bit at any worker count.
+// state, i), so a builder can hand member i (a host, a site) its own
+// stream in any order and still replay bit-for-bit.
 func (r *RNG) ForkAt(i uint64) *RNG {
 	z := r.state ^ (i+1)*golden
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -28,7 +28,6 @@ const (
 	CatBluetooth Category = "bluetooth" // bluetooth activity
 	CatUSB       Category = "usb"       // removable media activity
 	CatFault     Category = "fault"     // injected adversity (takedown, crash, sweep)
-	CatKernel    Category = "kernel"    // scheduler internals (WithKernelEvents)
 	CatAlert     Category = "alert"     // detection rule firing (internal/detect)
 	CatUser      Category = "user"      // benign user activity (internal/users)
 )

@@ -61,8 +61,8 @@ const (
 )
 
 // Mix names a fleet-level profile assignment: host i's profile is a pure
-// function of (mix, i), so a sharded fleet build at any worker count
-// yields the same population.
+// function of (mix, i), so every fleet built under one mix gets the
+// same population.
 type Mix string
 
 // The built-in mixes. The zero value "" means "unset" (scenario builders
@@ -237,10 +237,9 @@ func EnsureServices(in *netsim.Internet) {
 var docExts = []string{"docx", "xlsx", "pdf", "txt"}
 
 // Attach builds one agent per host according to cfg.Mix and starts their
-// timers. It must be called from the sequential phase of fleet
-// construction (after AddHostsSharded's merge), so the per-agent RNG
-// forks happen in host-index order regardless of build workers. internet
-// may be nil (air-gapped fleets skip mail/web).
+// timers. Fleet builders call it after AddHosts returns, on the world's
+// goroutine, so the per-agent RNG forks happen in host-index order.
+// internet may be nil (air-gapped fleets skip mail/web).
 func Attach(k *sim.Kernel, lan *netsim.LAN, internet *netsim.Internet, hosts []*host.Host, cfg Config) (*Population, error) {
 	if cfg.Mix == "" || cfg.Mix == MixNone {
 		return nil, fmt.Errorf("users: Attach needs an activity mix (got %q)", cfg.Mix)
