@@ -37,9 +37,12 @@ go test -C benchmark -timeout 300s .
 # into a substrate package. The Fault|Resilience sweep runs the adversity
 # engine and the R-series under -race across every touched package. pki
 # rides along because its verified-signature memo is shared on purpose by
-# every host clone of a world's trust store (DESIGN.md §9).
+# every host clone of a world's trust store (DESIGN.md §9). cnc and
+# analysis fan pure work out on sim.RunPool inside one step (the
+# coordinator's DecryptAll, CompareSamples' fingerprints); their
+# width-invariance tests run 1, 2 and 7 workers here.
 go test -race -timeout 300s -run 'Parallel|Sweep|RaceLane' ./internal/core
-go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/faults ./internal/pki
+go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/analysis ./internal/faults ./internal/pki
 
 # Detect lane: the streaming engine subscribes to the live trace from
 # inside experiment worlds, so it and the CNI campaign run under -race
@@ -83,10 +86,11 @@ go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|
 # substrate, and the experiment layer.
 go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./internal/core
 
-# Bench lane: compile and run every obs/provenance/faults/pki/pe benchmark
-# once, so a benchmark that rots (or an accidental per-event allocation
-# regression caught by its companion test) fails CI rather than bitrotting.
-go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults ./internal/pki ./internal/pe
+# Bench lane: compile and run every obs/provenance/faults/pki/pe/cnc/
+# analysis benchmark once, so a benchmark that rots (or an accidental
+# per-event allocation regression caught by its companion test) fails CI
+# rather than bitrotting.
+go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults ./internal/pki ./internal/pe ./internal/cnc ./internal/analysis
 
 # Fuzz lane (ROADMAP, determinism and input robustness, item (b)): every
 # reader of user-supplied bytes returns an error, never panics or hangs.

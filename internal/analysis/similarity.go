@@ -2,9 +2,12 @@ package analysis
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/pe"
+	"repro/internal/sim"
 )
 
 // shingleLen is the n-gram window for code-similarity analysis. Eight
@@ -15,59 +18,70 @@ const shingleLen = 8
 // ShingleSet is the hashed n-gram fingerprint of one sample's code.
 type ShingleSet struct {
 	Name string
-	set  map[uint64]struct{}
+	set  []uint64 // distinct window hashes, ascending
 }
 
 // Fingerprint builds the shingle set of an image's section contents.
 func Fingerprint(img *pe.File) *ShingleSet {
-	s := &ShingleSet{Name: img.Name, set: make(map[uint64]struct{})}
-	for _, sec := range img.Sections {
-		s.addData(sec.Data)
+	sections := make([][]byte, len(img.Sections))
+	for i, sec := range img.Sections {
+		sections[i] = sec.Data
 	}
-	return s
+	return fingerprint(img.Name, sections...)
 }
 
 // FingerprintData builds a shingle set over raw bytes.
 func FingerprintData(name string, data []byte) *ShingleSet {
-	s := &ShingleSet{Name: name, set: make(map[uint64]struct{})}
-	s.addData(data)
-	return s
+	return fingerprint(name, data)
 }
 
-func (s *ShingleSet) addData(data []byte) {
-	if len(data) < shingleLen {
-		return
+// fingerprint hashes every shingleLen-byte window of each section with
+// FNV-1a into one slice presized to the window count, then sorts it and
+// drops repeats.
+func fingerprint(name string, sections ...[]byte) *ShingleSet {
+	n := 0
+	for _, data := range sections {
+		n += max(len(data)-shingleLen+1, 0)
 	}
-	// Rolling FNV-1a over fixed windows.
-	for i := 0; i+shingleLen <= len(data); i++ {
-		var h uint64 = 14695981039346656037
-		for j := 0; j < shingleLen; j++ {
-			h ^= uint64(data[i+j])
-			h *= 1099511628211
+	set := make([]uint64, 0, n)
+	for _, data := range sections {
+		for i := 0; i+shingleLen <= len(data); i++ {
+			var h uint64 = 14695981039346656037
+			for j := 0; j < shingleLen; j++ {
+				h ^= uint64(data[i+j])
+				h *= 1099511628211
+			}
+			set = append(set, h)
 		}
-		s.set[h] = struct{}{}
 	}
+	slices.Sort(set)
+	return &ShingleSet{Name: name, set: slices.Compact(set)}
 }
 
 // Size returns the number of distinct shingles.
 func (s *ShingleSet) Size() int { return len(s.set) }
 
-// Jaccard returns |A∩B| / |A∪B| for two fingerprints.
+// Jaccard returns |A∩B| / |A∪B| for two fingerprints. Both sets are
+// sorted, so the intersection is one merge walk.
 func Jaccard(a, b *ShingleSet) float64 {
 	if len(a.set) == 0 || len(b.set) == 0 {
 		return 0
 	}
-	small, large := a.set, b.set
-	if len(small) > len(large) {
-		small, large = large, small
-	}
+	x, y := a.set, b.set
 	inter := 0
-	for h := range small {
-		if _, ok := large[h]; ok {
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
 			inter++
+			i++
+			j++
 		}
 	}
-	union := len(a.set) + len(b.set) - inter
+	union := len(x) + len(y) - inter
 	return float64(inter) / float64(union)
 }
 
@@ -78,14 +92,22 @@ type SimilarityMatrix struct {
 }
 
 // CompareSamples fingerprints every image and computes the full matrix.
+// The images are fingerprinted side by side on up to GOMAXPROCS
+// goroutines, each into its own slot (DESIGN.md §9); the matrix is filled
+// after they join.
 func CompareSamples(imgs ...*pe.File) *SimilarityMatrix {
+	return compareSamples(runtime.GOMAXPROCS(0), imgs)
+}
+
+// compareSamples is CompareSamples on a pool of the given width.
+func compareSamples(workers int, imgs []*pe.File) *SimilarityMatrix {
 	sets := make([]*ShingleSet, len(imgs))
+	sim.RunPool(len(imgs), workers, func(i int) { sets[i] = Fingerprint(imgs[i]) })
 	m := &SimilarityMatrix{
 		Names: make([]string, len(imgs)),
 		Sim:   make([][]float64, len(imgs)),
 	}
 	for i, img := range imgs {
-		sets[i] = Fingerprint(img)
 		m.Names[i] = img.Name
 		m.Sim[i] = make([]float64, len(imgs))
 	}

@@ -3,6 +3,7 @@ package cnc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/netsim"
@@ -161,19 +162,33 @@ var ErrOperatorCannotDecrypt = errors.New("cnc: entry is sealed to the coordinat
 type Coordinator struct{ c *AttackCenter }
 
 // DecryptAll opens every collected entry into the cleartext archive,
-// returning how many documents were recovered.
+// returning how many documents were recovered. The entries are opened
+// side by side on up to GOMAXPROCS goroutines (DESIGN.md §9): each open
+// reads only its entry's sealed bytes and the private key and writes only
+// its own slot, and the archive grows in entry order on the caller's
+// goroutine, so the width changes no byte. At the first entry that does
+// not open, DecryptAll stops with the documents before it archived, n
+// counting them, and every entry left collected.
 func (co Coordinator) DecryptAll() (int, error) {
-	n := 0
-	for _, e := range co.c.collected {
-		plain, err := co.c.Seal.Open(e.Sealed)
-		if err != nil {
-			return n, fmt.Errorf("decrypt entry %d: %w", e.ID, err)
+	return co.decryptAll(runtime.GOMAXPROCS(0))
+}
+
+// decryptAll is DecryptAll on a pool of the given width.
+func (co Coordinator) decryptAll(workers int) (int, error) {
+	entries := co.c.collected
+	plains := make([][]byte, len(entries))
+	errs := make([]error, len(entries))
+	sim.RunPool(len(entries), workers, func(i int) {
+		plains[i], errs[i] = co.c.Seal.Open(entries[i].Sealed)
+	})
+	for i, e := range entries {
+		if errs[i] != nil {
+			return i, fmt.Errorf("decrypt entry %d: %w", e.ID, errs[i])
 		}
-		co.c.decrypted = append(co.c.decrypted, StolenDoc{ClientID: e.ClientID, Name: e.Name, Data: plain})
-		n++
+		co.c.decrypted = append(co.c.decrypted, StolenDoc{ClientID: e.ClientID, Name: e.Name, Data: plains[i]})
 	}
 	co.c.collected = co.c.collected[:0]
-	return n, nil
+	return len(entries), nil
 }
 
 // Archive returns the decrypted documents.

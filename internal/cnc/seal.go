@@ -10,6 +10,8 @@ package cnc
 import (
 	"crypto/ecdh"
 	"crypto/sha256"
+	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -84,25 +86,14 @@ func (kp *SealKeypair) Open(blob []byte) ([]byte, error) {
 }
 
 // keystreamXOR XORs src into dst under a SHA-256 counter-mode keystream
-// keyed by the shared secret.
+// keyed by the shared secret: block i is SHA-256(shared || uint64le(i)).
 func keystreamXOR(shared, src, dst []byte) {
 	var block [40]byte
 	copy(block[:32], shared)
-	var counter uint64
-	for off := 0; off < len(src); {
-		block[32] = byte(counter)
-		block[33] = byte(counter >> 8)
-		block[34] = byte(counter >> 16)
-		block[35] = byte(counter >> 24)
-		block[36] = byte(counter >> 32)
-		block[37] = byte(counter >> 40)
-		block[38] = byte(counter >> 48)
-		block[39] = byte(counter >> 56)
+	for counter := uint64(0); len(src) > 0; counter++ {
+		binary.LittleEndian.PutUint64(block[32:], counter)
 		ks := sha256.Sum256(block[:])
-		for i := 0; i < len(ks) && off < len(src); i++ {
-			dst[off] = src[off] ^ ks[i]
-			off++
-		}
-		counter++
+		n := subtle.XORBytes(dst, src, ks[:])
+		dst, src = dst[n:], src[n:]
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -260,7 +261,10 @@ func RunC5ExfilVolume(env *Env, seed uint64) (*Result, error) {
 		}
 	}
 	// The operator reviews metadata daily and tasks every reported file.
+	// Each review reads only the documents archived since the last one;
+	// every earlier report is already tasked.
 	tasked := map[string]bool{}
+	reviewed := 0
 	w.K.Every(24*time.Hour, "operator-review", func() {
 		op := sc.Center.Operator()
 		op.CollectAll()
@@ -268,12 +272,14 @@ func RunC5ExfilVolume(env *Env, seed uint64) (*Result, error) {
 		if err != nil || n == 0 {
 			return
 		}
-		for _, doc := range sc.Center.Coordinator().Archive() {
-			text := string(doc.Data)
-			if !strings.HasPrefix(text, "jimmy: ") {
+		archive := sc.Center.Coordinator().Archive()
+		fresh := archive[reviewed:]
+		reviewed = len(archive)
+		for _, doc := range fresh {
+			if !bytes.HasPrefix(doc.Data, []byte("jimmy: ")) {
 				continue
 			}
-			path := strings.Fields(text)[1]
+			path := strings.Fields(string(doc.Data))[1]
 			key := doc.ClientID + "|" + path
 			if tasked[key] {
 				continue

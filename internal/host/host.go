@@ -375,9 +375,12 @@ func (h *Host) Execute(img *pe.File, system bool) (*Process, error) {
 	proc := &Process{PID: h.nextPID, Image: img.Name, Digest: digest, System: system, Alive: true}
 	h.procs[proc.PID] = proc
 	h.mExec.Inc()
-	h.K.Trace().Emit(h.K.Now(), sim.CatExec, h.Name,
-		fmt.Sprintf("exec %s (pid %d)", img.Name, proc.PID),
-		obs.T("image", img.Name), obs.Ti("pid", int64(proc.PID)))
+	if tr := h.K.Trace(); tr.Live() {
+		tr.Emit(h.K.Now(), sim.CatExec, h.Name, fmt.Sprintf("exec %s (pid %d)", img.Name, proc.PID),
+			obs.T("image", img.Name), obs.Ti("pid", int64(proc.PID)))
+	} else {
+		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "")
+	}
 	if h.Dispatcher != nil {
 		h.Dispatcher(h, proc, img)
 	}

@@ -183,9 +183,15 @@ func (in *Internet) Dispatch(req *Request) (*Response, error) {
 	}
 	in.mDispatch.Inc()
 	in.hBytes.Observe(float64(len(req.Body)))
-	in.K.Trace().Emit(in.K.Now(), sim.CatNetwork, req.Source,
-		fmt.Sprintf("%s http://%s%s (%d bytes)", req.Method, req.Host, req.Path, len(req.Body)),
-		obs.T("dest", req.Host), obs.Ti("bytes", int64(len(req.Body))))
+	// A muted, unsubscribed trace only counts the record and its Seq, so
+	// the text is built only when someone will read it.
+	if tr := in.K.Trace(); tr.Live() {
+		tr.Emit(in.K.Now(), sim.CatNetwork, req.Source,
+			fmt.Sprintf("%s http://%s%s (%d bytes)", req.Method, req.Host, req.Path, len(req.Body)),
+			obs.T("dest", req.Host), obs.Ti("bytes", int64(len(req.Body))))
+	} else {
+		tr.Emit(in.K.Now(), sim.CatNetwork, req.Source, "")
+	}
 	return srv.ServeSim(req), nil
 }
 

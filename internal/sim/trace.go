@@ -36,6 +36,11 @@ const (
 // per-category counters. Counters are never evicted, so fleet-scale runs
 // can rely on counts even after old records rotate out.
 //
+// The ring is allocated a fixed-size chunk at a time as records are
+// retained, so a world that never retains a record (a muted one, or one
+// that emits nothing) holds no ring storage, and a full ring holds
+// exactly its capacity.
+//
 // Span-opening records (the first record of each causal episode, emitted
 // by Kernel.OpenSpan) are additionally retained in an unbounded side
 // index so ring eviction at fleet scale never orphans a provenance
@@ -43,12 +48,13 @@ const (
 // by the kernel's causal context. Seq is assigned here and, with At,
 // gives records a total order that survives export and concatenation.
 type Trace struct {
-	records []obs.Event
-	next    int
-	full    bool
-	seq     uint64
-	counts  map[Category]int
-	muted   bool
+	chunks   [][]obs.Event // ring storage, traceChunk records per chunk
+	capacity int
+	next     int
+	full     bool
+	seq      uint64
+	counts   map[Category]int
+	muted    bool
 
 	ambient obs.Span    // stamped onto every Emit/Add record
 	spans   []obs.Event // span-opening records, seq-ascending, never evicted
@@ -56,15 +62,15 @@ type Trace struct {
 	sinks []func(obs.Event) // live subscribers, called on every record
 }
 
+// traceChunk is how many ring records one chunk holds.
+const traceChunk = 1024
+
 // NewTrace returns a trace holding at most capacity records.
 func NewTrace(capacity int) *Trace {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Trace{
-		records: make([]obs.Event, capacity),
-		counts:  make(map[Category]int),
-	}
+	return &Trace{capacity: capacity, counts: make(map[Category]int)}
 }
 
 // SetMuted disables (true) or enables (false) record retention. Counters
@@ -73,11 +79,12 @@ func (t *Trace) SetMuted(m bool) { t.muted = m }
 
 // Live reports whether an emitted record would be observed by anyone:
 // retained (unmuted) or forwarded to a subscriber. High-volume emitters
-// of purely observational records — the benign user-activity layer emits
-// one breadcrumb per action across tens of thousands of hosts — check
-// this before paying for message formatting, so muted fleet benchmarks
-// skip the cost entirely. Substrate events must NOT be gated on it:
-// their counters and side effects are part of the simulation.
+// check this before paying for message formatting, so muted worlds skip
+// the cost. Purely observational records (the benign user layer's one
+// breadcrumb per action) may be skipped entirely; substrate records
+// (internet dispatch, process exec, Add) must still be emitted with an
+// empty message and no tags, because their counters and Seq are part of
+// the simulation.
 func (t *Trace) Live() bool { return !t.muted || len(t.sinks) > 0 }
 
 // Subscribe registers a sink called synchronously with every record as
@@ -94,10 +101,12 @@ func (t *Trace) publish(e obs.Event) {
 	}
 }
 
-// Add appends a record built from a format string.
+// Add appends a record built from a format string. The message is
+// formatted only when the record is Live; the counters and Seq advance
+// either way.
 func (t *Trace) Add(at time.Time, cat Category, actor, format string, args ...any) {
 	msg := format
-	if len(args) > 0 {
+	if len(args) > 0 && t.Live() {
 		msg = fmt.Sprintf(format, args...)
 	}
 	t.Emit(at, cat, actor, msg)
@@ -111,9 +120,13 @@ func (t *Trace) Emit(at time.Time, cat Category, actor, msg string, tags ...obs.
 	t.seq++
 	e := obs.Event{At: at, Seq: t.seq, Cat: string(cat), Actor: actor, Msg: msg, Span: t.ambient, Tags: tags}
 	if !t.muted {
-		t.records[t.next] = e
+		c := t.next / traceChunk
+		if c == len(t.chunks) {
+			t.chunks = append(t.chunks, make([]obs.Event, min(traceChunk, t.capacity-t.next)))
+		}
+		t.chunks[c][t.next%traceChunk] = e
 		t.next++
-		if t.next == len(t.records) {
+		if t.next == t.capacity {
 			t.next = 0
 			t.full = true
 		}
@@ -152,23 +165,32 @@ func (t *Trace) setAmbient(s obs.Span) { t.ambient = s }
 // contents, oldest first, merged with the span index by sequence number
 // into one fresh slice the caller owns.
 func (t *Trace) Events() []obs.Event {
-	older, newer := t.records[:t.next], []obs.Event(nil)
+	n := t.next
 	if t.full {
-		older, newer = t.records[t.next:], t.records[:t.next]
+		n = t.capacity
 	}
-	out := make([]obs.Event, 0, len(older)+len(newer)+len(t.spans))
-	// Two-way merge: the ring (older then newer) and the span index are
-	// both seq-ascending.
+	out := make([]obs.Event, 0, n+len(t.spans))
+	// Two-way merge: the ring (oldest first, chunk by chunk) and the span
+	// index are both seq-ascending.
 	j := 0
-	for _, part := range [2][]obs.Event{older, newer} {
-		for i := range part {
-			for j < len(t.spans) && t.spans[j].Seq < part[i].Seq {
-				out = append(out, t.spans[j])
-				j++
+	merge := func(from, to int) {
+		for from < to {
+			part := t.chunks[from/traceChunk][from%traceChunk:]
+			part = part[:min(len(part), to-from)]
+			for i := range part {
+				for j < len(t.spans) && t.spans[j].Seq < part[i].Seq {
+					out = append(out, t.spans[j])
+					j++
+				}
+				out = append(out, part[i])
 			}
-			out = append(out, part[i])
+			from += len(part)
 		}
 	}
+	if t.full {
+		merge(t.next, t.capacity)
+	}
+	merge(0, t.next)
 	return append(out, t.spans[j:]...)
 }
 

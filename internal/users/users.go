@@ -211,20 +211,22 @@ var webSites = []struct {
 
 // EnsureServices registers the benign mail and web endpoints agents talk
 // to. Registration is idempotent: re-binding the same name/IP pair is a
-// no-op in effect, so multiple populations can share one internet.
+// no-op in effect, so multiple populations can share one internet. Each
+// endpoint answers every request with one response value built here;
+// nothing writes to a response it is served.
 func EnsureServices(in *netsim.Internet) {
 	if in == nil {
 		return
 	}
-	page := []byte("<html>corporate portal</html>")
-	ok := netsim.HandlerFunc(func(*netsim.Request) *netsim.Response { return netsim.OK(page) })
+	page := netsim.OK([]byte("<html>corporate portal</html>"))
+	ok := netsim.HandlerFunc(func(*netsim.Request) *netsim.Response { return page })
 	in.RegisterDomain(MailDomain, mailIP)
-	inbox := []byte("inbox: 3 unread")
+	sent, inbox := netsim.OK(nil), netsim.OK([]byte("inbox: 3 unread"))
 	in.BindServer(mailIP, netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
 		if req.Method == "POST" {
-			return netsim.OK(nil)
+			return sent
 		}
-		return netsim.OK(inbox)
+		return inbox
 	}))
 	for _, s := range webSites {
 		in.RegisterDomain(s.Domain, s.IP)
@@ -235,6 +237,21 @@ func EnsureServices(in *netsim.Internet) {
 // docExts are the document types office agents churn (a subset of what
 // the collection malware hunts, so noise documents are plausible loot).
 var docExts = []string{"docx", "xlsx", "pdf", "txt"}
+
+// docSlots is how many documents an agent rotates through.
+const docSlots = 8
+
+// docNames holds every document name writeDoc uses, "draft-NN.ext" at
+// slot*len(docExts)+ext, so a write formats nothing.
+var docNames = func() []string {
+	names := make([]string, 0, docSlots*len(docExts))
+	for slot := 0; slot < docSlots; slot++ {
+		for _, ext := range docExts {
+			names = append(names, fmt.Sprintf("draft-%02d.%s", slot, ext))
+		}
+	}
+	return names
+}()
 
 // Attach builds one agent per host according to cfg.Mix and starts their
 // timers. Fleet builders call it after AddHosts returns, on the world's
@@ -418,12 +435,10 @@ func (p *Population) breadcrumb(a *Agent, verb, object string) {
 // read (or wipe) sees the same bytes either way. The slot cap bounds
 // per-host file growth however long the run.
 func (p *Population) writeDoc(a *Agent) {
-	const docSlots = 8
 	slot := a.docSlot % docSlots
 	a.docSlot++
-	ext := docExts[a.rng.Intn(len(docExts))]
+	name := docNames[slot*len(docExts)+a.rng.Intn(len(docExts))]
 	size := 1024 + a.rng.Intn(p.cfg.DocBytes-1024)
-	name := fmt.Sprintf("draft-%02d.%s", slot, ext)
 	path := `C:\Users\` + a.user + `\documents\` + name
 	var err error
 	if a.H.EagerDocs {
