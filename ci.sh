@@ -40,7 +40,8 @@ go test -C benchmark -timeout 300s .
 # every host clone of a world's trust store (DESIGN.md §9). cnc and
 # analysis fan pure work out on sim.RunPool inside one step (the
 # coordinator's DecryptAll, CompareSamples' fingerprints); their
-# width-invariance tests run 1, 2 and 7 workers here.
+# width-invariance tests run 1, 2 and 7 workers here, as does the pool's
+# own panic-relay test in sim.
 go test -race -timeout 300s -run 'Parallel|Sweep|RaceLane' ./internal/core
 go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/analysis ./internal/faults ./internal/pki
 
@@ -78,12 +79,12 @@ go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|
 
 # Partition race lane (DESIGN.md §14): the partition workers build the
 # site worlds side by side and then advance them between epoch barriers,
-# and the cross-partition mailboxes and the cancel fan-out across shard
-# kernels cross goroutines by construction, so every partition test —
-# mailbox ordering, worker-count byte identity of the concurrent build
-# and advance, deadline fan-out, and the compose-with-parallel/journal/
-# checkpoint properties — runs under -race in the kernel, the network
-# substrate, and the experiment layer.
+# and the cross-partition mailboxes and the scope's cancel of every
+# shard kernel cross goroutines by construction, so every partition
+# test — mailbox ordering, worker-count byte identity of the concurrent
+# build and advance, deadline fan-out, and the compose-with-parallel/
+# journal/checkpoint properties — runs under -race in the kernel, the
+# network substrate, and the experiment layer.
 go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./internal/core
 
 # Bench lane: compile and run every obs/provenance/faults/pki/pe/cnc/
@@ -108,6 +109,13 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/pe
 # Timer state and fire order after every schedule, cancel, step and Every
 # operation, and a balanced pool ledger once the queue is drained.
 go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
+# FuzzOpenJournal holds -resume to the same contract: any journal bytes
+# either fail to open with an error, or replay into snapshots that merge
+# into an empty snapshot and into themselves without panicking, and the
+# journal closes cleanly. Every input writes, reads and fsyncs a file,
+# so a new input takes long to minimize; the 2 s cap keeps the lane
+# fuzzing instead of minimizing for its whole budget.
+go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 10s -fuzzminimizetime 2s ./internal/core
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of

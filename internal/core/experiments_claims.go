@@ -47,9 +47,7 @@ func RunC1ZeroDays(env *Env, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	// Let the spooler spread reach C.
-	if err := w.K.RunFor(48 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(48 * time.Hour)
 
 	zd := sc.Stuxnet.Stats.ZeroDaysUsed()
 	res := &Result{
@@ -68,9 +66,7 @@ func RunC1ZeroDays(env *Env, seed uint64) (*Result, error) {
 	if err := hardened.BrowseRemovable(); err != nil {
 		return nil, err
 	}
-	if err := w.K.RunFor(48 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(48 * time.Hour)
 	res.metric("fully_patched_host_resisted", boolMetric(!sc.Stuxnet.Infected("HARDENED")), "bool")
 	res.Pass = len(zd) == 4 && a != nil && !sc.Stuxnet.Infected("HARDENED")
 	res.summaryf("all %d zero-days fired (%s); %d hosts infected; fully patched host resisted every vector",
@@ -90,9 +86,7 @@ func RunC2Centrifuge(env *Env, seed uint64) (*Result, error) {
 	}
 	// Control: identical plant without malware runs clean for a week.
 	control := plc.NewPlant(w.K, plc.PlantConfig{Name: "control", MachinesPerDrive: 6})
-	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(7 * 24 * time.Hour)
 	controlDestroyed := control.DestroyedCount()
 	controlStress := 0.0
 	for _, m := range control.Centrifuges() {
@@ -106,19 +100,13 @@ func RunC2Centrifuge(env *Env, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	defer sc.Plant.Stop()
-	if err := w.K.RunFor(time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(time.Hour)
 	if err := sc.Deliver(); err != nil {
 		return nil, err
 	}
-	if err := w.K.RunFor(40 * time.Minute); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(40 * time.Minute)
 	blind := sc.Plant.Operator.AllNormal() && !sc.Plant.Safety.Tripped
-	if err := w.K.RunFor(3 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(3 * time.Hour)
 
 	res := &Result{
 		ID:    "C2",
@@ -170,15 +158,11 @@ func RunC3Targeting(env *Env, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := w.K.RunFor(time.Hour); err != nil {
-			return nil, err
-		}
+		w.K.RunFor(time.Hour)
 		if err := sc.Deliver(); err != nil {
 			return nil, err
 		}
-		if err := w.K.RunFor(6 * time.Hour); err != nil {
-			return nil, err
-		}
+		w.K.RunFor(6 * time.Hour)
 		destroyed := sc.Plant.DestroyedCount()
 		res.metric(v.name+"_destroyed", float64(destroyed), "machines")
 		res.metric(v.name+"_payload_armed", boolMetric(sc.Stuxnet.Stats.PayloadArmed), "bool")
@@ -217,9 +201,7 @@ func RunC4FlameSize(env *Env, seed uint64) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := w.K.RunFor(3 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(3 * time.Hour)
 	full := sc.Flame.DeployedBytes(sc.Patient0.Name)
 
 	res := &Result{
@@ -288,9 +270,7 @@ func RunC5ExfilVolume(env *Env, seed uint64) (*Result, error) {
 			op.PushCommand(doc.ClientID, flame.PkgSteal, []byte(path))
 		}
 	})
-	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(7 * 24 * time.Hour)
 
 	total := sc.Center.TotalStolenBytes()
 	perServer := total / int64(len(sc.Center.Servers))
@@ -329,9 +309,7 @@ func RunC6Suicide(env *Env, seed uint64) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := w.K.RunFor(12 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(12 * time.Hour)
 	artefactsBefore := 0
 	for _, h := range sc.Hosts {
 		artefactsBefore += flame.ArtefactsPresent(h)
@@ -339,9 +317,7 @@ func RunC6Suicide(env *Env, seed uint64) (*Result, error) {
 	infectedBefore := sc.Flame.InfectedCount()
 
 	sc.Flame.PushSuicideAll()
-	if err := w.K.RunFor(6 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(6 * time.Hour)
 	artefactsAfter := 0
 	for _, h := range sc.Hosts {
 		artefactsAfter += flame.ArtefactsPresent(h)
@@ -392,9 +368,7 @@ func RunC8JPEGBug(env *Env, seed uint64) (*Result, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		if err := w.K.RunUntil(shamoon.AramcoTrigger.Add(time.Hour)); err != nil {
-			return 0, false, err
-		}
+		w.K.RunUntil(shamoon.AramcoTrigger.Add(time.Hour))
 		h := sc.Hosts[0]
 		sizes := map[int]int{}
 		for _, f := range h.FS.Glob(`c:\users`) {
@@ -443,9 +417,7 @@ func RunC9Reporter(env *Env, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.K.RunUntil(shamoon.AramcoTrigger.Add(time.Hour)); err != nil {
-		return nil, err
-	}
+	w.K.RunUntil(shamoon.AramcoTrigger.Add(time.Hour))
 	res := &Result{
 		ID:    "C9",
 		Title: "Shamoon reporter telemetry",
@@ -550,9 +522,7 @@ func RunC11Bluetooth(env *Env, seed uint64) (*Result, error) {
 	if err := sc.Flame.PushModuleAll(flame.ModBeetlejuice); err != nil {
 		return nil, err
 	}
-	if err := w.K.RunFor(12 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(12 * time.Hour)
 
 	op := sc.Center.Operator()
 	op.CollectAll()

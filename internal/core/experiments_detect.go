@@ -60,9 +60,7 @@ func RunD1CNIDetection(env *Env, seed uint64) (*Result, error) {
 	if err := sc.Intrude(); err != nil {
 		return nil, err
 	}
-	if err := w.K.RunFor(14 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(14 * 24 * time.Hour)
 
 	en := sc.Engine
 	alerts := en.Alerts()
@@ -146,9 +144,7 @@ func RunD2CrossCampaign(env *Env, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.K.RunUntil(shamoon.AramcoTrigger.Add(2 * time.Hour)); err != nil {
-		return nil, err
-	}
+	w.K.RunUntil(shamoon.AramcoTrigger.Add(2 * time.Hour))
 
 	// The pack's own Scope metadata is the prediction; this experiment is
 	// the measurement that keeps it honest.
@@ -245,9 +241,7 @@ func RunD3FalsePositives(env *Env, seed uint64) (*Result, error) {
 		}
 		lan.RemoteExec(admin, target.Name, patchPath)
 	})
-	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(7 * 24 * time.Hour)
 
 	perClass := map[string]int{}
 	fpTotal := 0

@@ -70,9 +70,7 @@ func RunE1DuquTargeting(env *Env, seed uint64) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := w.K.RunFor(48 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(48 * time.Hour)
 
 	// Per-victim builds are all distinct.
 	digests := map[[32]byte]bool{}
@@ -95,9 +93,7 @@ func RunE1DuquTargeting(env *Env, seed uint64) (*Result, error) {
 	}
 
 	// The lifetime deadline removes everything.
-	if err := w.K.RunFor(36 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(36 * 24 * time.Hour)
 	artefacts := 0
 	for _, h := range hosts {
 		artefacts += duqu.ArtefactsPresent(h)
@@ -172,9 +168,7 @@ func RunE2GaussGodel(env *Env, seed uint64) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := w.K.RunFor(24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(24 * time.Hour)
 
 	// The analyst's position: the resource is flagged encrypted, no key
 	// recovered, and a dictionary of wrong configurations fails.

@@ -28,22 +28,16 @@ func RunF1StuxnetOperation(env *Env, seed uint64) (*Result, error) {
 	}
 	defer sc.Plant.Stop()
 
-	if err := w.K.RunFor(time.Hour); err != nil { // steady-state cascade
-		return nil, err
-	}
+	w.K.RunFor(time.Hour) // steady-state cascade
 	if err := sc.Deliver(); err != nil {
 		return nil, err
 	}
 	// Mid-attack checkpoint: ~40 min after delivery the payload is in its
 	// high phase.
-	if err := w.K.RunFor(40 * time.Minute); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(40 * time.Minute)
 	operatorBlind := sc.Plant.Operator.AllNormal() && !sc.Plant.Safety.Tripped
 	// Run the wave out plus LAN spread rounds.
-	if err := w.K.RunFor(48 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(48 * time.Hour)
 
 	res := &Result{
 		ID:    "F1",
@@ -85,9 +79,7 @@ func RunF2WPADMitm(env *Env, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	sc.PushSpreadModules()
-	if err := w.K.RunFor(3 * time.Hour); err != nil { // modules arrive
-		return nil, err
-	}
+	w.K.RunFor(3 * time.Hour) // modules arrive
 
 	// Every other host launches a browser (proxy auto-discovery) and then
 	// checks Windows Update.
@@ -194,9 +186,7 @@ func RunF4CnCPlatform(env *Env, seed uint64) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := w.K.RunFor(24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(24 * time.Hour)
 
 	res := &Result{
 		ID:    "F4",
@@ -290,9 +280,7 @@ func RunF5CnCServer(env *Env, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	server.FetchEntries()
-	if err := w.K.RunFor(2 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(2 * time.Hour)
 	cleaned := server.PendingEntries() == 0
 
 	res := &Result{

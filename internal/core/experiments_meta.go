@@ -27,15 +27,11 @@ func RunT1Trends(env *Env, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w1.K.RunFor(time.Hour); err != nil {
-		return nil, err
-	}
+	w1.K.RunFor(time.Hour)
 	if err := nat.Deliver(); err != nil {
 		return nil, err
 	}
-	if err := w1.K.RunFor(6 * time.Hour); err != nil {
-		return nil, err
-	}
+	w1.K.RunFor(6 * time.Hour)
 	nat.Plant.Stop()
 	sxStats := nat.Stuxnet.Stats
 	sxProfile := analysis.ClassifyTrends(analysis.TrendInput{
@@ -64,13 +60,9 @@ func RunT1Trends(env *Env, seed uint64) (*Result, error) {
 	for _, m := range flame.DownloadableModules {
 		esp.Flame.PushModuleAll(m)
 	}
-	if err := w2.K.RunFor(12 * time.Hour); err != nil {
-		return nil, err
-	}
+	w2.K.RunFor(12 * time.Hour)
 	esp.Flame.PushSuicideAll()
-	if err := w2.K.RunFor(4 * time.Hour); err != nil {
-		return nil, err
-	}
+	w2.K.RunFor(4 * time.Hour)
 	flStats := esp.Flame.Stats
 	flProfile := analysis.ClassifyTrends(analysis.TrendInput{
 		Family:              "flame",
@@ -95,9 +87,7 @@ func RunT1Trends(env *Env, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w3.K.RunUntil(shamoon.AramcoTrigger.Add(time.Hour)); err != nil {
-		return nil, err
-	}
+	w3.K.RunUntil(shamoon.AramcoTrigger.Add(time.Hour))
 	shProfile := analysis.ClassifyTrends(analysis.TrendInput{
 		Family:                "shamoon",
 		BroadWormBehaviour:    ar.Shamoon.Stats.SpreadCopies > 10,
@@ -163,9 +153,7 @@ func RunA1AblationPatching(env *Env, seed uint64) (*Result, error) {
 		if err := sc.Deliver(); err != nil {
 			return nil, err
 		}
-		if err := w.K.RunFor(72 * time.Hour); err != nil {
-			return nil, err
-		}
+		w.K.RunFor(72 * time.Hour)
 		sc.Plant.Stop()
 		// Rate over the swept workstations only.
 		infected := 0
@@ -215,9 +203,7 @@ func RunA2AblationAdvisory(env *Env, seed uint64) (*Result, error) {
 			return nil, err
 		}
 		sc.PushSpreadModules()
-		if err := w.K.RunFor(2 * time.Hour); err != nil {
-			return nil, err
-		}
+		w.K.RunFor(2 * time.Hour)
 		// Advisory fires after the configured delay.
 		w.K.Schedule(delay, "advisory", w.IssueAdvisory)
 		// Victims check for updates every 6 hours over two days.
@@ -228,9 +214,7 @@ func RunA2AblationAdvisory(env *Env, seed uint64) (*Result, error) {
 				netsim.CheckForUpdates(sc.LAN, h)
 			})
 		}
-		if err := w.K.RunFor(48 * time.Hour); err != nil {
-			return nil, err
-		}
+		w.K.RunFor(48 * time.Hour)
 		n := float64(sc.Flame.Stats.UpdateInfections)
 		compromised = append(compromised, n)
 		res.metric(fmt.Sprintf("update_infections_advisory_after_%dh", int(delay.Hours())), n, "hosts")
@@ -275,9 +259,7 @@ func RunA3EpidemicCurve(env *Env, seed uint64) (*Result, error) {
 	w.K.Every(time.Hour, "epidemic-sample", func() {
 		curve = append(curve, sc.Shamoon.InfectedCount())
 	})
-	if err := w.K.RunFor(36 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(36 * time.Hour)
 
 	res := &Result{
 		ID:    "A3",

@@ -72,9 +72,7 @@ func RunR1StuxnetTakedownP2P(env *Env, seed uint64) (*Result, error) {
 	w.K.Schedule(deliverAt, "r1-update-delivery", func() {
 		hosts[0].Execute(update, true)
 	})
-	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(7 * 24 * time.Hour)
 
 	infected, atV2 := 0, 0
 	for _, h := range hosts {
@@ -173,9 +171,7 @@ func RunR2FlameDomainAgility(env *Env, seed uint64) (*Result, error) {
 			eng.SinkholeDomains(esp.Center.Pool.Domains(), sink)
 		})
 	}
-	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(7 * 24 * time.Hour)
 
 	alive := esp.Flame.InfectedCount()
 	rotations, failovers := 0, 0
@@ -235,9 +231,7 @@ func RunR3ShamoonBlackout(env *Env, seed uint64) (*Result, error) {
 			eng.ImpairLAN(ar.LAN, netsim.Impairment{Loss: prof.Loss, Latency: prof.Latency})
 		})
 	}
-	if err := w.K.RunUntil(shamoon.AramcoTrigger.Add(2 * time.Hour)); err != nil {
-		return nil, err
-	}
+	w.K.RunUntil(shamoon.AramcoTrigger.Add(2 * time.Hour))
 
 	infected := ar.Shamoon.InfectedCount()
 	wiped := ar.WipedCount()
@@ -314,9 +308,7 @@ func RunR4CrashPersistence(env *Env, seed uint64) (*Result, error) {
 			eng.PatchHosts(waveB, stuxnet.MS10_061)
 		}
 	})
-	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(7 * 24 * time.Hour)
 
 	infectedA, persisted, reboots := 0, 0, 0
 	for _, h := range waveA {
@@ -398,9 +390,7 @@ func RunR5AVAttrition(env *Env, seed uint64) (*Result, error) {
 	if prof.Active() && prof.CrashEvery > 0 {
 		eng.StartCrashCycles(esp.Hosts, prof.CrashEvery, prof.CrashFraction, prof.Downtime)
 	}
-	if err := w.K.RunFor(7 * 24 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(7 * 24 * time.Hour)
 
 	alive := esp.Flame.InfectedCount()
 	res := &Result{

@@ -46,15 +46,11 @@ func RunE4Sinkhole(env *Env, seed uint64) (*Result, error) {
 			}
 		}
 	}
-	if err := w.K.RunFor(12 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(12 * time.Hour)
 
 	// Disclosure: the FL operator sends its clients the suicide command.
 	variants[cnc.ClientFL].PushSuicideAll()
-	if err := w.K.RunFor(6 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(6 * time.Hour)
 	flAliveAfterSuicide := variants[cnc.ClientFL].InfectedCount()
 
 	// The research sinkhole: every attacker domain is re-pointed at the
@@ -73,9 +69,7 @@ func RunE4Sinkhole(env *Env, seed uint64) (*Result, error) {
 		w.Internet.RegisterDomain(reg.Domain, "198.51.100.250")
 	}
 	w.Internet.BindServer("198.51.100.250", sinkhole)
-	if err := w.K.RunFor(48 * time.Hour); err != nil {
-		return nil, err
-	}
+	w.K.RunFor(48 * time.Hour)
 
 	res := &Result{
 		ID:    "E4",

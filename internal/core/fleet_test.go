@@ -10,6 +10,7 @@ import (
 	"repro/internal/malware/shamoon"
 	"repro/internal/netsim"
 	"repro/internal/pe"
+	"repro/internal/users"
 )
 
 // c7Fingerprint runs a reduced C7 in the given seeding mode, and
@@ -38,6 +39,49 @@ func TestEagerLazySeedingEquivalence(t *testing.T) {
 	eager := c7Fingerprint(t, true)
 	if lazy != eager {
 		t.Fatalf("eager/lazy runs diverged:\n--- lazy ---\n%s\n--- eager ---\n%s", lazy, eager)
+	}
+}
+
+// TestEagerLazyPopulatedDocsEquivalence: in a populated fleet the user
+// layer writes documents as the run goes, on top of the seeded ones.
+// Every file under C:\Users must hold the same bytes whether document
+// content was materialised at write time or is generated on first read.
+func TestEagerLazyPopulatedDocsEquivalence(t *testing.T) {
+	userFiles := func(eager bool) map[string][]byte {
+		opts := C7Options(60)
+		opts.Activity = users.MixOffice
+		opts.EagerDocs = eager
+		f, err := BuildAramcoFleet(3, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.RunUntil(shamoon.AramcoTrigger.Add(-12 * time.Hour))
+		files := make(map[string][]byte)
+		for _, sc := range f.Sites {
+			if sc.Users == nil || sc.Users.Stats.DocWrites == 0 {
+				t.Fatalf("eager=%v: site %s wrote no user documents", eager, sc.LAN.Name)
+			}
+			for _, h := range sc.Hosts {
+				h.FS.Walk(`C:\Users`, func(n *host.FileNode) bool {
+					files[h.Name+"|"+n.Path] = n.Bytes()
+					return true
+				})
+			}
+		}
+		return files
+	}
+	lazy, eager := userFiles(false), userFiles(true)
+	if len(lazy) != len(eager) {
+		t.Fatalf("lazy fleet holds %d user files, eager %d", len(lazy), len(eager))
+	}
+	differ := 0
+	for path, want := range lazy {
+		if !bytes.Equal(eager[path], want) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d user files differ between eager and lazy documents", differ, len(lazy))
 	}
 }
 

@@ -94,6 +94,14 @@ func decodeResultPayload(data []byte) (*Result, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, err
 	}
+	// Snapshot.Merge indexes counts by bounds; a layout it cannot merge
+	// must fail here, not panic in the report.
+	for name, h := range p.Obs.Histograms {
+		if len(h.Counts) != len(h.Bounds)+1 {
+			return nil, fmt.Errorf("histogram %s has %d counts for %d bounds, want %d",
+				name, len(h.Counts), len(h.Bounds), len(h.Bounds)+1)
+		}
+	}
 	res := &Result{
 		ID: p.ID, Title: p.Title, Paper: p.Paper, Summary: p.Summary,
 		Metrics: p.Metrics, Notes: p.Notes, Blocks: p.Blocks,

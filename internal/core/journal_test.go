@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/users"
 )
 
@@ -285,4 +288,119 @@ func TestJournalReplaysDeterministicFailures(t *testing.T) {
 	if !ok || !rep.FromJournal || rep.Err == nil || rep.Err.Error() != first[0].Err.Error() {
 		t.Fatalf("journaled failure replay = ok=%v rep=%+v", ok, rep)
 	}
+}
+
+// freshF3Journal returns the bytes of a journal holding one completed F3
+// run at seed 1: the header line and the F3 record.
+func freshF3Journal(tb testing.TB) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "run.journal")
+	j, err := OpenJournal(path, false, 1, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	RunExperimentsOpts([]string{"F3"}, 1, RunOptions{Workers: 1, Journal: j})
+	if err := j.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// cutHistogram rewrites the F3 record of a fresh journal so that the
+// first histogram of its snapshot keeps one count, and re-hashes the
+// payload: the record passes its hash check, so only decoding can catch
+// the broken layout.
+func cutHistogram(tb testing.TB, journal []byte) []byte {
+	tb.Helper()
+	lines := bytes.Split(journal, []byte("\n"))
+	var rec journalRecord
+	if err := json.Unmarshal(lines[1], &rec); err != nil {
+		tb.Fatal(err)
+	}
+	var p resultPayload
+	if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		tb.Fatal(err)
+	}
+	names := make([]string, 0, len(p.Obs.Histograms))
+	for name := range p.Obs.Histograms {
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		tb.Fatal("test setup: F3 snapshot has no histogram")
+	}
+	slices.Sort(names)
+	h := p.Obs.Histograms[names[0]]
+	h.Counts = h.Counts[:1]
+	p.Obs.Histograms[names[0]] = h
+	payload, err := json.Marshal(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec.Payload, rec.Hash = payload, hashJournalBytes(payload)
+	if lines[1], err = json.Marshal(rec); err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.Join(lines, []byte("\n"))
+}
+
+// TestJournalMalformedHistogramRefused: a journaled snapshot whose
+// histogram has fewer counts than its bounds need would panic when the
+// run merges it into the -metrics snapshot. Its hash verifies, so it is
+// not crash damage: resuming from it is refused with an error that
+// names the experiment.
+func TestJournalMalformedHistogramRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	if err := os.WriteFile(path, cutHistogram(t, freshF3Journal(t)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, true, 1, nil)
+	if err == nil {
+		j.Close()
+		t.Fatal("resume from a journal with a cut histogram succeeded")
+	}
+	if !strings.Contains(err.Error(), "experiment F3") || !strings.Contains(err.Error(), "histogram") {
+		t.Fatalf("resume error = %v, want one naming experiment F3 and the histogram", err)
+	}
+}
+
+// FuzzOpenJournal holds the resume path to the contract for readers of
+// external bytes: any journal either fails to open with an error, or
+// opens into a Journal whose every replayed snapshot merges into an
+// empty snapshot and into itself without panicking, and which closes
+// cleanly.
+func FuzzOpenJournal(f *testing.F) {
+	fresh := freshF3Journal(f)
+	f.Add(fresh)
+	f.Add(append(slices.Clip(fresh), `{"kind":"experiment","id":"C1","seed":1,"hash":"dead`...))
+	flipped := bytes.Clone(fresh)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(flipped)
+	f.Add(cutHistogram(f, fresh))
+	// One file serves every input: a worker runs its inputs one at a time.
+	path := filepath.Join(f.TempDir(), "run.journal")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, true, 1, nil)
+		if err != nil {
+			return
+		}
+		for _, rep := range j.replayed {
+			if rep.Result == nil {
+				continue
+			}
+			var empty obs.Snapshot
+			empty.Merge(rep.Result.Obs)
+			self := rep.Result.Obs
+			self.Merge(rep.Result.Obs)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	})
 }

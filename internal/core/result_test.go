@@ -33,9 +33,7 @@ func captureKernels(t *testing.T) []*sim.Kernel {
 		b.WithCause(sim.Cause{Span: bRoot}, func() { b.OpenSpan(sim.CatInfect, "b", "b child", "") })
 	})
 	for _, k := range []*sim.Kernel{a, b} {
-		if err := k.RunFor(time.Minute); err != nil {
-			t.Fatal(err)
-		}
+		k.RunFor(time.Minute)
 	}
 	if a.SpanCount() != 2 || b.SpanCount() != 2 {
 		t.Fatalf("span counts = %d, %d; want 2, 2", a.SpanCount(), b.SpanCount())

@@ -104,9 +104,7 @@ func TestDeadlineAbortsLongExperiment(t *testing.T) {
 				time.Sleep(500 * time.Microsecond)
 			})
 		}
-		if err := w.K.RunFor(30_000 * time.Second); err != nil {
-			return nil, err
-		}
+		w.K.RunFor(30_000 * time.Second)
 		return nil, errors.New("ZZ-wall ran to completion under a deadline that should have reaped it")
 	})
 	rep := runOne(&Env{Deadline: 60 * time.Millisecond}, "ZZ-wall", 1)
@@ -144,9 +142,7 @@ func TestDeadlineReachesOffGoroutineWorld(t *testing.T) {
 				time.Sleep(500 * time.Microsecond)
 			})
 		}
-		if err := k.RunFor(30_000 * time.Second); err != nil {
-			return nil, err
-		}
+		k.RunFor(30_000 * time.Second)
 		return nil, errors.New("ZZ-off-goroutine ran to completion under a deadline that should have reaped it")
 	})
 	rep := runOne(&Env{Deadline: 60 * time.Millisecond}, "ZZ-off-goroutine", 1)
@@ -178,9 +174,7 @@ func TestShutdownCancelsInFlightAndSkipsQueued(t *testing.T) {
 				time.Sleep(500 * time.Microsecond)
 			})
 		}
-		if err := w.K.RunFor(30_000 * time.Second); err != nil {
-			return nil, err
-		}
+		w.K.RunFor(30_000 * time.Second)
 		return nil, errors.New("ZZ-interrupt survived the shutdown")
 	})
 	go func() {

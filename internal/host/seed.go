@@ -24,14 +24,8 @@ func (h *Host) SeedDocuments(user string, n int) (int64, int) {
 
 // SeedDocumentsSized is SeedDocuments with a maximum document size —
 // fleet-scale scenarios use small documents to keep tens of thousands of
-// hosts cheap.
-//
-// By default documents are seeded lazily: each file records the RNG stream
-// position its content starts from, and the host RNG skips over exactly the
-// draws an eager seeding would have consumed. The parent stream therefore
-// stays byte-identical to eager mode, and a later read generates exactly
-// the bytes an eager write would have stored (DESIGN.md §9). Hosts built
-// with WithEagerDocs materialise the bytes at seeding time instead.
+// hosts cheap. Each document's content is drawn from the host RNG by
+// WriteDoc.
 func (h *Host) SeedDocumentsSized(user string, n, maxBytes int) (int64, int) {
 	if maxBytes < 2048 {
 		maxBytes = 2048
@@ -43,25 +37,30 @@ func (h *Host) SeedDocumentsSized(user string, n, maxBytes int) (int64, int) {
 		ext := docExtensions[h.RNG.Intn(len(docExtensions))]
 		size := 1024 + h.RNG.Intn(maxBytes-1024)
 		path := fmt.Sprintf(`C:\Users\%s\%ss\report-%04d.%s`, user, folder, i, ext)
-		var err error
-		if h.EagerDocs {
-			data := h.RNG.Bytes(size)
-			docTransform(data)
-			err = h.FS.Write(path, data, 0, h.K.Now())
-		} else {
-			lc := LazyContent{Seed: h.RNG.State(), Len: size, Doc: true}
-			// Consume the same number of draws Bytes(size) would, so the
-			// stream position after seeding matches eager mode exactly.
-			h.RNG.Skip((size + 7) / 8)
-			err = h.FS.WriteLazy(path, lc, 0, h.K.Now())
-		}
-		if err != nil {
+		if err := h.WriteDoc(path, size, h.RNG); err != nil {
 			failed++
 			continue
 		}
 		total += int64(size)
 	}
 	return total, failed
+}
+
+// WriteDoc writes a generated document of size bytes at path, its content
+// drawn from rng. By default the document is lazy: the file records rng's
+// position and rng skips exactly the draws an eager write would consume,
+// so the stream after the call is the same in both modes and a later read
+// generates exactly the bytes an eager write would have stored (DESIGN.md
+// §9). Hosts built with WithEagerDocs materialise the bytes at once.
+func (h *Host) WriteDoc(path string, size int, rng *sim.RNG) error {
+	if h.EagerDocs {
+		data := rng.Bytes(size)
+		docTransform(data)
+		return h.FS.Write(path, data, 0, h.K.Now())
+	}
+	lc := LazyContent{Seed: rng.State(), Len: size, Doc: true}
+	rng.Skip((size + 7) / 8)
+	return h.FS.WriteLazy(path, lc, 0, h.K.Now())
 }
 
 // BrowserLogin is one stored browser credential.

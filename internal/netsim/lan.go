@@ -359,9 +359,13 @@ func (l *LAN) CopyToShare(from *host.Host, target, remotePath string, data []byt
 		return fmt.Errorf("%w: smb copy to %s", ErrPacketLoss, target)
 	}
 	l.mSMBCopy.Inc()
-	l.K.Trace().Emit(l.K.Now(), sim.CatSpread, from.Name,
-		fmt.Sprintf("smb copy to \\\\%s%s (%d bytes)", target, remotePath, len(data)),
-		obs.T("target", target), obs.Ti("bytes", int64(len(data))))
+	if tr := l.K.Trace(); tr.Live() {
+		tr.Emit(l.K.Now(), sim.CatSpread, from.Name,
+			fmt.Sprintf("smb copy to \\\\%s%s (%d bytes)", target, remotePath, len(data)),
+			obs.T("target", target), obs.Ti("bytes", int64(len(data))))
+	} else {
+		tr.Emit(l.K.Now(), sim.CatSpread, from.Name, "")
+	}
 	return n.Host.FS.WriteShared(remotePath, data, 0, l.K.Now())
 }
 
@@ -410,9 +414,13 @@ func (l *LAN) RemoteExec(from *host.Host, target, remotePath string) error {
 		return fmt.Errorf("%w: psexec on %s", ErrPacketLoss, target)
 	}
 	l.mPsexec.Inc()
-	l.K.Trace().Emit(l.K.Now(), sim.CatSpread, from.Name,
-		fmt.Sprintf("psexec \\\\%s %s", target, remotePath),
-		obs.T("target", target))
+	if tr := l.K.Trace(); tr.Live() {
+		tr.Emit(l.K.Now(), sim.CatSpread, from.Name,
+			fmt.Sprintf("psexec \\\\%s %s", target, remotePath),
+			obs.T("target", target))
+	} else {
+		tr.Emit(l.K.Now(), sim.CatSpread, from.Name, "")
+	}
 	var err error
 	l.K.WithCause(sim.Cause{Span: l.K.Cause().Span, Vector: "psexec"}, func() {
 		_, err = n.Host.ExecuteFile(remotePath, true)

@@ -32,9 +32,13 @@ func (in *Internet) RegisterRemoteDomain(name string, ip IP, forward func(*Reque
 	in.RegisterDomain(name, ip)
 	in.BindServer(ip, HandlerFunc(func(req *Request) *Response {
 		remote.Inc()
-		in.K.Trace().Emit(in.K.Now(), sim.CatNetwork, "internet",
-			fmt.Sprintf("queue http://%s%s for cross-partition delivery", req.Host, req.Path),
-			obs.T("dest", req.Host))
+		if tr := in.K.Trace(); tr.Live() {
+			tr.Emit(in.K.Now(), sim.CatNetwork, "internet",
+				fmt.Sprintf("queue http://%s%s for cross-partition delivery", req.Host, req.Path),
+				obs.T("dest", req.Host))
+		} else {
+			tr.Emit(in.K.Now(), sim.CatNetwork, "internet", "")
+		}
 		forward(req)
 		return OK(nil)
 	}))

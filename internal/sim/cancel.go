@@ -6,17 +6,17 @@ import (
 	"time"
 )
 
-// Run cancellation (DESIGN.md §13). A supervisor — the stall watchdog, a
-// wall-clock deadline, or the signal handler — asks a running kernel to
-// stop with CancelRun; the kernel honours the request at the next step
-// boundary, between events, so no handler is ever torn mid-flight. The
-// abort releases every still-queued pooled event (get/put balance holds
-// even for aborted runs) and unwinds as a *Cancelled panic that the
-// experiment runner converts into a partial RunReport. Cancellation is
-// the only wall-clock-triggered control flow allowed to touch a kernel,
-// and it may only ever abort: it writes nothing to the trace or the
-// metrics registry, so completed experiments' bytes are unaffected by a
-// sibling's abort.
+// Run cancellation (DESIGN.md §13). CancelRun is the only way to halt a
+// run early. A supervisor — the stall watchdog, a wall-clock deadline, or
+// the signal handler — asks a running kernel to stop with it; the kernel
+// honours the request at the next step boundary, between events, so no
+// handler is ever torn mid-flight. The abort releases every still-queued
+// pooled event (get/put balance holds even for aborted runs) and unwinds
+// as a *Cancelled panic that the experiment runner converts into a
+// partial RunReport. Cancellation is the only wall-clock-triggered
+// control flow allowed to touch a kernel, and it may only ever abort: it
+// writes nothing to the trace or the metrics registry, so completed
+// experiments' bytes are unaffected by a sibling's abort.
 
 // ErrCancelled is the generic cancellation cause used when CancelRun is
 // given a nil cause.
@@ -96,10 +96,6 @@ func (k *Kernel) CancelRun(cause error) {
 	k.cancelReq.CompareAndSwap(nil, &cancelState{cause: cause})
 }
 
-// CancelRequested reports whether a cancellation is pending but not yet
-// honoured (the kernel has not reached a step boundary since).
-func (k *Kernel) CancelRequested() bool { return k.cancelReq.Load() != nil }
-
 // Diagnostic snapshots the kernel's step-boundary state. Must only be
 // called from the kernel's goroutine (it reads unsynchronised state).
 func (k *Kernel) Diagnostic() Diagnostic {
@@ -116,24 +112,18 @@ func (k *Kernel) Diagnostic() Diagnostic {
 	return d
 }
 
-// takeCancel consumes a pending cancellation request, if any.
-func (k *Kernel) takeCancel() *cancelState {
-	c := k.cancelReq.Load()
-	if c != nil && k.cancelReq.CompareAndSwap(c, nil) {
-		return c
-	}
-	return nil
-}
-
 // abortIfCancelled honours a pending CancelRun at a step boundary:
-// snapshot the diagnostic, return every queued event to the pool, and
-// unwind. Nothing is written to the trace or metrics — the abort path
-// must not observe-and-mutate the deterministic plane (DESIGN.md §13).
+// consume the request, snapshot the diagnostic, return every queued
+// event to the pool, and unwind. Only the kernel's own goroutine clears
+// the request. Nothing is written to the trace or metrics — the abort
+// path must not observe-and-mutate the deterministic plane (DESIGN.md
+// §13).
 func (k *Kernel) abortIfCancelled() {
-	c := k.takeCancel()
+	c := k.cancelReq.Load()
 	if c == nil {
 		return
 	}
+	k.cancelReq.Store(nil)
 	diag := k.Diagnostic()
 	k.releasePending()
 	panic(&Cancelled{Cause: c.cause, Diag: diag})

@@ -120,7 +120,11 @@ func TestCancelRunFirstCauseWins(t *testing.T) {
 	if c == nil || !errors.Is(c, ErrDeadline) {
 		t.Fatalf("cause = %v, want first cause ErrDeadline", c)
 	}
-	if k.CancelRequested() {
+	// The abort consumed the request: the next run proceeds normally.
+	fired := false
+	k.Schedule(time.Second, "after", func() { fired = true })
+	k.RunFor(time.Hour)
+	if !fired {
 		t.Fatal("cancel request not consumed by the abort")
 	}
 }
@@ -139,9 +143,7 @@ func TestAttachProbeChains(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		k.Schedule(time.Duration(i+1)*time.Second, "tick", fn)
 	}
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	k.RunFor(time.Hour)
 	if a.samples != 2 || b.samples != 2 {
 		t.Fatalf("probe samples = %d/%d, want 2/2 (25 steps at cadence 10)", a.samples, b.samples)
 	}

@@ -15,7 +15,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -28,10 +27,6 @@ import (
 // Epoch is the default virtual start time of a simulation: shortly before
 // the Stuxnet campaign window described in the paper.
 var Epoch = time.Date(2010, time.June, 1, 0, 0, 0, 0, time.UTC)
-
-// ErrStopped is returned by Run variants when the kernel was stopped
-// explicitly via Stop before the run condition was reached.
-var ErrStopped = errors.New("sim: kernel stopped")
 
 // Sample is one wall-clock-plane observation of a running kernel,
 // delivered to a Probe from inside the hot loop. Everything in it is
@@ -234,13 +229,12 @@ type Kernel struct {
 	// free recycles fired/cancelled Event structs. A 30,000-host timer
 	// storm schedules millions of events; without the pool every one is a
 	// fresh heap allocation that survives until the next GC cycle.
-	free    []*Event
-	rng     *RNG
-	trace   *Trace
-	stopped bool
-	steps   uint64
-	spans   uint64 // last span ID allocated by OpenSpan
-	cause   Cause  // ambient causal context
+	free  []*Event
+	rng   *RNG
+	trace *Trace
+	steps uint64
+	spans uint64 // last span ID allocated by OpenSpan
+	cause Cause  // ambient causal context
 
 	metrics *obs.Registry
 	// Cached counter handles: scheduling and stepping are the hottest
@@ -571,13 +565,6 @@ func (k *Kernel) Cancel(t Timer) {
 	k.release(ev)
 }
 
-// Stop halts the current Run call after the in-flight event completes.
-// When no run is active, the stop is latched: the next RunUntil/RunFor/
-// Drain call aborts immediately without executing any event. Each run
-// consumes the latch on exit, so a stopped run never poisons the one
-// after it.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed. A pending
 // CancelRun is honoured here, before the next event is popped — the
@@ -654,32 +641,22 @@ func sanitizeMetricWord(s string) string {
 	return string(b)
 }
 
-// RunUntil executes events until the queue is empty, the kernel is stopped,
-// or the next event would fire after deadline. The clock is advanced to
-// deadline when the run completes normally with time left.
-func (k *Kernel) RunUntil(deadline time.Time) error {
-	for !k.stopped {
-		if len(k.queue) == 0 {
-			break
-		}
-		if k.queue[0].ev.at.After(deadline) {
-			break
-		}
+// RunUntil executes events until the queue is empty or the next event
+// would fire after deadline, then advances the clock to deadline if it is
+// not there yet. The only way to halt a run early is CancelRun, which
+// unwinds at a step boundary (cancel.go).
+func (k *Kernel) RunUntil(deadline time.Time) {
+	for len(k.queue) > 0 && !k.queue[0].ev.at.After(deadline) {
 		k.Step()
-	}
-	if k.stopped {
-		k.stopped = false
-		return ErrStopped
 	}
 	if k.now.Before(deadline) {
 		k.now = deadline
 	}
-	return nil
 }
 
 // RunFor is RunUntil(now + d).
-func (k *Kernel) RunFor(d time.Duration) error {
-	return k.RunUntil(k.now.Add(d))
+func (k *Kernel) RunFor(d time.Duration) {
+	k.RunUntil(k.now.Add(d))
 }
 
 // Drain executes events until the queue is empty or maxSteps events have
@@ -687,12 +664,8 @@ func (k *Kernel) RunFor(d time.Duration) error {
 // guard against self-perpetuating schedules (periodic timers).
 func (k *Kernel) Drain(maxSteps uint64) uint64 {
 	var n uint64
-	for n < maxSteps && !k.stopped {
-		if !k.Step() {
-			break
-		}
+	for n < maxSteps && k.Step() {
 		n++
 	}
-	k.stopped = false
 	return n
 }

@@ -25,9 +25,7 @@ func TestScheduleAdvancesClock(t *testing.T) {
 	k := NewKernel()
 	var fired time.Time
 	k.Schedule(5*time.Minute, "ping", func() { fired = k.Now() })
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(time.Hour)
 	want := Epoch.Add(5 * time.Minute)
 	if !fired.Equal(want) {
 		t.Errorf("event fired at %v, want %v", fired, want)
@@ -112,16 +110,12 @@ func TestEvery(t *testing.T) {
 	k := NewKernel()
 	n := 0
 	cancel := k.Every(10*time.Minute, "tick", func() { n++ })
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(time.Hour)
 	if n != 6 {
 		t.Fatalf("ticks = %d, want 6", n)
 	}
 	cancel()
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(time.Hour)
 	if n != 6 {
 		t.Fatalf("ticks after cancel = %d, want 6", n)
 	}
@@ -153,9 +147,7 @@ func TestEveryCancelInsideTickLeavesQueueEmpty(t *testing.T) {
 			cancel()
 		}
 	})
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(time.Hour)
 	if n != 2 {
 		t.Fatalf("ticks = %d, want 2", n)
 	}
@@ -174,82 +166,9 @@ func TestEveryCancelFromWithinTick(t *testing.T) {
 			cancel()
 		}
 	})
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(time.Hour)
 	if n != 3 {
 		t.Fatalf("ticks = %d, want 3", n)
-	}
-}
-
-func TestStopInterruptsRun(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	k.Every(time.Minute, "tick", func() {
-		n++
-		if n == 2 {
-			k.Stop()
-		}
-	})
-	err := k.RunFor(time.Hour)
-	if err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if n != 2 {
-		t.Fatalf("ticks = %d, want 2", n)
-	}
-}
-
-func TestStopBeforeRunAbortsNextRun(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	k.Schedule(time.Second, "e", func() { fired = true })
-	k.Stop()
-	if err := k.RunFor(time.Hour); err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped (pre-run Stop was erased)", err)
-	}
-	if fired {
-		t.Fatal("event fired despite pre-run Stop")
-	}
-	// The latch is consumed: the following run proceeds normally.
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("second RunFor: %v", err)
-	}
-	if !fired {
-		t.Fatal("event did not fire after the latch was consumed")
-	}
-}
-
-func TestStopLatchConsumedByInterruptedRun(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	k.Every(time.Minute, "tick", func() {
-		n++
-		if n == 2 {
-			k.Stop()
-		}
-	})
-	if err := k.RunFor(time.Hour); err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	// A stopped run must not poison the next one.
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("run after stop: %v", err)
-	}
-	if n <= 2 {
-		t.Fatalf("ticks = %d, want > 2 after resuming", n)
-	}
-}
-
-func TestStopBeforeDrain(t *testing.T) {
-	k := NewKernel()
-	k.Schedule(time.Second, "e", func() {})
-	k.Stop()
-	if n := k.Drain(10); n != 0 {
-		t.Fatalf("Drain after pre-Stop executed %d events, want 0", n)
-	}
-	if n := k.Drain(10); n != 1 {
-		t.Fatalf("Drain after consumed latch executed %d events, want 1", n)
 	}
 }
 
@@ -257,9 +176,7 @@ func TestRunUntilDoesNotExecuteLaterEvents(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	k.Schedule(2*time.Hour, "late", func() { fired = true })
-	if err := k.RunFor(time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(time.Hour)
 	if fired {
 		t.Fatal("event beyond deadline fired")
 	}

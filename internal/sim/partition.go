@@ -175,14 +175,13 @@ func (ps *PartitionSet) earliestEvent() (time.Time, bool) {
 // skipped in one hop: a window always opens at the earliest queued
 // event across the set.
 //
-// If any partition's run is torn down by CancelRun — the supervisor's
-// cancel path (DESIGN.md §13) — the cancellation fans out to every
-// sibling partition, each shard releases its pending events back to
-// its pool, and the first abort re-panics on the calling goroutine as
-// a *Cancelled, exactly like a single-kernel supervised run.
-func (ps *PartitionSet) RunUntil(deadline time.Time, workers int) error {
+// The set adds no cancellation of its own (DESIGN.md §13/§14): a
+// supervisor cancels every shard kernel, each shard unwinds at its next
+// step boundary, and RunPool relays the lowest-index shard's *Cancelled
+// (or any other panic) to the calling goroutine after the window's
+// join, exactly like a single supervised kernel.
+func (ps *PartitionSet) RunUntil(deadline time.Time, workers int) {
 	for {
-		ps.abortIfCancelRequested()
 		next, ok := ps.earliestEvent()
 		if !ok || next.After(deadline) {
 			break
@@ -191,109 +190,18 @@ func (ps *PartitionSet) RunUntil(deadline time.Time, workers int) error {
 		if end.After(deadline) {
 			end = deadline
 		}
-		if err := ps.advance(end, workers); err != nil {
-			return err
-		}
+		RunPool(len(ps.parts), workers, func(i int) {
+			p := ps.parts[i]
+			t0 := time.Now()
+			p.K.RunUntil(end)
+			p.wall += time.Since(t0)
+		})
 		ps.deliverAll(end)
 	}
 	// Nothing left at or before the deadline: advance every clock to it.
 	for _, p := range ps.parts {
-		if err := p.K.RunUntil(deadline); err != nil {
-			return err
-		}
+		p.K.RunUntil(deadline)
 	}
-	return nil
-}
-
-// advance runs every partition's kernel to the window end, fanning the
-// shards across a bounded worker pool. Workers recover *Cancelled
-// panics (a panic on a bare goroutine would kill the process); the
-// coordinator then fans the cancellation out and re-panics.
-func (ps *PartitionSet) advance(end time.Time, workers int) error {
-	errs := make([]error, len(ps.parts))
-	panics := make([]any, len(ps.parts))
-	RunPool(len(ps.parts), workers, func(i int) {
-		p := ps.parts[i]
-		t0 := time.Now()
-		defer func() {
-			p.wall += time.Since(t0)
-			if r := recover(); r != nil {
-				panics[i] = r
-			}
-		}()
-		errs[i] = p.K.RunUntil(end)
-	})
-	for i := range ps.parts {
-		if panics[i] != nil {
-			ps.abortAll(i, panics[i])
-		}
-	}
-	for i := range ps.parts {
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	return nil
-}
-
-// abortIfCancelRequested promptly honours a CancelRun that landed while
-// the set was between windows (or on an idle shard that would never
-// step again): it fans out and unwinds just like a mid-window abort.
-func (ps *PartitionSet) abortIfCancelRequested() {
-	for i, p := range ps.parts {
-		if p.K.CancelRequested() {
-			ps.abortAll(i, nil)
-		}
-	}
-}
-
-// abortAll tears the whole set down after partition `first` aborted
-// (cause is its recovered panic) or was found with a cancel pending
-// (cause nil): every sibling gets the cancellation, every shard
-// releases its pending events back to its pool (the supervisor's leak
-// audit spans all partition kernels), and the abort unwinds to the
-// caller. Non-Cancelled panics propagate as-is without cancelling
-// siblings — a programming error must not be dressed up as a
-// supervised abort.
-func (ps *PartitionSet) abortAll(first int, cause any) {
-	cc, isCancel := cause.(*Cancelled)
-	if cause == nil {
-		// Materialise the pending cancel into a *Cancelled so the fan-out
-		// carries the original cause.
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if c, ok := r.(*Cancelled); ok {
-						cc, isCancel = c, true
-					} else {
-						cause = r
-					}
-				}
-			}()
-			ps.parts[first].K.abortIfCancelled()
-		}()
-		if !isCancel && cause == nil {
-			return // the cancel raced away; nothing to unwind
-		}
-	}
-	if !isCancel {
-		panic(cause)
-	}
-	for j, sib := range ps.parts {
-		if j != first {
-			sib.K.CancelRun(cc.Cause)
-		}
-	}
-	for j, sib := range ps.parts {
-		if j == first {
-			continue
-		}
-		func() {
-			defer func() { _ = recover() }()
-			sib.K.abortIfCancelled()
-		}()
-	}
-	panic(cc)
 }
 
 // deliverAll is the epoch barrier's mailbox exchange: every outbox

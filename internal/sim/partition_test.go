@@ -39,9 +39,7 @@ func TestPartitionMailboxOrdering(t *testing.T) {
 	})
 	k1.Schedule(3*time.Minute, "send", func() { p1.Send(0, "c", "k1-late") })
 
-	if err := ps.RunUntil(Epoch.Add(2*time.Hour), 1); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	ps.RunUntil(Epoch.Add(2*time.Hour), 1)
 
 	// Window opens at the earliest event (+1m) and closes at +1h1m; every
 	// message lands there, ordered (At, From, Seq).
@@ -108,9 +106,7 @@ func TestPartitionWorkerCountInvariance(t *testing.T) {
 	var base string
 	for _, workers := range []int{1, 2, 4, 8} {
 		ps := buildPingRing(4)
-		if err := ps.RunUntil(deadline, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		ps.RunUntil(deadline, workers)
 		fp := traceFingerprint(ps)
 		if base == "" {
 			base = fp
@@ -138,9 +134,7 @@ func TestPartitionIdleFastForward(t *testing.T) {
 	// million one-minute windows.
 	k0.ScheduleAt(Epoch.AddDate(1, 0, 0), "late", func() { p0.Send(1, "late", nil) })
 	deadline := Epoch.AddDate(1, 0, 1)
-	if err := ps.RunUntil(deadline, 1); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	ps.RunUntil(deadline, 1)
 	if len(got) != 1 {
 		t.Fatalf("deliveries = %v, want 1", got)
 	}
@@ -151,11 +145,22 @@ func TestPartitionIdleFastForward(t *testing.T) {
 	}
 }
 
-// TestPartitionCancelFanOut: a CancelRun landing on ONE shard of a
-// partitioned run must tear down the whole set — siblings get the same
-// cause, every shard's queue is released back to its pool, and the
-// abort unwinds as a *Cancelled, exactly like a single supervised
-// kernel (DESIGN.md §13/§14).
+// checkLedger fails the test unless every event k took from its pool was
+// returned or is still queued: a shard that never stepped into the
+// cancel keeps its queue, one that aborted released it.
+func checkLedger(t *testing.T, label string, k *Kernel) {
+	t.Helper()
+	st := k.PoolStats()
+	if gets, accounted := st.Hits+st.Misses, st.Puts+uint64(k.Pending()); gets != accounted {
+		t.Errorf("%s: pool ledger %d gets, %d puts + pending", label, gets, accounted)
+	}
+}
+
+// TestPartitionCancelFanOut: the supervisor cancels every shard kernel of
+// a partitioned run, as the experiment scope does (DESIGN.md §13/§14),
+// here from inside a window while the shards may run side by side. Each
+// shard unwinds at its next step, the set relays the lowest-index shard's
+// *Cancelled after the window's join, and every ledger balances.
 func TestPartitionCancelFanOut(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ps := NewPartitionSet(15 * time.Minute)
@@ -167,15 +172,17 @@ func TestPartitionCancelFanOut(t *testing.T) {
 			p.OnDeliver(func(Message) {})
 			k.Every(5*time.Minute, fmt.Sprintf("tick:%d", i), func() {})
 		}
-		// Partition 1 hits its own deadline mid-window: a deterministic
-		// stand-in for the watchdog's cross-goroutine CancelRun.
+		// Partition 1 hits the deadline mid-window: a deterministic
+		// stand-in for the supervisor's cross-goroutine cancel.
 		kernels[1].Schedule(30*time.Minute, "trip", func() {
-			kernels[1].CancelRun(ErrDeadline)
+			for _, k := range kernels {
+				k.CancelRun(ErrDeadline)
+			}
 		})
 		var recovered any
 		func() {
 			defer func() { recovered = recover() }()
-			_ = ps.RunUntil(Epoch.Add(4*time.Hour), workers)
+			ps.RunUntil(Epoch.Add(4*time.Hour), workers)
 		}()
 		c, ok := AsCancelled(recovered)
 		if !ok {
@@ -184,48 +191,59 @@ func TestPartitionCancelFanOut(t *testing.T) {
 		if !errors.Is(c, ErrDeadline) {
 			t.Errorf("workers=%d: cause = %v, want ErrDeadline", workers, c.Cause)
 		}
+		// Every shard ticks forever, so an empty queue marks an abort.
+		first := -1
 		for i, k := range kernels {
-			if k.Pending() != 0 {
-				t.Errorf("workers=%d: partition %d still has %d queued events after abort", workers, i, k.Pending())
+			checkLedger(t, fmt.Sprintf("workers=%d partition %d", workers, i), k)
+			if first < 0 && k.Pending() == 0 {
+				first = i
 			}
-			if st := k.PoolStats(); !st.Balanced() {
-				t.Errorf("workers=%d: partition %d pool leak: %+v", workers, i, st)
-			}
-			if k.CancelRequested() {
-				t.Errorf("workers=%d: partition %d cancel left pending", workers, i)
-			}
+		}
+		want := fmt.Sprintf("tick:%d", first)
+		if first == 1 {
+			want = "trip"
+		}
+		if c.Diag.LastHandler != want {
+			t.Errorf("workers=%d: relayed abort of last handler %q, want partition %d's (%q)",
+				workers, c.Diag.LastHandler, first, want)
 		}
 	}
 }
 
-// TestPartitionCancelBetweenWindows: a cancel latched before the run
-// starts (e.g. the process-wide shutdown path) is honoured before the
-// first window opens, and still fans out.
+// TestPartitionCancelBetweenWindows: a cancel that reaches every shard
+// before the run starts (the shutdown path) aborts each shard at its
+// first step, so no event runs, and still unwinds as *Cancelled.
 func TestPartitionCancelBetweenWindows(t *testing.T) {
-	ps := NewPartitionSet(time.Minute)
-	var kernels []*Kernel
-	for i := 0; i < 2; i++ {
-		k := NewKernel()
-		kernels = append(kernels, k)
-		ps.Add(k).OnDeliver(func(Message) {})
-		k.Schedule(time.Minute, "work", func() {})
-	}
-	kernels[1].CancelRun(nil)
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		_ = ps.RunUntil(Epoch.Add(time.Hour), 1)
-	}()
-	c, ok := AsCancelled(recovered)
-	if !ok {
-		t.Fatalf("run did not unwind as *Cancelled: %v", recovered)
-	}
-	if !errors.Is(c, ErrCancelled) {
-		t.Errorf("cause = %v, want ErrCancelled", c.Cause)
-	}
-	for i, k := range kernels {
-		if k.Pending() != 0 || !k.PoolStats().Balanced() {
-			t.Errorf("partition %d not wound down: pending=%d pool=%+v", i, k.Pending(), k.PoolStats())
+	for _, workers := range []int{1, 2} {
+		ps := NewPartitionSet(time.Minute)
+		var kernels []*Kernel
+		ran := make([]int, 2)
+		for i := range ran {
+			k := NewKernel()
+			kernels = append(kernels, k)
+			ps.Add(k).OnDeliver(func(Message) {})
+			k.Schedule(time.Minute, "work", func() { ran[i]++ })
+		}
+		for _, k := range kernels {
+			k.CancelRun(nil)
+		}
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			ps.RunUntil(Epoch.Add(time.Hour), workers)
+		}()
+		c, ok := AsCancelled(recovered)
+		if !ok {
+			t.Fatalf("workers=%d: run did not unwind as *Cancelled: %v", workers, recovered)
+		}
+		if !errors.Is(c, ErrCancelled) {
+			t.Errorf("workers=%d: cause = %v, want ErrCancelled", workers, c.Cause)
+		}
+		if ran[0]+ran[1] != 0 {
+			t.Errorf("workers=%d: events ran after the cancel: %v", workers, ran)
+		}
+		for i, k := range kernels {
+			checkLedger(t, fmt.Sprintf("workers=%d partition %d", workers, i), k)
 		}
 	}
 }
@@ -262,16 +280,14 @@ func TestPartitionNoHandlerPanics(t *testing.T) {
 			t.Fatal("delivery to handler-less partition did not panic")
 		}
 	}()
-	_ = ps.RunUntil(Epoch.Add(time.Hour), 1)
+	ps.RunUntil(Epoch.Add(time.Hour), 1)
 }
 
 // TestPartitionStats: the wall-clock shard accounting used by the
 // runstats manifest counts each kernel's steps and sends.
 func TestPartitionStats(t *testing.T) {
 	ps := buildPingRing(2)
-	if err := ps.RunUntil(Epoch.Add(time.Hour), 2); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	ps.RunUntil(Epoch.Add(time.Hour), 2)
 	stats := ps.Stats()
 	if len(stats) != 2 {
 		t.Fatalf("stats len = %d", len(stats))

@@ -429,27 +429,18 @@ func (p *Population) breadcrumb(a *Agent, verb, object string) {
 }
 
 // writeDoc creates or rewrites one document in the agent's rotating slot
-// set. Content is lazy-COW exactly like host.SeedDocumentsSized: the file
-// records the RNG position and the stream skips what eager generation
-// would have consumed — so a populated 30k fleet stays cheap and a later
-// read (or wipe) sees the same bytes either way. The slot cap bounds
-// per-host file growth however long the run.
+// set. Its content comes from the agent's stream through host.WriteDoc,
+// the writer seeding uses too: lazy by default, so a populated 30k fleet
+// stays cheap, and a later read (or wipe) sees the same bytes in eager
+// and lazy mode. The slot cap bounds per-host file growth however long
+// the run.
 func (p *Population) writeDoc(a *Agent) {
 	slot := a.docSlot % docSlots
 	a.docSlot++
 	name := docNames[slot*len(docExts)+a.rng.Intn(len(docExts))]
 	size := 1024 + a.rng.Intn(p.cfg.DocBytes-1024)
 	path := `C:\Users\` + a.user + `\documents\` + name
-	var err error
-	if a.H.EagerDocs {
-		data := a.rng.Bytes(size)
-		err = a.H.FS.Write(path, data, 0, p.K.Now())
-	} else {
-		lc := host.LazyContent{Seed: a.rng.State(), Len: size, Doc: true}
-		a.rng.Skip((size + 7) / 8)
-		err = a.H.FS.WriteLazy(path, lc, 0, p.K.Now())
-	}
-	if err != nil {
+	if err := a.H.WriteDoc(path, size, a.rng); err != nil {
 		p.refused(a)
 		return
 	}

@@ -87,9 +87,7 @@ func TestAttachRejectsEmptyMix(t *testing.T) {
 func TestDeterministicStream(t *testing.T) {
 	run := func() ([]byte, Stats) {
 		k, p := smallWorld(t, 7, 12, MixEnterprise, false)
-		if err := k.RunFor(72 * time.Hour); err != nil {
-			t.Fatalf("RunFor: %v", err)
-		}
+		k.RunFor(72 * time.Hour)
 		var buf bytes.Buffer
 		if err := obs.WriteJSONL(&buf, k.Trace().Events()); err != nil {
 			t.Fatalf("WriteJSONL: %v", err)
@@ -115,9 +113,7 @@ func TestDeterministicStream(t *testing.T) {
 // the admin round emits the RDP/psexec pair.
 func TestActionsEmitSubstrateTelemetry(t *testing.T) {
 	k, p := smallWorld(t, 3, 12, MixEnterprise, false)
-	if err := k.RunFor(7 * 24 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(7 * 24 * time.Hour)
 	tr := k.Trace()
 	if p.Stats.DocWrites == 0 || tr.Count(sim.CatUser) == 0 {
 		t.Fatalf("no documents or no user breadcrumbs: %+v", p.Stats)
@@ -168,9 +164,7 @@ func traceHas(tr *sim.Trace, substr string) bool {
 // at the benign users.session root.
 func TestSessionSpanAttribution(t *testing.T) {
 	k, p := smallWorld(t, 5, 6, MixOffice, false)
-	if err := k.RunFor(48 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(48 * time.Hour)
 	sessions := map[string]struct{ span uint64 }{}
 	for _, a := range p.Agents {
 		sessions[a.H.Name] = struct{ span uint64 }{uint64(a.Session)}
@@ -200,23 +194,17 @@ func TestWorkHoursGate(t *testing.T) {
 	k, p := smallWorld(t, 9, 4, MixOffice, false)
 	// 00:00 → 07:30 is entirely off-shift for office workers (the 08:00
 	// tick itself is the first in-shift one).
-	if err := k.RunFor(7*time.Hour + 30*time.Minute); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(7*time.Hour + 30*time.Minute)
 	if got := p.Stats.Actions(); got != 0 {
 		t.Fatalf("office agents acted %d times before 08:00", got)
 	}
-	if err := k.RunFor(4 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(4 * time.Hour)
 	if p.Stats.Actions() == 0 {
 		t.Fatal("office agents idle during work hours")
 	}
 
 	k2, p2 := smallWorld(t, 9, 4, MixKiosk, false)
-	if err := k2.RunFor(6 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k2.RunFor(6 * time.Hour)
 	if p2.Stats.WebVisits == 0 {
 		t.Fatal("kiosks idle overnight")
 	}
@@ -226,9 +214,7 @@ func TestWorkHoursGate(t *testing.T) {
 // while eliding cat=user record formatting (fleet-benchmark fast path).
 func TestMutedFleetSkipsBreadcrumbs(t *testing.T) {
 	k, p := smallWorld(t, 11, 8, MixOffice, true)
-	if err := k.RunFor(48 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(48 * time.Hour)
 	if p.Stats.Actions() == 0 {
 		t.Fatal("muted population did nothing")
 	}
@@ -245,9 +231,7 @@ func TestMutedFleetSkipsBreadcrumbs(t *testing.T) {
 	// Same seed unmuted: identical Stats, proving muting changes only
 	// observation, never behaviour.
 	k2, p2 := smallWorld(t, 11, 8, MixOffice, false)
-	if err := k2.RunFor(48 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k2.RunFor(48 * time.Hour)
 	if p.Stats != p2.Stats {
 		t.Fatalf("muting changed behaviour: %+v vs %+v", p.Stats, p2.Stats)
 	}
@@ -257,9 +241,7 @@ func TestMutedFleetSkipsBreadcrumbs(t *testing.T) {
 // users.<noun>.<verb> prefix.
 func TestBreadcrumbTaxonomy(t *testing.T) {
 	k, _ := smallWorld(t, 13, 10, MixEnterprise, false)
-	if err := k.RunFor(5 * 24 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(5 * 24 * time.Hour)
 	for _, e := range k.Trace().Filter(sim.CatUser) {
 		head := strings.SplitN(e.Msg, " ", 2)[0]
 		parts := strings.Split(head, ".")
@@ -275,9 +257,7 @@ func TestDownHostGoesQuiet(t *testing.T) {
 	for _, a := range p.Agents {
 		a.H.Down = true
 	}
-	if err := k.RunFor(24 * time.Hour); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	k.RunFor(24 * time.Hour)
 	if p.Stats.Actions() != 0 {
 		t.Fatalf("downed hosts acted: %+v", p.Stats)
 	}
