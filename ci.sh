@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the repository. Runs the tier-1 verify (build + full tests)
-# plus formatting, vet, and a race lane that exercises the parallel
-# experiment runner (worker pool + multi-seed sweep over the fast F3 / C1 /
-# C8 subset) and every package that participates in it.
+# plus formatting, vet, race lanes over every package that runs work on
+# more than one goroutine, fuzz lanes for the readers of external bytes,
+# and the drift gates.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -32,60 +32,35 @@ go test -timeout 900s ./...
 go vet -C benchmark ./...
 go test -C benchmark -timeout 300s .
 
-# Race lane: prove the parallel runner is race-clean. Each experiment owns
-# an independent world, so these only fail if shared mutable state sneaks
-# into a substrate package. The Fault|Resilience sweep runs the adversity
-# engine and the R-series under -race across every touched package. pki
-# rides along because its verified-signature memo is shared on purpose by
-# every host clone of a world's trust store (DESIGN.md §9). cnc and
-# analysis fan pure work out on sim.RunPool inside one step (the
-# coordinator's DecryptAll, CompareSamples' fingerprints); their
-# width-invariance tests run 1, 2 and 7 workers here, as does the pool's
-# own panic-relay test in sim.
-go test -race -timeout 300s -run 'Parallel|Sweep|RaceLane' ./internal/core
-go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/analysis ./internal/faults ./internal/pki
+# Substrate race lane: every package below runs whole under -race, once.
+# Each experiment owns an independent world, so these fail only if shared
+# mutable state sneaks into the substrate or into what crosses goroutines
+# on purpose: the kernel's cancel requests and partition mailboxes (sim,
+# netsim), the pool fan-outs inside one step (cnc's DecryptAll,
+# analysis.CompareSamples), pki's verified-signature memo shared by every
+# host clone of a trust store (DESIGN.md §9), the live-trace subscribers
+# (detect, the CNI campaign, users), obs.ParseJSONL's chunk workers with
+# provenance rebuilding from their output (§6), and the runstats
+# collector fed by every kernel probe and the progress ticker (§12).
+go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/analysis \
+    ./internal/faults ./internal/pki ./internal/detect ./internal/malware/cni ./internal/users \
+    ./internal/obs ./internal/provenance ./internal/runstats
 
-# Detect lane: the streaming engine subscribes to the live trace from
-# inside experiment worlds, so it and the CNI campaign run under -race
-# alongside the substrate they hook. The user-activity layer feeds both
-# (noise floor for D4/D5), so it rides in the same lane.
-go test -race -timeout 300s ./internal/detect ./internal/malware/cni ./internal/users
-go test -race -timeout 300s -run 'Fault|Resilience' ./internal/core ./internal/netsim ./internal/cnc ./internal/faults
+# Core race lane: under -short, TestExperimentDeterminism runs every
+# experiment but C5 and the 30,000-host C7, plus the partitioned fleet,
+# under every execution mode (DESIGN.md §5): worker pool, partition
+# workers, telemetry, supervision, journal and checkpoint. The supervision
+# (§13), fault, journal and partition (§14) tests cross goroutines by
+# construction, so they run beside it.
+go test -race -short -timeout 600s \
+    -run 'Determinism|Parallel|Sweep|Watchdog|X1|Deadline|Shutdown|Retry|Journal|Checkpoint|Fork|Partition|Resilience|Runstats' \
+    ./internal/core
 
-# Trace-reader race lane (DESIGN.md §6): obs.ParseJSONL decodes chunks of
-# lines on worker goroutines and takes their results back in line order.
-# Its chunking-invariance and error-order tests run 1, 2 and 7 workers
-# under -race, beside provenance, which rebuilds forests from the parsed
-# events.
-go test -race -timeout 300s ./internal/obs ./internal/provenance
-
-# Runstats race lane (DESIGN.md §12): the wall-clock telemetry collector
-# is fed concurrently by every kernel probe plus the progress ticker
-# goroutine, so the collector package and the determinism-isolation
-# property test (telemetry on, workers 1/4/8, byte-identical artefacts)
-# both run under -race.
-go test -race -timeout 300s ./internal/runstats
-go test -race -timeout 300s -run 'Runstats' ./internal/core
-
-# Supervision race lane (DESIGN.md §13): a stalled kernel's probe
-# cancels its scope's sibling kernels from its own goroutine, deadline
-# timers and the shutdown path cancel from theirs (the signal handler
-# racing in-flight experiments), and the journal writer is shared by the
-# runner's workers, so every cancellation, stall, deadline, retry,
-# journal and checkpoint test runs under -race, in the substrate and at
-# the CLI.
+# CLI race lane: the signal handler cancels in-flight experiments and the
+# journal writer is shared by the runner's workers, so the supervision
+# tests of cyberlab run under -race too.
 go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|Journal|Checkpoint|Fork|Supervision' \
-    ./internal/sim ./internal/core ./cmd/cyberlab
-
-# Partition race lane (DESIGN.md §14): the partition workers build the
-# site worlds side by side and then advance them between epoch barriers,
-# and the cross-partition mailboxes and the scope's cancel of every
-# shard kernel cross goroutines by construction, so every partition
-# test — mailbox ordering, worker-count byte identity of the concurrent
-# build and advance, deadline fan-out, and the compose-with-parallel/
-# journal/checkpoint properties — runs under -race in the kernel, the
-# network substrate, and the experiment layer.
-go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./internal/core
+    ./cmd/cyberlab
 
 # Bench lane: compile and run every obs/provenance/faults/pki/pe/cnc/
 # analysis benchmark once, so a benchmark that rots (or an accidental
@@ -111,11 +86,16 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/pe
 go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
 # FuzzOpenJournal holds -resume to the same contract: any journal bytes
 # either fail to open with an error, or replay into snapshots that merge
-# into an empty snapshot and into themselves without panicking, and the
+# into an empty snapshot and into themselves without an error, and the
 # journal closes cleanly. Every input writes, reads and fsyncs a file,
 # so a new input takes long to minimize; the 2 s cap keeps the lane
 # fuzzing instead of minimizing for its whole budget.
 go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 10s -fuzzminimizetime 2s ./internal/core
+# FuzzParse holds minilua.Parse, which compiles the module source a Flame
+# agent receives through C&C pushes, to the same contract: a chunk or a
+# *SyntaxError, never a panic or hang. A cold cache finds new inputs
+# faster than it minimizes them, so the 2 s cap keeps the lane fuzzing.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 2s ./internal/minilua
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of

@@ -80,6 +80,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if (*out == "") == (*check == "") {
 		return fmt.Errorf("exactly one of -o FILE or -check FILE is required")
 	}

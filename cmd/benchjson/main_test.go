@@ -85,3 +85,11 @@ func TestValidateMetricGate(t *testing.T) {
 		t.Fatal("zero-valued metric passed")
 	}
 }
+
+// TestStrayArgumentRejected: a word left over after the flags is an
+// error that names it, not silently dropped.
+func TestStrayArgumentRejected(t *testing.T) {
+	if err := run([]string{"-check", "BENCH_C7.json", "stray"}); err == nil || err.Error() != `unexpected argument "stray"` {
+		t.Fatalf("stray argument = %v, want it named", err)
+	}
+}

@@ -338,7 +338,9 @@ func run(ctx context.Context, args []string) (err error) {
 			passes += e.Passes
 			runs += e.Seeds
 			errored += len(e.Errors)
-			merged.Merge(e.Obs)
+			if err := merged.Merge(e.Obs); err != nil {
+				return fmt.Errorf("merge the metrics of %s: %w", e.ID, err)
+			}
 			fmt.Fprintf(os.Stderr, "%-4s %8.3fs across %d seeds\n", e.ID, e.Wall.Seconds(), e.Seeds)
 		}
 		emit("%d/%d sweep runs reproduced (%d experiments x %d seeds)\n",
@@ -381,7 +383,11 @@ func run(ctx context.Context, args []string) (err error) {
 	for _, rep := range reports {
 		fmt.Fprintf(os.Stderr, "%-4s %8.3fs\n", rep.ID, rep.Wall.Seconds())
 		if rep.Result != nil {
-			merged.Merge(rep.Result.Obs)
+			// A snapshot served from a journal passed its own checks but
+			// may still conflict with a fresh run's; that fails the run.
+			if err := merged.Merge(rep.Result.Obs); err != nil {
+				return fmt.Errorf("merge the metrics of %s: %w", rep.ID, err)
+			}
 		}
 	}
 	fmt.Fprintf(os.Stderr, "total wall %v (%d workers)\n",

@@ -46,31 +46,6 @@ func TestTraceMetricsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestReportMatchesCommitted regenerates EXPERIMENTS.md from a live run
-// and diffs it against the committed copy — the same drift gate ci.sh
-// applies. Skipped under -short (the full run includes the 30k-host C7).
-func TestReportMatchesCommitted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full -report run skipped in -short mode")
-	}
-	committed, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
-	if err := run(context.Background(), []string{"-report", "-o", out}); err != nil {
-		t.Fatalf("-report: %v", err)
-	}
-	generated, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(generated, committed) {
-		t.Fatalf("EXPERIMENTS.md drifted from `cyberlab -report` output; regenerate with\n" +
-			"  go run ./cmd/cyberlab -report -o EXPERIMENTS.md")
-	}
-}
-
 func TestTraceRejectedWithSeeds(t *testing.T) {
 	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-trace", filepath.Join(t.TempDir(), "t.jsonl")}); err == nil {
 		t.Fatal("-trace with -seeds accepted; sweeps discard per-run events")

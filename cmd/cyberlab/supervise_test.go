@@ -1,11 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestRunJournalResume drives the full CLI path: a journaled run, then a
@@ -28,6 +36,49 @@ func TestRunJournalResume(t *testing.T) {
 	if err := run(context.Background(), []string{"-run", "F3", "-journal", path}); err == nil ||
 		!strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("journal reuse without -resume = %v, want a refusal", err)
+	}
+}
+
+// TestJournalConflictingHistogramFailsRun: a journaled F3 whose
+// sim.step.vtdelta-seconds histogram lost its last bound and count, and
+// whose payload was re-hashed, still opens; the resumed run then meets
+// that histogram again in C1's fresh snapshot. The run must fail with
+// an error naming it, not panic.
+func TestJournalConflictingHistogramFailsRun(t *testing.T) {
+	const name = "sim.step.vtdelta-seconds"
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "run.journal")
+	must(run(context.Background(), []string{"-run", "F3", "-journal", path}))
+	data, err := os.ReadFile(path)
+	must(err)
+	lines := bytes.Split(data, []byte("\n"))
+	var rec, payload map[string]json.RawMessage
+	var snap obs.Snapshot
+	must(errors.Join(json.Unmarshal(lines[1], &rec), json.Unmarshal(rec["payload"], &payload),
+		json.Unmarshal(payload["obs"], &snap)))
+	h := snap.Histograms[name]
+	if len(h.Bounds) == 0 {
+		t.Fatalf("test setup: F3's snapshot has no %s histogram", name)
+	}
+	h.Bounds, h.Counts = h.Bounds[:len(h.Bounds)-1], h.Counts[:len(h.Counts)-1]
+	snap.Histograms[name] = h
+	payload["obs"], err = json.Marshal(snap)
+	must(err)
+	rec["payload"], err = json.Marshal(payload)
+	must(err)
+	sum := sha256.Sum256(rec["payload"])
+	rec["hash"] = json.RawMessage(strconv.Quote(hex.EncodeToString(sum[:])))
+	lines[1], err = json.Marshal(rec)
+	must(err)
+	must(os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644))
+	err = run(context.Background(), []string{"-run", "F3,C1", "-journal", path, "-resume"})
+	if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "layouts differ") {
+		t.Fatalf("resume over a conflicting histogram = %v, want a merge error naming %s", err, name)
 	}
 }
 

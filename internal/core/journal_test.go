@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -370,7 +371,7 @@ func TestJournalMalformedHistogramRefused(t *testing.T) {
 // FuzzOpenJournal holds the resume path to the contract for readers of
 // external bytes: any journal either fails to open with an error, or
 // opens into a Journal whose every replayed snapshot merges into an
-// empty snapshot and into itself without panicking, and which closes
+// empty snapshot and into itself without an error, and which closes
 // cleanly.
 func FuzzOpenJournal(f *testing.F) {
 	fresh := freshF3Journal(f)
@@ -395,9 +396,10 @@ func FuzzOpenJournal(f *testing.F) {
 				continue
 			}
 			var empty obs.Snapshot
-			empty.Merge(rep.Result.Obs)
 			self := rep.Result.Obs
-			self.Merge(rep.Result.Obs)
+			if err := errors.Join(empty.Merge(rep.Result.Obs), self.Merge(rep.Result.Obs)); err != nil {
+				t.Fatalf("a replayed snapshot does not merge: %v", err)
+			}
 		}
 		if err := j.Close(); err != nil {
 			t.Fatalf("close: %v", err)

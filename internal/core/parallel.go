@@ -304,7 +304,9 @@ func SweepSeeds(env *Env, ids []string, seeds []uint64, workers int) []SweepEntr
 			if rep.Result.Pass {
 				e.Passes++
 			}
-			e.Obs.Merge(rep.Result.Obs)
+			if err := e.Obs.Merge(rep.Result.Obs); err != nil {
+				panic(err) // every seed ran this build's registries
+			}
 			for _, m := range rep.Result.Metrics {
 				a, ok := stats[m.Name]
 				if !ok {

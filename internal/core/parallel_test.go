@@ -8,35 +8,9 @@ import (
 	"testing"
 )
 
-// raceIDs is the fast experiment subset the -race CI lane sweeps; heavy
-// fleet runs (C7) are covered by the short-guarded full-run test below.
+// raceIDs is the fast experiment subset TestRaceLaneParallelSweep runs
+// across three seeds.
 var raceIDs = []string{"F3", "C1", "C8"}
-
-func renderReports(t *testing.T, reports []RunReport) string {
-	t.Helper()
-	var b strings.Builder
-	for _, rep := range reports {
-		if rep.Err != nil {
-			t.Fatalf("%s (seed %d): %v", rep.ID, rep.Seed, rep.Err)
-		}
-		b.WriteString(rep.Result.Render())
-	}
-	return b.String()
-}
-
-func TestRunExperimentsParallelDeterminism(t *testing.T) {
-	ids := []string{"F2", "F3", "C1", "C6", "C8"}
-	want := renderReports(t, RunExperiments(ids, 1, 1))
-	if want == "" {
-		t.Fatal("empty sequential report")
-	}
-	for _, workers := range []int{4, 8} {
-		got := renderReports(t, RunExperiments(ids, 1, workers))
-		if got != want {
-			t.Fatalf("report with %d workers differs from sequential:\n--- got ---\n%s\n--- want ---\n%s", workers, got, want)
-		}
-	}
-}
 
 // TestTwoEnvsRunInParallel: two runs under different Envs share the
 // process at the same time, and every report's bytes equal those of the
@@ -98,17 +72,6 @@ func TestRaceLaneParallelSweep(t *testing.T) {
 				t.Fatalf("%s %s: min/mean/max out of order: %v/%v/%v", e.ID, m.Name, m.Min, m.Mean, m.Max)
 			}
 		}
-	}
-}
-
-func TestRunAllParallelMatchesSequentialFullRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite double run skipped in -short mode")
-	}
-	want := renderReports(t, RunExperiments(ExperimentIDs(), 1, 1))
-	got := renderReports(t, RunExperiments(ExperimentIDs(), 1, 8))
-	if got != want {
-		t.Fatal("full parallel report differs from sequential run")
 	}
 }
 

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // TestResilienceProfileSelection: Env parsing selects a named fault
@@ -120,38 +118,6 @@ func TestResilienceBaselineProfile(t *testing.T) {
 		}
 		if v, ok := rep.Result.Obs.Counters["faults.domain.takedown"]; ok && v > 0 {
 			t.Fatalf("%s: baseline run performed %g takedowns", id, v)
-		}
-	}
-}
-
-// TestResilienceSeriesParallelDeterminism asserts the acceptance
-// criterion: the R-series report, metrics and event stream are
-// byte-identical at any worker count for a fixed seed and profile.
-func TestResilienceSeriesParallelDeterminism(t *testing.T) {
-	ids := []string{"R1", "R2", "R3", "R4", "R5"}
-	serialize := func(reports []RunReport) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		for _, rep := range reports {
-			if rep.Err != nil {
-				t.Fatalf("%s: %v", rep.ID, rep.Err)
-			}
-			buf.WriteString(rep.Result.Render())
-			snap, err := rep.Result.Obs.JSON()
-			if err != nil {
-				t.Fatalf("%s: snapshot: %v", rep.ID, err)
-			}
-			buf.Write(snap)
-			if err := obs.WriteJSONL(&buf, rep.Result.Events); err != nil {
-				t.Fatalf("%s: events: %v", rep.ID, err)
-			}
-		}
-		return buf.Bytes()
-	}
-	want := serialize(RunExperiments(ids, 1, 1))
-	for _, workers := range []int{4, 8} {
-		if got := serialize(RunExperiments(ids, 1, workers)); !bytes.Equal(got, want) {
-			t.Fatalf("R-series output with %d workers differs from sequential run", workers)
 		}
 	}
 }

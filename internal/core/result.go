@@ -89,7 +89,11 @@ func (r *Result) capture(merge bool, ks []*sim.Kernel) {
 		// Flush the wall-clock telemetry tail (no-op without a probe);
 		// this reads kernel state but writes nothing deterministic.
 		k.FlushProbe()
-		r.Obs.Merge(k.Metrics().Snapshot())
+		// Every kernel registers a histogram name with one fixed layout,
+		// so a merge conflict here is a bug, not bad input.
+		if err := r.Obs.Merge(k.Metrics().Snapshot()); err != nil {
+			panic(err)
+		}
 		events := k.Trace().Events()
 		if base := obs.Span(r.spanBase); base != 0 {
 			for j := range events {

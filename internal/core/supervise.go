@@ -110,7 +110,7 @@ func (e *Env) superviseKernel(k *sim.Kernel) {
 	}
 	sc := e.scope
 	if e.Stall > 0 {
-		k.AttachProbe(&kernelWatch{sc: sc, window: e.Stall}, 0)
+		k.AttachProbe(&kernelWatch{sc: sc, window: e.Stall})
 	}
 	sc.mu.Lock()
 	sc.kernels = append(sc.kernels, k)

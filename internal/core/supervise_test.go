@@ -215,14 +215,3 @@ func TestRetryFlagsDeterminismViolation(t *testing.T) {
 		t.Fatalf("stable failure lost its error: %v", rep.Err)
 	}
 }
-
-// TestSupervisionLeavesOutputBytesUnchanged pins the plane separation:
-// arming the supervisor (stall probes attached, deadline timer set) must not
-// change a healthy experiment's deterministic bytes.
-func TestSupervisionLeavesOutputBytesUnchanged(t *testing.T) {
-	want := payloadBytes(t, runOne(nil, "F3", 1))
-	got := payloadBytes(t, runOne(&Env{Stall: 5 * time.Second, Deadline: time.Hour}, "F3", 1))
-	if !bytes.Equal(got, want) {
-		t.Fatal("arming supervision changed F3's output bytes")
-	}
-}

@@ -154,6 +154,16 @@ func TestSnapshotMergeSums(t *testing.T) {
 	if h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 || h.Sum != 9.5 {
 		t.Fatalf("merged histogram = %+v", h)
 	}
+
+	// A histogram laid out differently is an error naming it, and the
+	// merge leaves s unchanged.
+	c := NewRegistry()
+	c.Counter("x.y.z").Inc()
+	c.Histogram("h.i.j", []float64{1, 2}).Observe(0.5)
+	before := s.Text()
+	if err := s.Merge(c.Snapshot()); err == nil || !strings.Contains(err.Error(), "h.i.j") || s.Text() != before {
+		t.Fatalf("merge of a conflicting layout = %v, snapshot changed: %v", err, s.Text() != before)
+	}
 }
 
 func TestSnapshotEncodingsStable(t *testing.T) {

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,8 +58,14 @@ func (r *Registry) Snapshot() Snapshot {
 // Merge folds other into s: counters and gauges sum, histogram bucket
 // counts sum. Histograms present in both must share a bucket layout
 // (guaranteed when both sides registered through Registry.Histogram with
-// the same fixed bounds); a mismatch panics.
-func (s *Snapshot) Merge(other Snapshot) {
+// the same fixed bounds); a histogram whose layout differs is an error
+// naming it, and s is left unchanged.
+func (s *Snapshot) Merge(other Snapshot) error {
+	for n, h := range other.Histograms {
+		if mine, ok := s.Histograms[n]; ok && !slices.Equal(mine.Bounds, h.Bounds) {
+			return fmt.Errorf("obs: merge histogram %s: layouts differ (%d bounds vs %d)", n, len(mine.Bounds), len(h.Bounds))
+		}
+	}
 	for n, v := range other.Counters {
 		if s.Counters == nil {
 			s.Counters = make(map[string]float64)
@@ -85,20 +92,14 @@ func (s *Snapshot) Merge(other Snapshot) {
 			}
 			continue
 		}
-		if len(mine.Bounds) != len(h.Bounds) {
-			panic(fmt.Sprintf("obs: merge histogram %s: layouts differ", n))
+		for i, c := range h.Counts {
+			mine.Counts[i] += c
 		}
-		for i := range mine.Bounds {
-			if mine.Bounds[i] != h.Bounds[i] {
-				panic(fmt.Sprintf("obs: merge histogram %s: layouts differ", n))
-			}
-			mine.Counts[i] += h.Counts[i]
-		}
-		mine.Counts[len(mine.Bounds)] += h.Counts[len(h.Bounds)]
 		mine.Count += h.Count
 		mine.Sum += h.Sum
 		s.Histograms[n] = mine
 	}
+	return nil
 }
 
 // Diff returns s minus base: counter deltas, histogram bucket deltas,

@@ -173,7 +173,7 @@ func AttachKernel(k *sim.Kernel) {
 // stall watch and the telemetry plane can ride the same kernel.
 func (c *Collector) Attach(k *sim.Kernel) {
 	c.kernels.Add(1)
-	k.AttachProbe(&kernelProbe{c: c}, 0)
+	k.AttachProbe(&kernelProbe{c: c})
 }
 
 // AddHosts records n hosts joining a fleet (shown by the progress

@@ -130,21 +130,18 @@ func TestCancelRunFirstCauseWins(t *testing.T) {
 }
 
 // TestAttachProbeChains: two probes attached via AttachProbe both see
-// samples; the finer cadence wins.
+// every sample.
 func TestAttachProbeChains(t *testing.T) {
 	k := NewKernel()
 	a, b := &recordingProbe{}, &recordingProbe{}
-	k.AttachProbe(a, 100)
-	k.AttachProbe(b, 10)
-	if k.probeEvery != 10 {
-		t.Fatalf("probeEvery = %d, want the finer cadence 10", k.probeEvery)
-	}
+	k.AttachProbe(a)
+	k.AttachProbe(b)
 	fn := func() {}
-	for i := 0; i < 25; i++ {
+	for i := 0; i < 2*DefaultProbeEvery+25; i++ {
 		k.Schedule(time.Duration(i+1)*time.Second, "tick", fn)
 	}
 	k.RunFor(time.Hour)
 	if a.samples != 2 || b.samples != 2 {
-		t.Fatalf("probe samples = %d/%d, want 2/2 (25 steps at cadence 10)", a.samples, b.samples)
+		t.Fatalf("probe samples = %d/%d, want 2/2 (%d steps)", a.samples, b.samples, 2*DefaultProbeEvery+25)
 	}
 }

@@ -31,15 +31,14 @@ var Epoch = time.Date(2010, time.June, 1, 0, 0, 0, 0, time.UTC)
 // Sample is one wall-clock-plane observation of a running kernel,
 // delivered to a Probe from inside the hot loop. Everything in it is
 // deterministic kernel state; what makes the probe plane "wall-clock" is
-// that the *timing* of deliveries (every probeEvery steps of a run whose
-// wall speed varies) is only meaningful against the real clock, and that
-// nothing a Probe computes may ever flow back into obs registries or
-// drift-gated artefacts (DESIGN.md §12).
+// that the *timing* of deliveries (every DefaultProbeEvery steps of a
+// run whose wall speed varies) is only meaningful against the real
+// clock, and that nothing a Probe computes may ever flow back into obs
+// registries or drift-gated artefacts (DESIGN.md §12).
 type Sample struct {
 	VNow       time.Time // kernel virtual clock at the sampled step
 	Steps      uint64    // events executed so far
 	Pending    int       // event-queue depth
-	PoolFree   int       // recycled Event structs currently idle
 	PoolHits   uint64    // schedules served from the free list
 	PoolMisses uint64    // schedules that had to allocate
 }
@@ -256,7 +255,6 @@ type Kernel struct {
 	// telemetry. Get/put balance (hits+misses == puts once a run is
 	// fully wound down) must hold even across an aborted run.
 	probe      Probe
-	probeEvery uint64
 	poolHits   uint64
 	poolMisses uint64
 	poolPuts   uint64
@@ -412,9 +410,9 @@ func (k *Kernel) PoolStats() PoolStat {
 	return PoolStat{Hits: k.poolHits, Misses: k.poolMisses, Puts: k.poolPuts, Free: len(k.free)}
 }
 
-// DefaultProbeEvery is the sampling cadence AttachProbe installs when
-// the caller passes every <= 0: one sample per 1024 executed events keeps
-// the hot-loop cost of an attached probe under 0.1%.
+// DefaultProbeEvery is the probe sampling cadence: one sample per 1024
+// executed events keeps the hot-loop cost of an attached probe under
+// 0.1%.
 const DefaultProbeEvery = 1024
 
 // teeProbe fans one sample stream out to two probes in attach order.
@@ -426,35 +424,27 @@ func (t teeProbe) KernelSample(s Sample) {
 }
 
 // AttachProbe installs a wall-clock telemetry probe, sampled every
-// `every` executed events (<= 0 selects DefaultProbeEvery), and chains it
-// onto whatever probe is already installed: every delivered sample
-// reaches both, at the smaller of the existing and requested cadence.
-// The telemetry collector and the stall watchdog both ride the same hook
+// DefaultProbeEvery executed events, and chains it onto whatever probe
+// is already installed: every delivered sample reaches both. The
+// telemetry collector and the stall watchdog both ride the same hook
 // this way without knowing about each other. The probe plane is
 // read-only: attaching one never changes scheduling, tracing, metrics,
 // or RNG draws, so outputs stay byte-identical (asserted by
 // TestProbeDoesNotPerturbDeterminism).
-func (k *Kernel) AttachProbe(p Probe, every uint64) {
+func (k *Kernel) AttachProbe(p Probe) {
 	if p == nil {
 		return
 	}
-	if every == 0 {
-		every = DefaultProbeEvery
-	}
 	if k.probe == nil {
 		k.probe = p
-		k.probeEvery = every
 		return
-	}
-	if every < k.probeEvery {
-		k.probeEvery = every
 	}
 	k.probe = teeProbe{a: k.probe, b: p}
 }
 
 // FlushProbe delivers one final sample to the attached probe (no-op
 // without one). Callers flush after a run so the tail of a workload —
-// up to probeEvery-1 steps — is not lost from wall-clock totals.
+// up to DefaultProbeEvery-1 steps — is not lost from wall-clock totals.
 func (k *Kernel) FlushProbe() {
 	if k.probe == nil {
 		return
@@ -468,7 +458,6 @@ func (k *Kernel) sample() Sample {
 		VNow:       k.now,
 		Steps:      k.steps,
 		Pending:    len(k.queue),
-		PoolFree:   len(k.free),
 		PoolHits:   k.poolHits,
 		PoolMisses: k.poolMisses,
 	}
@@ -585,7 +574,7 @@ func (k *Kernel) Step() bool {
 	k.steps++
 	k.mExecute.Inc()
 	k.handlerCounter(ev.name).Inc()
-	if k.probe != nil && k.steps%k.probeEvery == 0 {
+	if k.probe != nil && k.steps%DefaultProbeEvery == 0 {
 		k.probe.KernelSample(k.sample())
 	}
 	k.lastHandler = ev.name

@@ -28,37 +28,48 @@ func (p *recordingProbe) KernelSample(s Sample) {
 	p.misses = s.PoolMisses
 }
 
-// TestProbeSamplingCadence pins the contract: one sample per `every`
-// executed events, plus whatever FlushProbe delivers at the end.
+// TestProbeSamplingCadence pins the contract: one sample per
+// DefaultProbeEvery executed events, plus whatever FlushProbe delivers
+// at the end.
 func TestProbeSamplingCadence(t *testing.T) {
 	k := NewKernel()
 	p := &recordingProbe{}
-	k.AttachProbe(p, 10)
-	for i := 0; i < 95; i++ {
+	k.AttachProbe(p)
+	const steps = 3*DefaultProbeEvery + 95
+	for i := 0; i < steps; i++ {
 		k.Schedule(time.Duration(i)*time.Second, "tick", func() {})
 	}
-	k.Drain(1000)
-	if p.samples != 9 {
-		t.Fatalf("samples = %d after 95 steps at every=10, want 9", p.samples)
+	k.Drain(2 * steps)
+	if p.samples != 3 {
+		t.Fatalf("samples = %d after %d steps, want 3", p.samples, steps)
 	}
-	if p.lastSteps != 90 {
-		t.Fatalf("last sampled step = %d, want 90", p.lastSteps)
+	if p.lastSteps != 3*DefaultProbeEvery {
+		t.Fatalf("last sampled step = %d, want %d", p.lastSteps, 3*DefaultProbeEvery)
 	}
 	k.FlushProbe()
-	if p.samples != 10 || p.lastSteps != 95 {
-		t.Fatalf("flush: samples=%d lastSteps=%d, want 10/95", p.samples, p.lastSteps)
+	if p.samples != 4 || p.lastSteps != steps {
+		t.Fatalf("flush: samples=%d lastSteps=%d, want 4/%d", p.samples, p.lastSteps, steps)
 	}
 	if p.lastVNow != k.Now() {
 		t.Fatalf("flushed VNow = %v, want kernel now %v", p.lastVNow, k.Now())
 	}
 }
 
-// TestProbeDefaultCadence: every <= 0 selects DefaultProbeEvery.
+// TestProbeDefaultCadence: the cadence follows the kernel's step count,
+// so a probe attached mid-run first samples at the next multiple of
+// DefaultProbeEvery, not DefaultProbeEvery steps after it attached.
 func TestProbeDefaultCadence(t *testing.T) {
 	k := NewKernel()
-	k.AttachProbe(&recordingProbe{}, 0)
-	if k.probeEvery != DefaultProbeEvery {
-		t.Fatalf("probeEvery = %d, want %d", k.probeEvery, DefaultProbeEvery)
+	fn := func() {}
+	for i := 0; i < DefaultProbeEvery+100; i++ {
+		k.Schedule(time.Duration(i+1)*time.Second, "tick", fn)
+	}
+	k.Drain(DefaultProbeEvery - 100)
+	p := &recordingProbe{}
+	k.AttachProbe(p)
+	k.Drain(DefaultProbeEvery)
+	if p.samples != 1 || p.lastSteps != DefaultProbeEvery {
+		t.Fatalf("samples = %d, last at step %d; want 1 at step %d", p.samples, p.lastSteps, DefaultProbeEvery)
 	}
 }
 
@@ -80,7 +91,7 @@ func TestPoolStatsAccounting(t *testing.T) {
 		t.Fatalf("pool unbalanced after drained run: %+v", ps)
 	}
 	p := &recordingProbe{}
-	k.AttachProbe(p, 1)
+	k.AttachProbe(p)
 	k.FlushProbe()
 	if p.hits != ps.Hits || p.misses != ps.Misses {
 		t.Fatalf("probe saw %d/%d, PoolStats says %d/%d", p.hits, p.misses, ps.Hits, ps.Misses)
@@ -89,14 +100,16 @@ func TestPoolStatsAccounting(t *testing.T) {
 
 // TestProbeDoesNotPerturbDeterminism replays the pool-churn workload
 // with and without an attached probe and requires identical execution
-// order, metrics, and trace bytes — the probe plane is read-only.
+// order, metrics, and trace bytes — the probe plane is read-only. The
+// workload runs about 4,500 steps, so the probe samples several times.
 func TestProbeDoesNotPerturbDeterminism(t *testing.T) {
+	p := &recordingProbe{}
 	run := func(attach bool) (uint64, string, string) {
 		k := NewKernel(WithSeed(7))
 		if attach {
-			k.AttachProbe(&recordingProbe{}, 16)
+			k.AttachProbe(p)
 		}
-		for i := 0; i < 300; i++ {
+		for i := 0; i < 3000; i++ {
 			d := time.Duration(1+k.RNG().Intn(3600)) * time.Second
 			k.Schedule(d, "churn", func() {
 				if k.RNG().Bool(0.5) {
@@ -114,6 +127,9 @@ func TestProbeDoesNotPerturbDeterminism(t *testing.T) {
 	}
 	s1, m1, t1 := run(false)
 	s2, m2, t2 := run(true)
+	if p.samples < 3 {
+		t.Fatalf("probe sampled %d times over %d steps; the check is vacuous", p.samples, s2)
+	}
 	if s1 != s2 || m1 != m2 || t1 != t2 {
 		t.Fatalf("probe perturbed the run: steps %d vs %d, metrics equal=%v, trace equal=%v",
 			s1, s2, m1 == m2, t1 == t2)
@@ -143,19 +159,26 @@ func TestProbeDisabledPathAllocs(t *testing.T) {
 	}
 }
 
-// TestProbeEnabledPathAllocs: even with a probe attached and sampling
-// every step, the kernel side of delivery is allocation-free (the Sample
-// struct is passed by value, never boxed).
+// TestProbeEnabledPathAllocs: even with a probe attached and sampling,
+// the kernel side of delivery is allocation-free (the Sample struct is
+// passed by value, never boxed). Each measured run steps the kernel
+// DefaultProbeEvery times, so it delivers exactly one sample.
 func TestProbeEnabledPathAllocs(t *testing.T) {
 	k := NewKernel()
-	k.AttachProbe(&recordingProbe{}, 1)
+	p := &recordingProbe{}
+	k.AttachProbe(p)
 	fn := func() {}
-	allocs := testing.AllocsPerRun(1000, func() {
-		k.Schedule(time.Second, "steady", fn)
-		k.Step()
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < DefaultProbeEvery; i++ {
+			k.Schedule(time.Second, "steady", fn)
+			k.Step()
+		}
 	})
+	if p.samples < 10 {
+		t.Fatalf("probe sampled %d times, want one per measured run", p.samples)
+	}
 	if allocs > 0 {
-		t.Fatalf("enabled-probe schedule/fire allocates %.1f objects per op, want 0", allocs)
+		t.Fatalf("enabled-probe schedule/fire allocates %.1f objects per %d ops, want 0", allocs, DefaultProbeEvery)
 	}
 }
 
@@ -164,7 +187,7 @@ func TestProbeEnabledPathAllocs(t *testing.T) {
 func BenchmarkScheduleFireProbed(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
-	k.AttachProbe(&recordingProbe{}, DefaultProbeEvery)
+	k.AttachProbe(&recordingProbe{})
 	fn := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
