@@ -37,14 +37,15 @@ go test -C benchmark -timeout 300s .
 # mutable state sneaks into the substrate or into what crosses goroutines
 # on purpose: the kernel's cancel requests and partition mailboxes (sim,
 # netsim), the pool fan-outs inside one step (cnc's DecryptAll,
-# analysis.CompareSamples), pki's verified-signature memo shared by every
-# host clone of a trust store (DESIGN.md §9), the live-trace subscribers
-# (detect, the CNI campaign, users), obs.ParseJSONL's chunk workers with
+# analysis.CompareSamples), the pki memo of verified signatures and shared
+# image digests that every host clone of a trust store shares and every
+# exec of a shared image reads (pki, host; DESIGN.md §9), the live-trace
+# subscribers (detect, the CNI campaign, users), obs.ParseJSONL's chunk workers with
 # provenance rebuilding from their output (§6), and the runstats
 # collector fed by every kernel probe and the progress ticker (§12).
 go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/analysis \
     ./internal/faults ./internal/pki ./internal/detect ./internal/malware/cni ./internal/users \
-    ./internal/obs ./internal/provenance ./internal/runstats
+    ./internal/obs ./internal/provenance ./internal/runstats ./internal/host
 
 # Core race lane: under -short, TestExperimentDeterminism runs every
 # experiment but C5 and the 30,000-host C7, plus the partitioned fleet,
@@ -96,8 +97,12 @@ go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 10s -fuzzminimizetime 2s .
 # *SyntaxError, never a panic or hang. A cold cache finds new inputs
 # faster than it minimizes them, so the 2 s cap keeps the lane fuzzing.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 2s ./internal/minilua
+# FuzzParseImageSignature holds the signature-blob reader that every
+# driver load runs through pki.VerifyImage to the same contract, and an
+# accepted blob must re-marshal to exactly its input.
+go test -run '^$' -fuzz '^FuzzParseImageSignature$' -fuzztime 10s -fuzzminimizetime 2s ./internal/pki
 
-# Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
+# Fleet-perf lane (DESIGN.md §9): run the seed / exec / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of
 # BENCH_C7.json via benchjson, and gate the perf trajectory. The copy
 # keeps a CI run from rewriting the committed file; refresh that on
@@ -119,7 +124,7 @@ go run ./cmd/benchjson -check BENCH_C7.json -require "$bench_req" \
 tmp_bench=$(mktemp)
 tmp_bench_json=$(mktemp)
 cp BENCH_C7.json "$tmp_bench_json"
-go test -timeout 300s -run '^$' -bench 'SeedDocuments|CheckWipeLazy' -benchmem ./internal/host | tee -a "$tmp_bench"
+go test -timeout 300s -run '^$' -bench 'SeedDocuments|CheckWipeLazy|ExecuteFileShared' -benchmem ./internal/host | tee -a "$tmp_bench"
 go test -timeout 300s -run '^$' -bench 'ScheduleFire|ScheduleCancel' -benchtime=0.2s -benchmem ./internal/sim | tee -a "$tmp_bench"
 # Every C7 bench runs the registry's six-site layout through the one C7
 # runner. UsersC7BusyReduced is the populated twin of ClaimC7Reduced: its

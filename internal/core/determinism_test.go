@@ -54,10 +54,11 @@ var matrixRows = [][]matrixMode{
 // (experiment, seed, faults, activity), never on how the run executes.
 // A sequential zero-Env run of every registry experiment, plus the
 // unmuted 240-host partitioned fleet, is the reference; its pass also
-// checks the provenance forests and the rendered EXPERIMENTS.md. Every
-// row must then reproduce each experiment's payload bytes. Under -short
-// it leaves out C5 and the 30,000-host C7, so it can be the core -race
-// target.
+// checks that every experiment reproduces its claim (C7 by wiping all
+// 30,000 workstations), the provenance forests and the rendered
+// EXPERIMENTS.md. Every row must then reproduce each experiment's
+// payload bytes. Under -short it leaves out C5 and the 30,000-host C7,
+// so it can be the core -race target.
 func TestExperimentDeterminism(t *testing.T) {
 	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner)
 	ids := ExperimentIDs()
@@ -70,8 +71,16 @@ func TestExperimentDeterminism(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatalf("reference run: %v", rep.Err)
 		}
+		if !rep.Result.Pass {
+			t.Errorf("%s did not reproduce:\n%s", rep.ID, rep.Result.Render())
+		}
 		refs[rep.ID] = rep
 		checkForest(t, rep)
+	}
+	if c7, ok := refs["C7"]; ok {
+		if got := c7.Result.MustMetric("wiped_unbootable"); got != 30000 {
+			t.Errorf("C7 wiped %v workstations, want 30000", got)
+		}
 	}
 	if !testing.Short() {
 		committed, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))

@@ -3,6 +3,8 @@ package host
 import (
 	"testing"
 
+	"repro/internal/pe"
+	"repro/internal/pki"
 	"repro/internal/sim"
 )
 
@@ -47,5 +49,48 @@ func BenchmarkCheckWipeLazy(b *testing.B) {
 			b.Fatalf("CheckWipe materialised %s", f.Path)
 		}
 		return true
+	})
+}
+
+// BenchmarkExecuteFileShared prices one exec of a 200 KiB image from a
+// shared FS node, the fleet's exec path (DESIGN.md §9 item 6). In hit the
+// world's memo already holds the digest; in miss every exec runs on a
+// fresh store, so it parses, hashes and records the image. Each process
+// is dropped after its exec, so the table stays small at any b.N.
+func BenchmarkExecuteFileShared(b *testing.B) {
+	const path = `C:\Windows\System32\trksvr.exe`
+	img := &pe.File{Name: "trksvr.exe", Machine: pe.MachineX86,
+		Sections: []pe.Section{{Name: ".text", Characteristics: pe.SecCode, Data: make([]byte, 200<<10)}}}
+	raw, err := img.Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := New(sim.NewKernel(sim.WithSeed(7)), "WS")
+	if err := h.FS.WriteShared(path, raw, 0, t0); err != nil {
+		b.Fatal(err)
+	}
+	exec := func(b *testing.B) {
+		p, err := h.ExecuteFile(path, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delete(h.procs, p.PID)
+	}
+	b.Run("hit", func(b *testing.B) {
+		exec(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			exec(b)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h.CertStore = pki.NewStore()
+			b.StartTimer()
+			exec(b)
+		}
 	})
 }

@@ -354,6 +354,13 @@ func (h *Host) Reboot() {
 // Execute scans img with the installed security products and, if clean,
 // spawns a process and hands it to the dispatcher.
 func (h *Host) Execute(img *pe.File, system bool) (*Process, error) {
+	return h.execute(img, nil, system)
+}
+
+// execute is Execute for img parsed from shared, the immutable buffer of
+// a shared FS node, whose digest the trust store's memo answers once per
+// world (DESIGN.md §9 item 6). With shared nil, img is hashed.
+func (h *Host) execute(img *pe.File, shared []byte, system bool) (*Process, error) {
 	if h.Down {
 		return nil, fmt.Errorf("%w: %s", ErrHostDown, h.Name)
 	}
@@ -367,7 +374,13 @@ func (h *Host) Execute(img *pe.File, system bool) (*Process, error) {
 			return nil, fmt.Errorf("%w: %s detected %s as %s", ErrBlocked, prod.Name(), img.Name, det)
 		}
 	}
-	digest, err := img.Digest()
+	var digest [32]byte
+	var err error
+	if shared != nil {
+		digest, err = h.CertStore.ImageDigest(shared)
+	} else {
+		digest, err = img.Digest()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("execute %q: %w", img.Name, err)
 	}
@@ -387,17 +400,24 @@ func (h *Host) Execute(img *pe.File, system bool) (*Process, error) {
 	return proc, nil
 }
 
-// ExecuteFile parses the SPE image stored at path and executes it.
+// ExecuteFile parses the SPE image stored at path and executes it. Only
+// a node still in the shared state takes its digest from the memo: owned
+// and lazy nodes, and shared ones that copy-on-write promoted, are
+// hashed on every call.
 func (h *Host) ExecuteFile(path string, system bool) (*Process, error) {
 	f, err := h.FS.Read(path)
 	if err != nil {
 		return nil, err
 	}
-	img, err := pe.Parse(f.Bytes())
+	raw := f.Bytes()
+	img, err := pe.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("execute %s: %w", path, err)
 	}
-	return h.Execute(img, system)
+	if !f.shared {
+		raw = nil
+	}
+	return h.execute(img, raw, system)
 }
 
 // Kill marks a process dead.

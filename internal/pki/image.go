@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/pe"
@@ -68,6 +69,42 @@ func VerifyImage(img *pe.File, store *Store, now time.Time, usage KeyUsage) (*Im
 		return nil, fmt.Errorf("%w: image digest", ErrBadSignature)
 	}
 	return sig, nil
+}
+
+// ImageDigest returns pe.Parse(b) then Digest, through the store's memo
+// (DESIGN.md §9 item 6). b must be a buffer nothing writes while the
+// store lineage lives, the contract of host.FS.WriteShared. The key is
+// b's identity, its first byte and its length, never its content and
+// never a *pe.File. A buffer that fails to parse or digest returns the
+// same error on every call and is never recorded.
+func (s *Store) ImageDigest(b []byte) ([32]byte, error) {
+	if len(b) == 0 {
+		return imageDigest(b)
+	}
+	k := bufKey{first: &b[0], n: len(b)}
+	m := s.memo
+	m.mu.Lock()
+	d, hit := m.digests[k]
+	m.mu.Unlock()
+	if hit {
+		return d, nil
+	}
+	d, err := imageDigest(b)
+	if err != nil {
+		return d, err
+	}
+	m.mu.Lock()
+	m.digests[k] = d
+	m.mu.Unlock()
+	return d, nil
+}
+
+func imageDigest(b []byte) ([32]byte, error) {
+	img, err := pe.Parse(b)
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return img.Digest()
 }
 
 // marshal encodes the signature blob:
@@ -170,6 +207,9 @@ func parseCert(enc []byte) (*Certificate, error) {
 	usages, err := r.u64()
 	if err != nil {
 		return nil, err
+	}
+	if usages > math.MaxUint16 {
+		return nil, fmt.Errorf("pki: usage word %#x out of range", usages)
 	}
 	c.Usages = KeyUsage(usages)
 	algo, err := r.next(1)

@@ -277,3 +277,54 @@ func TestVerifyImageAllocs(t *testing.T) {
 		t.Fatalf("warm VerifyImage: %v allocs, cold %v; want at most 14 and no more than cold", warmAllocs, coldAllocs)
 	}
 }
+
+// TestImageDigestMemo pins the digest memo's key: a buffer's first byte
+// and its length. Clones share the entries; two buffers with equal bytes
+// are two entries; an image at the head of a longer array is an entry of
+// its own, and the whole array, which is not one image, keeps failing
+// with pe.Parse's error instead of reading that entry. Errors are never
+// recorded.
+func TestImageDigestMemo(t *testing.T) {
+	f := newMemoFixture(t)
+	raw, err := f.driver.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := append(bytes.Clone(raw), raw...)
+	base := NewStore(f.root.Cert)
+	want := f.driver.MustDigest()
+	steps := []struct {
+		name    string
+		buf     []byte
+		entries int
+	}{
+		{"buffer", raw, 1},
+		{"same buffer, through a clone", raw, 1},
+		{"equal bytes, another buffer", bytes.Clone(raw), 2},
+		{"head of an array", packed[:len(raw)], 3},
+		{"tail of the array", packed[len(raw):], 4},
+	}
+	for _, st := range steps {
+		got, err := base.Clone().ImageDigest(st.buf)
+		if err != nil || got != want {
+			t.Fatalf("%s: ImageDigest = %x, %v; want the image's digest", st.name, got, err)
+		}
+		if n := len(base.memo.digests); n != st.entries {
+			t.Fatalf("%s: memo holds %d digests, want %d", st.name, n, st.entries)
+		}
+	}
+
+	bad := bytes.Clone(raw)
+	bad[0] = 'X'
+	for _, buf := range [][]byte{packed, bad, nil} {
+		_, want := pe.Parse(buf)
+		for run := 0; run < 2; run++ {
+			if _, err := base.ImageDigest(buf); err == nil || err.Error() != want.Error() {
+				t.Fatalf("ImageDigest of %d bytes, call %d: err = %v, want %v", len(buf), run+1, err, want)
+			}
+		}
+	}
+	if n := len(base.memo.digests); n != 4 {
+		t.Fatalf("memo holds %d digests after failures, want 4", n)
+	}
+}

@@ -330,6 +330,13 @@ func TestParseImageSignatureHostile(t *testing.T) {
 			t.Fatalf("accepted truncated blob of %d bytes", i)
 		}
 	}
+	// FuzzParseImageSignature's hostile seeds: chain counts 0 and 17, a
+	// cut after the certificate, one trailing byte.
+	for i, s := range sigBlobSeeds(t)[2:] {
+		if _, err := parseImageSignature(s); err == nil {
+			t.Fatalf("accepted hostile fuzz seed %d", i+2)
+		}
+	}
 }
 
 func TestWeakHashIsTruncated(t *testing.T) {

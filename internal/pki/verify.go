@@ -13,22 +13,23 @@ import (
 // Untrusted Certificate Store that Microsoft Security Advisory 2718704
 // populated to kill the Flame certificates (paper, Section III-A).
 //
-// A store also points at a verified-signature memo that NewStore creates
-// and Clone shares (DESIGN.md §9). The memo holds facts about bytes, not
-// trust decisions: roots and distrust stay per store.
+// A store also points at a memo that NewStore creates and Clone shares
+// (DESIGN.md §9 items 6 and 7): verified signatures and the digests of
+// shared image buffers. The memo holds facts about bytes, not trust
+// decisions: roots and distrust stay per store.
 type Store struct {
 	roots     map[uint64]*Certificate // by serial
 	untrusted map[uint64]string       // serial -> reason
-	memo      *sigMemo
+	memo      *memo
 }
 
-// NewStore returns a store trusting the given roots, with an empty
-// verified-signature memo of its own.
+// NewStore returns a store trusting the given roots, with an empty memo
+// of its own.
 func NewStore(roots ...*Certificate) *Store {
 	s := &Store{
 		roots:     make(map[uint64]*Certificate, len(roots)),
 		untrusted: make(map[uint64]string),
-		memo:      &sigMemo{ok: make(map[sigKey]struct{})},
+		memo:      &memo{ok: make(map[sigKey]struct{}), digests: make(map[bufKey][32]byte)},
 	}
 	for _, r := range roots {
 		s.roots[r.Serial] = r
@@ -54,9 +55,9 @@ func (s *Store) IsDistrusted(serial uint64) bool {
 
 // Clone returns a copy whose roots and untrusted store are independent of
 // s (each simulated host owns its trust configuration and receives
-// advisory updates separately) and whose verified-signature memo is s's:
-// a world's base store and every host clone of it verify a given
-// signature once between them.
+// advisory updates separately) and whose memo is s's: a world's base
+// store and every host clone of it verify a given signature, and hash a
+// given shared image buffer, once between them.
 func (s *Store) Clone() *Store {
 	c := &Store{
 		roots:     make(map[uint64]*Certificate, len(s.roots)),
@@ -155,23 +156,35 @@ func (s *Store) findRootFor(c *Certificate) *Certificate {
 	return nil
 }
 
-// sigMemo records Ed25519 checks that succeeded, keyed by the exact bytes
-// checked. Failures are never recorded, so a miss always re-runs
-// ed25519.Verify and a verdict can differ from a memo-free one only if the
-// same bytes verified differently, which Ed25519 rules out. It needs no
-// size bound: a store lineage only ever checks its own world's signed
-// certificates and images.
-type sigMemo struct {
-	mu sync.Mutex
-	ok map[sigKey]struct{}
+// memo records facts about immutable bytes that a store lineage
+// established once. Ed25519 checks that succeeded are keyed by the exact
+// bytes checked. Image digests are keyed by the identity of a buffer
+// nothing writes (see ImageDigest). Failures and errors are never
+// recorded, so a miss always reruns the work, and an answer can differ
+// from a memo-free one only if the same bytes gave two answers, which
+// Ed25519 and SHA-256 rule out. It needs no size bound: a store lineage
+// only ever sees its own world's signed certificates and images and its
+// own world's shared image buffers, a handful of each.
+type memo struct {
+	mu      sync.Mutex
+	ok      map[sigKey]struct{}
+	digests map[bufKey][32]byte
 }
 
 // sigKey is public key, digest and signature, concatenated.
 type sigKey [ed25519.PublicKeySize + sha256.Size + ed25519.SignatureSize]byte
 
+// bufKey is a buffer's identity: its first byte and its length. The
+// pointer keeps the buffer's array alive as long as the memo, so no other
+// buffer can take its address while its entry stands.
+type bufKey struct {
+	first *byte
+	n     int
+}
+
 // verify is ed25519.Verify(pub, digest, sig) through the memo. Inputs of
 // any other length than a sigKey holds go straight to ed25519.Verify.
-func (m *sigMemo) verify(pub ed25519.PublicKey, digest, sig []byte) bool {
+func (m *memo) verify(pub ed25519.PublicKey, digest, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize || len(digest) != sha256.Size || len(sig) != ed25519.SignatureSize {
 		return ed25519.Verify(pub, digest, sig)
 	}
