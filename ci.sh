@@ -101,6 +101,10 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 2s ./inter
 # driver load runs through pki.VerifyImage to the same contract, and an
 # accepted blob must re-marshal to exactly its input.
 go test -run '^$' -fuzz '^FuzzParseImageSignature$' -fuzztime 10s -fuzzminimizetime 2s ./internal/pki
+# FuzzDecodePackages holds cnc.DecodePackages, which every C&C client
+# runs on GET_NEWS bodies, to the same contract, and an accepted body
+# must re-encode to exactly its input.
+go test -run '^$' -fuzz '^FuzzDecodePackages$' -fuzztime 10s -fuzzminimizetime 2s ./internal/cnc
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / exec / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of

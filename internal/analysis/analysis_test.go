@@ -374,13 +374,6 @@ rule ReporterComponent {
 	}
 }
 
-func TestSandboxWithVictimOptions(t *testing.T) {
-	sb := NewSandbox(3, WithVictimOptions(host.WithOS(host.WinXP)))
-	if sb.Victim.OS != host.WinXP {
-		t.Fatalf("victim OS = %v", sb.Victim.OS)
-	}
-}
-
 func TestSinkholeCatchesArbitraryDomains(t *testing.T) {
 	sb := NewSandbox(4)
 	resp, err := sb.LAN.HTTP(sb.Victim, &netsim.Request{Method: "GET", Host: "never-registered.example", Path: "/x"})

@@ -39,25 +39,6 @@ func WithDecoyDocs(n int) SandboxOption {
 	return func(sb *Sandbox) { sb.Victim.SeedDocuments("decoy", n) }
 }
 
-// WithVictimOptions rebuilds the victim host with extra options.
-func WithVictimOptions(opts ...host.Option) SandboxOption {
-	return func(sb *Sandbox) {
-		all := append(victimDefaults(), opts...)
-		sb.Victim = host.New(sb.K, "SANDBOX-PC", all...)
-		sb.LAN.Attach(sb.Victim)
-		sb.Registry.Attach(sb.Victim)
-	}
-}
-
-func victimDefaults() []host.Option {
-	return []host.Option{
-		host.WithInternet(true),
-		host.WithShares(true),
-		host.WithAutorun(true),
-		host.WithHardware(host.Hardware{Microphone: true, Bluetooth: true}),
-	}
-}
-
 // NewSandbox builds a fresh environment. The caller binds family
 // behaviours into sb.Registry (via each family's BindTo) before Run.
 func NewSandbox(seed uint64, opts ...SandboxOption) *Sandbox {
@@ -72,7 +53,8 @@ func NewSandbox(seed uint64, opts ...SandboxOption) *Sandbox {
 		return netsim.OK([]byte("sinkhole"))
 	}))
 
-	sb.Victim = host.New(k, "SANDBOX-PC", victimDefaults()...)
+	sb.Victim = host.New(k, "SANDBOX-PC", host.WithInternet(true), host.WithShares(true),
+		host.WithAutorun(true), host.WithHardware(host.Hardware{Microphone: true, Bluetooth: true}))
 	lan.Attach(sb.Victim)
 	sb.Registry = malware.NewRegistry(func(h *host.Host) *malware.Env {
 		return &malware.Env{K: k, Host: h, LAN: lan, Internet: in}

@@ -99,11 +99,14 @@ type Analyzer struct {
 	Rules interface {
 		ScanNames(data []byte) []string
 	}
-	// MaxXORKeyLen bounds key recovery (default 4).
-	MaxXORKeyLen int
-	// MinStringLen for strings extraction (default 6).
-	MinStringLen int
 }
+
+// maxXORKeyLen bounds repeating-key XOR recovery; minStringLen is the
+// shortest run strings extraction reports.
+const (
+	maxXORKeyLen = 4
+	minStringLen = 6
+)
 
 // Analyze produces a static report for the image at the given analysis
 // time (signature validity is time-dependent).
@@ -111,14 +114,6 @@ func (a *Analyzer) Analyze(img *pe.File, now time.Time) (*StaticReport, error) {
 	raw, err := img.Marshal()
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	maxKey := a.MaxXORKeyLen
-	if maxKey <= 0 {
-		maxKey = 4
-	}
-	minStr := a.MinStringLen
-	if minStr <= 0 {
-		minStr = 6
 	}
 
 	rep := &StaticReport{
@@ -134,7 +129,7 @@ func (a *Analyzer) Analyze(img *pe.File, now time.Time) (*StaticReport, error) {
 			Entropy: pe.Entropy(s.Data),
 			Exec:    s.Characteristics&pe.SecExec != 0,
 		})
-		rep.Strings = append(rep.Strings, interestingStrings(s.Data, minStr)...)
+		rep.Strings = append(rep.Strings, interestingStrings(s.Data, minStringLen)...)
 	}
 	for _, imp := range img.Imports {
 		for _, fn := range imp.Functions {
@@ -153,7 +148,7 @@ func (a *Analyzer) Analyze(img *pe.File, now time.Time) (*StaticReport, error) {
 		if nested, err := pe.Parse(res.Raw); err == nil {
 			rr.DecryptsToImage = true
 			rr.NestedName = nested.Name
-		} else if key, plain, ok := RecoverXORKey(res.Raw, maxKey); ok && !isZeroKey(key) {
+		} else if key, plain, ok := RecoverXORKey(res.Raw, maxXORKeyLen); ok && !isZeroKey(key) {
 			rr.LikelyEncrypted = true
 			rr.RecoveredKey = key
 			if nested, err := pe.Parse(plain); err == nil {

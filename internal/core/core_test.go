@@ -11,8 +11,9 @@ import (
 )
 
 // TestExperimentRegistryComplete checks the index matches DESIGN.md:
-// 35 unique listed IDs that all resolve, plus the hidden X1 self-test,
-// which resolves but is never listed.
+// 35 unique listed IDs that all resolve and all have an EXPERIMENTS.md
+// section, plus the hidden X1 self-test, which resolves but is never
+// listed.
 func TestExperimentRegistryComplete(t *testing.T) {
 	ids := ExperimentIDs()
 	if len(ids) != 35 {
@@ -28,6 +29,9 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	for _, id := range ids {
 		if run, ok := LookupExperiment(id); !ok || run == nil {
 			t.Fatalf("experiment %s not registered", id)
+		}
+		if sectionTitle(id) == "" {
+			t.Fatalf("experiment %s has no EXPERIMENTS.md section", id)
 		}
 	}
 	if run, ok := LookupExperiment("X1"); !ok || run == nil {

@@ -160,7 +160,7 @@ func RunD5NoiseFloor(env *Env, seed uint64) (*Result, error) {
 	lan := w.NewLAN("corp-users", "10.80.0", false)
 	const fleetSize = 24
 	hosts := w.AddHosts(lan, hostNames("CORP-WS", fleetSize), host.WithShares(true), host.WithInternet(true))
-	pop, err := users.Attach(w.K, lan, w.Internet, hosts, users.Config{Mix: users.MixEnterprise})
+	pop, err := users.Attach(w.K, lan, w.Internet, hosts, users.MixEnterprise)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,9 @@ func TestBusyFleetMemoryBound(t *testing.T) {
 		}
 		return err
 	})
-	if ratio := busy / silent; ratio > 1.3 {
+	ratio := busy / silent
+	t.Logf("busy %.2f MB, silent %.2f MB, ratio %.3fx (budget 1.3x)", busy/1e6, silent/1e6, ratio)
+	if ratio > 1.3 {
 		t.Fatalf("populated fleet costs %.2fx the silent baseline (%.0f vs %.0f bytes), budget is 1.3x",
 			ratio, busy, silent)
 	}

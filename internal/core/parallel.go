@@ -55,10 +55,8 @@ type RunReport struct {
 // a supervision scope on its own copy of env: the kernels its worlds
 // build register with the scope, a supervisor abort unwinds here as a
 // *sim.Cancelled and becomes a partial report, and a shutdown pending
-// before the start skips the experiment outright. When a wall-clock
-// collector is active it gets the experiment's wall time and pass/fail —
-// telemetry that stays on the nondeterministic plane (the deterministic
-// Result never carries wall data).
+// before the start skips the experiment outright. The caller hands the
+// finished report to recordRun, once, after any retries.
 func runOne(env *Env, id string, seed uint64) (rep RunReport) {
 	rep = RunReport{ID: id, Seed: seed}
 	if cause := env.cause(); cause != nil {
@@ -94,10 +92,6 @@ func runOne(env *Env, id string, seed uint64) (rep RunReport) {
 				rep.Err = fmt.Errorf("experiment %s: panic: %v", id, r)
 			}
 		}
-		if c := runstats.Active(); c != nil {
-			c.RecordExperiment(id, seed, rep.Wall,
-				rep.Err == nil && rep.Result != nil && rep.Result.Pass)
-		}
 	}()
 	defer runstats.Phase("run")()
 	rep.Result, rep.Err = runner(&scoped, seed)
@@ -108,6 +102,17 @@ func runOne(env *Env, id string, seed uint64) (rep RunReport) {
 		rep.Result.attachProvenance()
 	}
 	return rep
+}
+
+// recordRun gives an active wall-clock collector one finished report's
+// wall time and pass/fail — telemetry that stays on the nondeterministic
+// plane (the deterministic Result never carries wall data). A skipped
+// report never ran and is not recorded.
+func recordRun(rep RunReport) {
+	if c := runstats.Active(); c != nil && !rep.Skipped {
+		c.RecordExperiment(rep.ID, rep.Seed, rep.Wall,
+			rep.Err == nil && rep.Result != nil && rep.Result.Pass)
+	}
 }
 
 // poolLeaks audits the event-pool ledger of every kernel an aborted
@@ -174,7 +179,8 @@ type RunOptions struct {
 }
 
 // runSupervised wraps runOne with the journal short-circuit and the
-// bounded-retry determinism self-check.
+// bounded-retry determinism self-check, and records the final report
+// (never a journal-served one) once, however many attempts it took.
 func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
 	if opt.Journal != nil {
 		if rep, ok := opt.Journal.Lookup(id, seed); ok {
@@ -207,6 +213,7 @@ func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
 			rep = next
 		}
 	}
+	recordRun(rep)
 	if opt.Journal != nil {
 		opt.Journal.Record(rep)
 	}
@@ -273,6 +280,7 @@ func SweepSeeds(env *Env, ids []string, seeds []uint64, workers int) []SweepEntr
 	reports := make([]RunReport, len(ids)*len(seeds))
 	sim.RunPool(len(reports), workers, func(i int) {
 		reports[i] = runOne(env, ids[i/len(seeds)], seeds[i%len(seeds)])
+		recordRun(reports[i])
 		if res := reports[i].Result; res != nil {
 			// A sweep only needs aggregates; retaining every seed's trace
 			// would hold len(ids)*len(seeds) ring buffers in memory.

@@ -22,15 +22,40 @@ type reportSection struct {
 	IDs   []string
 }
 
-func reportSections() []reportSection {
-	return []reportSection{
-		{"Figures", []string{"F1", "F2", "F3", "F4", "F5", "F6"}},
-		{"Quantitative claims", []string{"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11"}},
-		{"Taxonomy and ablations", []string{"T1", "A1", "A2", "A3"}},
-		{"Extensions: the paper's other named weapons and lineage claims", []string{"E1", "E2", "E3", "E4"}},
-		{"Resilience under adversity (R-series, fault profile \"takedown\")", []string{"R1", "R2", "R3", "R4", "R5"}},
-		{"Detection (D-series, streaming engine vs. the CNI campaign)", []string{"D1", "D2", "D3", "D4", "D5"}},
+// sectionTitle names the report section an experiment ID belongs to by
+// its letter prefix; T and A share one. An unknown prefix has no
+// section ("").
+func sectionTitle(id string) string {
+	switch id[:1] {
+	case "F":
+		return "Figures"
+	case "C":
+		return "Quantitative claims"
+	case "T", "A":
+		return "Taxonomy and ablations"
+	case "E":
+		return "Extensions: the paper's other named weapons and lineage claims"
+	case "R":
+		return "Resilience under adversity (R-series, fault profile \"takedown\")"
+	case "D":
+		return "Detection (D-series, streaming engine vs. the CNI campaign)"
 	}
+	return ""
+}
+
+// reportSections walks the registry in order and starts a new section
+// whenever the title changes.
+func reportSections() []reportSection {
+	var secs []reportSection
+	for _, id := range ExperimentIDs() {
+		title := sectionTitle(id)
+		if len(secs) == 0 || secs[len(secs)-1].Title != title {
+			secs = append(secs, reportSection{Title: title})
+		}
+		last := &secs[len(secs)-1]
+		last.IDs = append(last.IDs, id)
+	}
+	return secs
 }
 
 // cell flattens a string into one markdown table cell: pipes escaped,

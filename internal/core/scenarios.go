@@ -41,8 +41,6 @@ type NatanzOptions struct {
 	MachinesPerDrive int      // default 8
 	DriveVendors     []string // default Finnish/Iranian pair
 	CPType           string   // default Profibus CP
-	PatchedBulletins []string // applied to every host
-	C2Online         bool     // register the futbol domains
 }
 
 // BuildNatanz assembles the scenario on an existing world.
@@ -65,17 +63,10 @@ func BuildNatanz(w *World, opts NatanzOptions) (*NatanzScenario, error) {
 	sc.Stuxnet = sx
 	sx.BindTo(w.Registry)
 
-	hostOpts := func(extra ...host.Option) []host.Option {
-		out := []host.Option{host.WithOS(host.Win7), host.WithShares(true)}
-		if len(opts.PatchedBulletins) > 0 {
-			out = append(out, host.WithPatches(opts.PatchedBulletins...))
-		}
-		return append(out, extra...)
-	}
-
-	sc.Engineer = w.AddHost(sc.LAN, "ENG-STATION", hostOpts()...)
+	sc.Engineer = w.AddHost(sc.LAN, "ENG-STATION", host.WithOS(host.Win7), host.WithShares(true))
 	for i := 0; i < opts.OfficeHosts; i++ {
-		sc.Offices = append(sc.Offices, w.AddHost(sc.LAN, fmt.Sprintf("OFFICE-%d", i+1), hostOpts()...))
+		sc.Offices = append(sc.Offices, w.AddHost(sc.LAN, fmt.Sprintf("OFFICE-%d", i+1),
+			host.WithOS(host.Win7), host.WithShares(true)))
 	}
 
 	plantCfg := plc.PlantConfig{
@@ -91,16 +82,6 @@ func BuildNatanz(w *World, opts NatanzOptions) (*NatanzScenario, error) {
 	}
 	w.SetExtra(sc.Engineer.Name, malware.ExtraStep7, sc.Step7)
 	w.SetExtra(sc.Engineer.Name, malware.ExtraPlant, sc.Plant)
-
-	if opts.C2Online {
-		for i, domain := range stuxnet.DefaultC2Domains {
-			ip := netsim.IP(fmt.Sprintf("203.0.113.%d", 30+i))
-			w.Internet.RegisterDomain(domain, ip)
-			w.Internet.BindServer(ip, netsim.HandlerFunc(func(*netsim.Request) *netsim.Response {
-				return netsim.OK([]byte("ok"))
-			}))
-		}
-	}
 
 	// The delivery drive an integrator engineer is handed (paper, V-E).
 	sc.Delivery = usb.NewDrive("INTEGRATOR-STICK")
@@ -228,9 +209,8 @@ type AramcoScenario struct {
 
 // AramcoOptions tweak the scenario.
 type AramcoOptions struct {
-	Workstations int       // default 100
-	DocsPerHost  int       // default 5
-	TriggerAt    time.Time // default shamoon.AramcoTrigger
+	Workstations int // default 100
+	DocsPerHost  int // default 5
 	SpreadEvery  time.Duration
 	LeanImages   bool // small code bulk for fleet-scale runs
 	JPEGBug      *bool
@@ -278,7 +258,6 @@ func BuildAramco(w *World, opts AramcoOptions) (*AramcoScenario, error) {
 	sc.LAN = w.NewLAN(opts.LANName, opts.Subnet, false)
 
 	cfg := shamoon.Config{
-		TriggerAt:      opts.TriggerAt,
 		ReporterDomain: "home.kuwaitdomains.example",
 		DriverKey:      w.PKI.EldosKey,
 		DriverCert:     w.PKI.EldosCert,
@@ -320,7 +299,7 @@ func BuildAramco(w *World, opts AramcoOptions) (*AramcoScenario, error) {
 		return nil, err
 	}
 	if mix := w.env.fleetMix(opts.Activity); mix != "" {
-		if sc.Users, err = users.Attach(w.K, sc.LAN, w.Internet, sc.Hosts, users.Config{Mix: mix}); err != nil {
+		if sc.Users, err = users.Attach(w.K, sc.LAN, w.Internet, sc.Hosts, mix); err != nil {
 			return nil, err
 		}
 	}
@@ -376,13 +355,16 @@ type CNIScenario struct {
 	Users *users.Population
 }
 
+// The CNI campaign's C&C pool: 12 domains on 4 servers, a smaller
+// footprint than the Flame platform's 80 on 22.
+const (
+	cniDomains   = 12
+	cniServerIPs = 4
+)
+
 // CNIOptions tweak the scenario.
 type CNIOptions struct {
 	Workstations int // default 6
-	Domains      int // default 12
-	ServerIPs    int // default 4
-	BeaconEvery  time.Duration
-	LateralEvery time.Duration
 	// Rules, when non-empty, attaches a streaming detect.Engine to the
 	// kernel before any campaign activity, so the rules see every event.
 	Rules []detect.Rule
@@ -398,27 +380,17 @@ func BuildCNI(w *World, opts CNIOptions) (*CNIScenario, error) {
 	if opts.Workstations <= 0 {
 		opts.Workstations = 6
 	}
-	if opts.Domains <= 0 {
-		opts.Domains = 12
-	}
-	if opts.ServerIPs <= 0 {
-		opts.ServerIPs = 4
-	}
 	sc := &CNIScenario{World: w}
 	sc.LAN = w.NewLAN("cni-enclave", "10.60.0", false)
 
-	center, err := cnc.NewAttackCenter(w.K, w.Internet, opts.Domains, opts.ServerIPs)
+	center, err := cnc.NewAttackCenter(w.K, w.Internet, cniDomains, cniServerIPs)
 	if err != nil {
 		return nil, err
 	}
 	sc.Center = center
 	center.Admin().ProvisionAll(30 * time.Minute)
 
-	c, err := cni.Build(w.K, cni.Config{
-		Center:       center,
-		BeaconEvery:  opts.BeaconEvery,
-		LateralEvery: opts.LateralEvery,
-	})
+	c, err := cni.Build(w.K, center)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +413,7 @@ func BuildCNI(w *World, opts CNIOptions) (*CNIScenario, error) {
 	// Benign population on the workstations only — the IIS entry host
 	// serves content, nobody does desk work on it.
 	if mix := w.env.fleetMix(opts.Activity); mix != "" {
-		if sc.Users, err = users.Attach(w.K, sc.LAN, w.Internet, sc.Workstations, users.Config{Mix: mix}); err != nil {
+		if sc.Users, err = users.Attach(w.K, sc.LAN, w.Internet, sc.Workstations, mix); err != nil {
 			return nil, err
 		}
 	}

@@ -28,9 +28,10 @@ type PlantConfig struct {
 	DriveVendors []string
 	// MachinesPerDrive defaults to 8.
 	MachinesPerDrive int
-	// TickEvery defaults to one simulated minute.
-	TickEvery time.Duration
 }
+
+// scanEvery is the plant's scan/physics period: one simulated minute.
+const scanEvery = time.Minute
 
 // NewPlant builds a plant running at NormalHz and starts its scan/physics
 // loop on the kernel. Callers own Stop.
@@ -43,9 +44,6 @@ func NewPlant(k *sim.Kernel, cfg PlantConfig) *Plant {
 	}
 	if cfg.MachinesPerDrive <= 0 {
 		cfg.MachinesPerDrive = 8
-	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = time.Minute
 	}
 	bus := &Profibus{CPType: cfg.CPType}
 	machineID := 0
@@ -65,7 +63,7 @@ func NewPlant(k *sim.Kernel, cfg PlantConfig) *Plant {
 		Operator: NewOperatorView(lib),
 		Safety:   NewSafetySystem(lib),
 	}
-	plant.stopTick = k.Every(cfg.TickEvery, "plant:"+cfg.Name, func() {
+	plant.stopTick = k.Every(scanEvery, "plant:"+cfg.Name, func() {
 		p.ScanCycle()
 		plant.Operator.Poll(len(bus.drives))
 		plant.Safety.Check(len(bus.drives))

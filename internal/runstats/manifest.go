@@ -36,9 +36,10 @@ type Manifest struct {
 }
 
 // KernelStats aggregates every sampled kernel's hot-loop telemetry.
-// With a partitioned world (DESIGN.md §14) the aggregates sum across
-// every shard kernel — queue depth is the fleet-wide total, not the
-// last shard to sample.
+// With a partitioned world (DESIGN.md §14) the counts sum across every
+// shard kernel; MaxQueueDepth is the deepest queue any one kernel
+// sampled, the depth each heap operation works on, and the same on
+// every run of one workload.
 type KernelStats struct {
 	Kernels       int64   `json:"kernels"`
 	Hosts         int64   `json:"hosts"`

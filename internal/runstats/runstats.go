@@ -67,7 +67,7 @@ type Collector struct {
 	kernels    atomic.Int64
 	partitions atomic.Int64 // partition count of the current sharded world
 	queueSum   atomic.Int64 // summed sampled queue depth across all kernels
-	queueMax   atomic.Int64 // high watermark of the summed queue depth
+	queueMax   atomic.Int64 // deepest queue any one kernel sampled
 	vtimeMax   atomic.Int64 // max sampled virtual time (ns since epoch)
 
 	// Heap watermarks, refreshed by SampleHeap (ticker + phase edges).
@@ -132,10 +132,12 @@ type kernelProbe struct {
 }
 
 // KernelSample implements sim.Probe. It must stay allocation-free: it
-// runs inside the kernel hot loop. Queue depth aggregates as a summed
-// per-probe delta — with a partitioned world many kernels sample
-// concurrently, and a last-writer-wins store would report whichever
-// shard sampled last instead of the fleet-wide pressure.
+// runs inside the kernel hot loop. The progress ticker shows the live
+// sum of every kernel's last sampled queue depth, kept as a per-probe
+// delta because partition kernels sample concurrently. The maximum is
+// per kernel: a kernel samples at fixed step counts, so the deepest
+// queue any one kernel sampled does not depend on the order in which
+// concurrent kernels sample, as a watermark of the sum does.
 func (p *kernelProbe) KernelSample(s sim.Sample) {
 	p.c.events.Add(s.Steps - p.lastSteps)
 	p.lastSteps = s.Steps
@@ -143,9 +145,9 @@ func (p *kernelProbe) KernelSample(s sim.Sample) {
 	p.lastHits = s.PoolHits
 	p.c.poolMisses.Add(s.PoolMisses - p.lastMisses)
 	p.lastMisses = s.PoolMisses
-	sum := p.c.queueSum.Add(int64(s.Pending) - p.lastPending)
+	p.c.queueSum.Add(int64(s.Pending) - p.lastPending)
 	p.lastPending = int64(s.Pending)
-	atomicMax(&p.c.queueMax, sum)
+	atomicMax(&p.c.queueMax, int64(s.Pending))
 	atomicMax(&p.c.vtimeMax, s.VNow.UnixNano())
 }
 

@@ -112,22 +112,19 @@ func (m Mix) ProfileFor(i int) Profile {
 	return ""
 }
 
-// Config parameterizes a population. Zero values get defaults in Attach.
-type Config struct {
-	// Mix assigns profiles by host index (required; MixNone attaches
-	// nobody).
-	Mix Mix
-	// TickEvery is the action cadence during work hours (default 1h).
-	TickEvery time.Duration
-	// MaintainEvery is the admin maintenance-round period (default 24h).
-	// At the default, the round's single RDP login stays below the
-	// rdp-login-burst threshold window by construction — see DESIGN.md
-	// §11 for the cadence/threshold arithmetic.
-	MaintainEvery time.Duration
-	// DocBytes caps generated document size (default 4 KiB; documents
-	// are seeded lazily exactly like host.SeedDocumentsSized).
-	DocBytes int
-}
+// The population's fixed cadences and sizes.
+const (
+	// tickEvery is the action cadence during work hours.
+	tickEvery = time.Hour
+	// maintainEvery is the admin maintenance-round period. Its single
+	// RDP login per round stays below the rdp-login-burst threshold
+	// window by construction — see DESIGN.md §11 for the
+	// cadence/threshold arithmetic.
+	maintainEvery = 24 * time.Hour
+	// docBytes caps generated document size; documents are seeded
+	// lazily exactly like host.SeedDocumentsSized.
+	docBytes = 4 * 1024
+)
 
 // Stats aggregates what the population did; deterministic for a fixed
 // seed.
@@ -180,7 +177,6 @@ type Population struct {
 	Agents []*Agent
 	Stats  Stats
 
-	cfg      Config
 	reportMu []byte // shared immutable buffer for share/USB copies
 	mailRaw  []byte
 	patchRaw []byte
@@ -253,27 +249,19 @@ var docNames = func() []string {
 	return names
 }()
 
-// Attach builds one agent per host according to cfg.Mix and starts their
-// timers. Fleet builders call it after AddHosts returns, on the world's
-// goroutine, so the per-agent RNG forks happen in host-index order.
-// internet may be nil (air-gapped fleets skip mail/web).
-func Attach(k *sim.Kernel, lan *netsim.LAN, internet *netsim.Internet, hosts []*host.Host, cfg Config) (*Population, error) {
-	if cfg.Mix == "" || cfg.Mix == MixNone {
-		return nil, fmt.Errorf("users: Attach needs an activity mix (got %q)", cfg.Mix)
+// Attach builds one agent per host according to mix, which must name a
+// populated mix (not "" or MixNone), and starts their timers. Fleet
+// builders call it after AddHosts returns, on the world's goroutine, so
+// the per-agent RNG forks happen in host-index order. internet may be
+// nil (air-gapped fleets skip mail/web).
+func Attach(k *sim.Kernel, lan *netsim.LAN, internet *netsim.Internet, hosts []*host.Host, mix Mix) (*Population, error) {
+	if mix == "" || mix == MixNone {
+		return nil, fmt.Errorf("users: Attach needs an activity mix (got %q)", mix)
 	}
-	if _, err := ParseMix(string(cfg.Mix)); err != nil {
+	if _, err := ParseMix(string(mix)); err != nil {
 		return nil, err
 	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = time.Hour
-	}
-	if cfg.MaintainEvery <= 0 {
-		cfg.MaintainEvery = 24 * time.Hour
-	}
-	if cfg.DocBytes < 2048 {
-		cfg.DocBytes = 4 * 1024
-	}
-	p := &Population{K: k, LAN: lan, cfg: cfg}
+	p := &Population{K: k, LAN: lan}
 	m := k.Metrics()
 	p.mDoc = m.Counter("users.doc.write")
 	p.mMailSend = m.Counter("users.mail.send")
@@ -310,7 +298,7 @@ func Attach(k *sim.Kernel, lan *netsim.LAN, internet *netsim.Internet, hosts []*
 	}
 
 	for i, h := range hosts {
-		prof := cfg.Mix.ProfileFor(i)
+		prof := mix.ProfileFor(i)
 		if prof == "" {
 			continue
 		}
@@ -329,7 +317,7 @@ func (p *Population) attachAgent(h *host.Host, prof Profile) {
 	p.Agents = append(p.Agents, a)
 	p.Stats.Agents++
 	p.mAttach.Inc()
-	p.K.Every(p.cfg.TickEvery, "users-tick:"+h.Name, func() { p.tick(a) })
+	p.K.Every(tickEvery, "users-tick:"+h.Name, func() { p.tick(a) })
 	if prof == Admin {
 		// Routine persistence the pack must NOT fire on: a Program Files
 		// inventory task, registered up front (the benign Event-4698).
@@ -339,7 +327,7 @@ func (p *Population) attachAgent(h *host.Host, prof Profile) {
 		})
 		p.Stats.TasksCreated++
 		p.mTask.Inc()
-		p.K.Every(p.cfg.MaintainEvery, "users-admin:"+h.Name, func() { p.maintain(a) })
+		p.K.Every(maintainEvery, "users-admin:"+h.Name, func() { p.maintain(a) })
 	}
 }
 
@@ -438,7 +426,7 @@ func (p *Population) writeDoc(a *Agent) {
 	slot := a.docSlot % docSlots
 	a.docSlot++
 	name := docNames[slot*len(docExts)+a.rng.Intn(len(docExts))]
-	size := 1024 + a.rng.Intn(p.cfg.DocBytes-1024)
+	size := 1024 + a.rng.Intn(docBytes-1024)
 	path := `C:\Users\` + a.user + `\documents\` + name
 	if err := a.H.WriteDoc(path, size, a.rng); err != nil {
 		p.refused(a)

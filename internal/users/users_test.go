@@ -29,7 +29,7 @@ func smallWorld(t *testing.T, seed uint64, n int, mix Mix, muted bool) (*sim.Ker
 		lan.Attach(h)
 		hosts[i] = h
 	}
-	p, err := Attach(k, lan, in, hosts, Config{Mix: mix})
+	p, err := Attach(k, lan, in, hosts, mix)
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -74,10 +74,10 @@ func TestEnterpriseMixAssignment(t *testing.T) {
 
 func TestAttachRejectsEmptyMix(t *testing.T) {
 	k := sim.NewKernel(sim.WithSeed(1), sim.WithStart(start))
-	if _, err := Attach(k, netsim.NewLAN(k, "l", "10.0.0", nil), nil, nil, Config{}); err == nil {
+	if _, err := Attach(k, netsim.NewLAN(k, "l", "10.0.0", nil), nil, nil, ""); err == nil {
 		t.Fatal("Attach accepted empty mix")
 	}
-	if _, err := Attach(k, netsim.NewLAN(k, "l2", "10.0.1", nil), nil, nil, Config{Mix: MixNone}); err == nil {
+	if _, err := Attach(k, netsim.NewLAN(k, "l2", "10.0.1", nil), nil, nil, MixNone); err == nil {
 		t.Fatal("Attach accepted MixNone")
 	}
 }
