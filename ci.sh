@@ -105,6 +105,10 @@ go test -run '^$' -fuzz '^FuzzParseImageSignature$' -fuzztime 10s -fuzzminimizet
 # runs on GET_NEWS bodies, to the same contract, and an accepted body
 # must re-encode to exactly its input.
 go test -run '^$' -fuzz '^FuzzDecodePackages$' -fuzztime 10s -fuzzminimizetime 2s ./internal/cnc
+# FuzzCompile holds yara.Compile, the rule-language front end of the
+# dissection toolchain, to the same contract, and an accepted rule set
+# must scan a fixed buffer without a panic.
+go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 2s ./internal/yara
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / exec / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of

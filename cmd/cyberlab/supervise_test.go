@@ -9,6 +9,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,7 +19,8 @@ import (
 
 // TestRunJournalResume drives the full CLI path: a journaled run, then a
 // -resume run that serves the journaled experiment instead of
-// re-executing it, which its manifest counts.
+// re-executing it, which its manifest counts and lists beside the
+// experiment it ran.
 func TestRunJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.journal")
@@ -29,8 +31,15 @@ func TestRunJournalResume(t *testing.T) {
 	if err := run(context.Background(), []string{"-run", "F3,C8", "-journal", path, "-resume", "-manifest", manifest}); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
-	if m := readManifest(t, manifest); m.Supervision.JournalServed != 1 {
-		t.Fatalf("resumed run's manifest: journal_served = %d, want 1 (F3)", m.Supervision.JournalServed)
+	m := readManifest(t, manifest)
+	var ids []string
+	for _, e := range m.Experiments {
+		ids = append(ids, e.ID)
+	}
+	slices.Sort(ids)
+	if m.Supervision.JournalServed != 1 || !slices.Equal(ids, []string{"C8", "F3"}) {
+		t.Fatalf("resumed run's manifest: journal_served = %d, experiments %v; want 1 (F3) and [C8 F3]",
+			m.Supervision.JournalServed, ids)
 	}
 	// Without -resume, reusing the journal must be refused.
 	if err := run(context.Background(), []string{"-run", "F3", "-journal", path}); err == nil ||

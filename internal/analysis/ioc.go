@@ -14,7 +14,6 @@ const (
 	IOCDomain   IOCKind = "domain"
 	IOCFileName IOCKind = "filename"
 	IOCFilePath IOCKind = "filepath"
-	IOCService  IOCKind = "service"
 	IOCRegistry IOCKind = "registry"
 	IOCYaraRule IOCKind = "yara-rule"
 )

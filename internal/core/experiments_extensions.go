@@ -146,9 +146,9 @@ func RunE2GaussGodel(env *Env, seed uint64) (*Result, error) {
 	g.BindTo(w.Registry)
 
 	godelHosts := []string{}
-	w.Registry.Bind(g.GodelPayload, malware.ImplantFunc{ImplantName: "godel", Fn: func(env *malware.Env, p *host.Process, img *pe.File) {
+	w.Registry.Bind(g.GodelPayload, func(env *malware.Env, p *host.Process, img *pe.File) {
 		godelHosts = append(godelHosts, env.Host.Name)
-	}})
+	})
 
 	// Six machines with banking sessions; exactly one carries the keyed
 	// configuration.

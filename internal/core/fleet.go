@@ -25,7 +25,6 @@ func (w *World) AddHosts(lan *netsim.LAN, names []string, opts ...host.Option) [
 		h := host.New(w.K, name, all...)
 		lan.Attach(h)
 		w.hosts[h.Name] = lan
-		w.extra[h.Name] = make(map[string]any)
 		w.Registry.Attach(h)
 		hosts[i] = h
 	}

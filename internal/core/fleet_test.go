@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/host"
+	"repro/internal/malware"
 	"repro/internal/malware/shamoon"
 	"repro/internal/netsim"
 	"repro/internal/pe"
@@ -114,6 +115,28 @@ func TestAddHostsStreamsFollowAnchor(t *testing.T) {
 	}
 	if got, want := w.K.RNG().State(), oracle.K.RNG().State(); got != want {
 		t.Fatalf("kernel stream at %#x after two AddHosts calls, want one fork per call (%#x)", got, want)
+	}
+}
+
+// TestSetExtraMakesMapOnFirstWrite: a host's implant Extra is nil until
+// SetExtra writes to it, the value then reaches that host's implant Env,
+// and a write for a host the world does not have is dropped.
+func TestSetExtraMakesMapOnFirstWrite(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := w.AddHosts(w.NewLAN("l", "10.0.0", false), hostNames("WS", 2))
+	w.SetExtra("WS-01", malware.ExtraStep7, "s7")
+	w.SetExtra("NOPE", malware.ExtraStep7, "s7")
+	if got := w.Registry.EnvFor(hosts[0]).Extra[malware.ExtraStep7]; got != "s7" {
+		t.Fatalf("WS-01 Extra[%q] = %v, want s7", malware.ExtraStep7, got)
+	}
+	if extra := w.Registry.EnvFor(hosts[1]).Extra; extra != nil {
+		t.Fatalf("WS-02 Extra = %v, want nil: nothing was set on it", extra)
+	}
+	if _, ok := w.extra["NOPE"]; ok {
+		t.Fatal("SetExtra made a map for a host the world does not have")
 	}
 }
 

@@ -130,8 +130,6 @@ type Journal struct {
 	path     string
 	hdr      journalHeader
 	replayed map[string]RunReport
-	served   int
-	recorded int
 	writeErr error
 }
 
@@ -302,9 +300,6 @@ func (j *Journal) Lookup(id string, seed uint64) (RunReport, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rep, ok := j.replayed[journalKey(id, seed)]
-	if ok {
-		j.served++
-	}
 	return rep, ok
 }
 
@@ -345,8 +340,6 @@ func (j *Journal) Record(rep RunReport) {
 	}
 	if err := j.appendLocked(line); err != nil {
 		j.writeErr = err
-	} else {
-		j.recorded++
 	}
 }
 
@@ -375,20 +368,6 @@ func (j *Journal) appendLocked(line []byte) error {
 		return fmt.Errorf("journal %s: fsync: %w", j.path, err)
 	}
 	return nil
-}
-
-// Served reports how many lookups were satisfied from the journal.
-func (j *Journal) Served() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.served
-}
-
-// Recorded reports how many fresh outcomes this run appended.
-func (j *Journal) Recorded() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recorded
 }
 
 // Close flushes and closes the journal, surfacing any write error that

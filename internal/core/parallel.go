@@ -180,13 +180,16 @@ type RunOptions struct {
 
 // runSupervised wraps runOne with the journal short-circuit and the
 // bounded-retry determinism self-check, and records the final report
-// (never a journal-served one) once, however many attempts it took.
+// once, however many attempts it took. A journal-served report is
+// recorded too, with its zero wall time, so a resumed run's done count
+// and manifest cover every report it returns.
 func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
 	if opt.Journal != nil {
 		if rep, ok := opt.Journal.Lookup(id, seed); ok {
 			if c := runstats.Active(); c != nil {
 				c.CountJournalServed()
 			}
+			recordRun(rep)
 			return rep
 		}
 	}
@@ -261,7 +264,8 @@ type SweepEntry struct {
 	Metrics []MetricStat  // first-seen metric order
 	Wall    time.Duration // summed wall clock across seeds
 	// Obs merges the experiment's registry snapshots across every seed
-	// (counter sums grow with the seed count; gauges keep the last fold).
+	// (counters and histogram buckets sum, so they grow with the seed
+	// count).
 	Obs obs.Snapshot
 }
 

@@ -242,7 +242,6 @@ func (w *World) AddHost(lan *netsim.LAN, name string, opts ...host.Option) *host
 	h := host.New(w.K, name, all...)
 	lan.Attach(h)
 	w.hosts[name] = lan
-	w.extra[name] = make(map[string]any)
 	w.Registry.Attach(h)
 	if c := runstats.Active(); c != nil {
 		c.AddHosts(1)
@@ -263,9 +262,16 @@ func (w *World) Host(name string) *host.Host {
 }
 
 // SetExtra attaches scenario context (e.g. a Step7 install) to a host's
-// implant environment.
+// implant environment. A host's map is made on its first write, so a
+// host that carries no context (every fleet host) costs no map.
 func (w *World) SetExtra(hostName, key string, value any) {
-	if m, ok := w.extra[hostName]; ok {
-		m[key] = value
+	if _, ok := w.hosts[hostName]; !ok {
+		return
 	}
+	m := w.extra[hostName]
+	if m == nil {
+		m = make(map[string]any)
+		w.extra[hostName] = m
+	}
+	m[key] = value
 }

@@ -76,9 +76,6 @@ var ErrPacketLoss = errors.New("netsim: packet lost (LAN impaired)")
 // SetImpairment applies imp to the segment (zero value restores health).
 func (l *LAN) SetImpairment(imp Impairment) { l.impair = imp }
 
-// Impairment returns the segment's current degradation.
-func (l *LAN) Impairment() Impairment { return l.impair }
-
 // dropped decides one operation's fate under the current impairment. It
 // is RNG-neutral at the extremes: Loss <= 0 never draws and never drops,
 // Loss >= 1 never draws and always drops — so baseline worlds and

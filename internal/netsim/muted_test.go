@@ -96,7 +96,15 @@ func TestMutedWorldCountsLikeLiveTwin(t *testing.T) {
 			t.Fatalf("Count(%s): live %d, muted %d", cat, l, m)
 		}
 	}
-	if l, m := live.Metrics().Snapshot().Text(), muted.Metrics().Snapshot().Text(); l != m {
+	l, err := live.Metrics().Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := muted.Metrics().Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(l) != string(m) {
 		t.Fatalf("metrics differ:\nlive\n%s\nmuted\n%s", l, m)
 	}
 	if len(mutedEvents) != 1 {

@@ -3,8 +3,8 @@
 // event records the simulation trace exports as JSONL.
 //
 // Every sim.Kernel owns one Registry; substrates (netsim, host, cnc, the
-// malware models) record their key transitions on it as counters, gauges
-// and fixed-bucket histograms. Metric names follow the
+// malware models) record their key transitions on it as counters and
+// fixed-bucket histograms. Metric names follow the
 // subsystem.noun.verb convention (e.g. "lan.smb.copy",
 // "flame.module.install"); see DESIGN.md §6 for the full catalogue.
 //

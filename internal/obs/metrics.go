@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Counter is a monotonically non-decreasing metric.
@@ -25,20 +24,6 @@ func (c *Counter) Add(d float64) {
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v }
 
-// Gauge is a point-in-time level metric.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the gauge by d (either sign).
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Histogram is a fixed-bucket distribution. Bucket i counts observations
 // v with bounds[i-1] < v <= bounds[i]; one extra overflow bucket counts
 // v > bounds[len-1] (the +Inf bucket). The bucket layout is fixed at
@@ -53,7 +38,7 @@ type Histogram struct {
 
 // Observe records one value. NaN is an authoring error — every bucket
 // comparison against NaN is false, so it would land in bucket 0 and
-// poison sum (and everything downstream of snapshot merge/diff) — so it
+// poison sum (and everything downstream of snapshot merge) — so it
 // panics, mirroring Counter.Add on negative deltas.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
@@ -73,22 +58,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum }
-
-// Bounds returns the bucket upper bounds (not including +Inf). Callers
-// must not mutate the result.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic("obs: LinearBuckets needs n >= 1 and width > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
 
 // ExpBuckets returns n upper bounds start, start*factor, ...
 func ExpBuckets(start, factor float64, n int) []float64 {
@@ -113,7 +82,6 @@ var ByteBuckets = ExpBuckets(64, 4, 8)
 // cache the pointer once and skip the map afterwards.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -121,14 +89,13 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
 
 // checkName enforces the metric-name charset (lowercase dotted words,
-// digits, dashes and underscores allowed) so text and JSON encodings
-// never need escaping.
+// digits, dashes and underscores allowed) so the JSON encoding never
+// needs escaping.
 func checkName(name string) {
 	if name == "" {
 		panic("obs: empty metric name")
@@ -152,17 +119,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	checkName(name)
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -196,20 +152,4 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	r.hists[name] = h
 	return h
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

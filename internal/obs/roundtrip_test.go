@@ -10,7 +10,7 @@ import (
 )
 
 func TestHistogramObserveNaNPanics(t *testing.T) {
-	h := NewRegistry().Histogram("test.nan.hist", LinearBuckets(1, 1, 3))
+	h := NewRegistry().Histogram("test.nan.hist", []float64{1, 2, 3})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Observe(NaN) did not panic")

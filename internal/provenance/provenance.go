@@ -272,15 +272,3 @@ func (f *Forest) Exps() []string {
 	sort.Strings(out)
 	return out
 }
-
-// FilterExp returns a forest rebuilt from only the nodes of one
-// experiment (cheap: reuses the reconstruction, not the event stream).
-func FilterExp(events []obs.Event, exp string) *Forest {
-	var kept []obs.Event
-	for _, e := range events {
-		if got, _ := e.Get("exp"); got == exp {
-			kept = append(kept, e)
-		}
-	}
-	return Build(kept)
-}

@@ -178,16 +178,6 @@ func TestCyclicParentsTerminate(t *testing.T) {
 	}
 }
 
-func TestFilterExp(t *testing.T) {
-	f := FilterExp(fixture(), "F8")
-	if len(f.Nodes) != 2 || len(f.Roots) != 1 {
-		t.Fatalf("filtered forest: %d nodes, %d roots", len(f.Nodes), len(f.Roots))
-	}
-	if got := f.Exps(); len(got) != 1 || got[0] != "F8" {
-		t.Fatalf("exps = %v", got)
-	}
-}
-
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)

@@ -187,10 +187,6 @@ func (c *Collector) AddHosts(n int) { c.hosts.Add(int64(n)) }
 // the manifest; 0 means the run never built a partitioned world.
 func (c *Collector) SetPartitions(n int) { c.partitions.Store(int64(n)) }
 
-// Partitions returns the recorded partition count (0 when the run is
-// unpartitioned).
-func (c *Collector) Partitions() int64 { return c.partitions.Load() }
-
 // RecordPartition accumulates one shard's epoch-window advance: steps
 // executed and wall time spent, keyed by partition index. The fleet
 // runner feeds it after each RunUntil from sim.PartitionSet.Stats().
@@ -290,9 +286,6 @@ func (c *Collector) CountJournalServed() { c.supJournal.Add(1) }
 
 // Events returns the fired-event total sampled so far.
 func (c *Collector) Events() uint64 { return c.events.Load() }
-
-// Hosts returns the hosts-attached total.
-func (c *Collector) Hosts() int64 { return c.hosts.Load() }
 
 // VTimeMax returns the latest virtual time any kernel sample reached
 // (zero time until the first sample lands).

@@ -320,7 +320,7 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 func (k *Kernel) Trace() *Trace { return k.trace }
 
 // Metrics returns the kernel's metrics registry. Substrates register
-// their counters, gauges and histograms here; names follow the
+// their counters and histograms here; names follow the
 // subsystem.noun.verb convention (DESIGN.md §6).
 func (k *Kernel) Metrics() *obs.Registry { return k.metrics }
 

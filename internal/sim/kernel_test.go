@@ -261,18 +261,6 @@ func TestRNGIntnProperty(t *testing.T) {
 	}
 }
 
-func TestRNGBoolEdges(t *testing.T) {
-	r := NewRNG(1)
-	for i := 0; i < 100; i++ {
-		if r.Bool(0) {
-			t.Fatal("Bool(0) returned true")
-		}
-		if !r.Bool(1) {
-			t.Fatal("Bool(1) returned false")
-		}
-	}
-}
-
 func TestRNGBytesLength(t *testing.T) {
 	r := NewRNG(3)
 	for _, n := range []int{0, 1, 7, 8, 9, 100} {
@@ -294,28 +282,6 @@ func TestRNGForkIndependence(t *testing.T) {
 	}
 	if same {
 		t.Fatal("forked RNG mirrors parent stream")
-	}
-}
-
-func TestPickAndShuffle(t *testing.T) {
-	r := NewRNG(11)
-	items := []string{"a", "b", "c", "d"}
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		seen[Pick(r, items)] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("Pick never chose some elements: %v", seen)
-	}
-	orig := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	shuffled := append([]int(nil), orig...)
-	Shuffle(r, shuffled)
-	sum := 0
-	for _, v := range shuffled {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("Shuffle lost elements: %v", shuffled)
 	}
 }
 

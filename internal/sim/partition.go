@@ -66,11 +66,6 @@ type Partition struct {
 	wall time.Duration // wall-clock plane: time spent advancing this shard
 }
 
-// Index returns the partition's position in the set. Indices are
-// assigned in Add order and are part of the deterministic message
-// ordering, so partitioned scenarios must Add shards in a fixed order.
-func (p *Partition) Index() int { return p.idx }
-
 // Send enqueues a cross-partition message for delivery at the end of
 // the current epoch window. It must be called from the partition's own
 // kernel (inside one of its event callbacks, or between runs on the
@@ -90,10 +85,6 @@ func (p *Partition) Send(to int, kind string, payload any) {
 	}})
 }
 
-// Sent reports how many cross-partition messages this partition has
-// enqueued so far (delivered or not).
-func (p *Partition) Sent() uint64 { return p.seq }
-
 // OnDeliver installs the partition's mailbox handler. Delivered
 // messages run as ordinary kernel events on the partition's own kernel
 // (virtual time = the window boundary), so handlers may schedule,
@@ -106,7 +97,6 @@ func (p *Partition) OnDeliver(fn func(Message)) { p.deliver = fn }
 type PartitionStat struct {
 	Steps uint64        // events executed by the shard's kernel
 	Wall  time.Duration // wall-clock spent advancing the shard
-	Sent  uint64        // cross-partition messages enqueued
 }
 
 // PartitionSet advances P kernels in lock-step epoch windows with
@@ -127,15 +117,10 @@ func NewPartitionSet(epoch time.Duration) *PartitionSet {
 	return &PartitionSet{epoch: epoch}
 }
 
-// Epoch returns the set's window width Δ.
-func (ps *PartitionSet) Epoch() time.Duration { return ps.epoch }
-
-// Len returns the number of partitions added so far.
-func (ps *PartitionSet) Len() int { return len(ps.parts) }
-
-// Add registers a kernel as the next partition (index = current Len)
-// and returns its handle. All partitions must be added before the
-// first RunUntil call, in a fixed scenario-defined order.
+// Add registers a kernel as the next partition and returns its handle.
+// Indices are assigned in Add order and are part of the deterministic
+// message ordering, so all partitions must be added before the first
+// RunUntil call, in a fixed scenario-defined order.
 func (ps *PartitionSet) Add(k *Kernel) *Partition {
 	p := &Partition{K: k, set: ps, idx: len(ps.parts)}
 	ps.parts = append(ps.parts, p)
@@ -145,12 +130,12 @@ func (ps *PartitionSet) Add(k *Kernel) *Partition {
 // Partition returns the handle at index i.
 func (ps *PartitionSet) Partition(i int) *Partition { return ps.parts[i] }
 
-// Stats reports each shard's executed-event count, accumulated advance
-// wall time and message count, in partition order.
+// Stats reports each shard's executed-event count and accumulated
+// advance wall time, in partition order.
 func (ps *PartitionSet) Stats() []PartitionStat {
 	out := make([]PartitionStat, len(ps.parts))
 	for i, p := range ps.parts {
-		out[i] = PartitionStat{Steps: p.K.Steps(), Wall: p.wall, Sent: p.seq}
+		out[i] = PartitionStat{Steps: p.K.Steps(), Wall: p.wall}
 	}
 	return out
 }

@@ -94,7 +94,7 @@ func TestPoolDeterminismUnderChurn(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			d := time.Duration(1+k.RNG().Intn(3600)) * time.Second
 			tm := k.Schedule(d, "churn", func() {
-				if k.RNG().Bool(0.5) {
+				if k.RNG().Intn(2) == 0 {
 					k.Schedule(time.Duration(1+k.RNG().Intn(600))*time.Second, "child", func() {})
 				}
 			})

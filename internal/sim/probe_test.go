@@ -112,7 +112,7 @@ func TestProbeDoesNotPerturbDeterminism(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			d := time.Duration(1+k.RNG().Intn(3600)) * time.Second
 			k.Schedule(d, "churn", func() {
-				if k.RNG().Bool(0.5) {
+				if k.RNG().Intn(2) == 0 {
 					k.Trace().Add(k.Now(), CatExec, "t", "spawn")
 					k.Schedule(time.Duration(1+k.RNG().Intn(600))*time.Second, "child", func() {})
 				}
@@ -123,7 +123,11 @@ func TestProbeDoesNotPerturbDeterminism(t *testing.T) {
 		for _, e := range k.Trace().Events() {
 			events = append(events, e.Msg)
 		}
-		return k.Steps(), k.Metrics().Snapshot().Text(), join(events)
+		metrics, err := k.Metrics().Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k.Steps(), string(metrics), join(events)
 	}
 	s1, m1, t1 := run(false)
 	s2, m2, t2 := run(true)

@@ -70,17 +70,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
 // Bytes fills and returns a new slice of n pseudorandom bytes.
 func (r *RNG) Bytes(n int) []byte {
 	b := make([]byte, n)
@@ -91,18 +80,4 @@ func (r *RNG) Bytes(n int) []byte {
 		}
 	}
 	return b
-}
-
-// Pick returns a uniformly chosen element of items. It panics on an empty
-// slice.
-func Pick[T any](r *RNG, items []T) T {
-	return items[r.Intn(len(items))]
-}
-
-// Shuffle permutes items in place (Fisher-Yates).
-func Shuffle[T any](r *RNG, items []T) {
-	for i := len(items) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		items[i], items[j] = items[j], items[i]
-	}
 }

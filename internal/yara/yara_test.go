@@ -242,24 +242,26 @@ func TestEscapesInStrings(t *testing.T) {
 	}
 }
 
+// malformedRules each fail to compile, one defect apiece.
+var malformedRules = []string{
+	``,                             // no rules
+	`rule {}`,                      // missing name
+	`rule R { condition: $ghost }`, // undefined ref
+	`rule R { strings: $a = "x" condition: }`,                                               // empty condition
+	`rule R { strings: $a = "" condition: $a }`,                                             // empty pattern
+	`rule R { strings: $a = { } condition: $a }`,                                            // empty hex
+	`rule R { strings: $a = { GG } condition: $a }`,                                         // bad hex
+	`rule R { strings: $a = { F } condition: $a }`,                                          // odd hex
+	`rule R { strings: $a = "x" $a = "y" condition: $a }`,                                   // dup string
+	`rule R { condition: 2 of them }`,                                                       // of-them without strings
+	`rule R { strings: $a = "x" condition: #a >< 1 }`,                                       // bad op
+	`rule R { strings: $a = "x" condition: $a } rule R { strings: $b = "y" condition: $b }`, // dup rule
+	`rule R { strings: $a = "unterminated condition: $a }`,
+	`rule R { strings: $a = "x" condition: $a`, // missing brace
+}
+
 func TestCompileErrors(t *testing.T) {
-	cases := []string{
-		``,                             // no rules
-		`rule {}`,                      // missing name
-		`rule R { condition: $ghost }`, // undefined ref
-		`rule R { strings: $a = "x" condition: }`,                                               // empty condition
-		`rule R { strings: $a = "" condition: $a }`,                                             // empty pattern
-		`rule R { strings: $a = { } condition: $a }`,                                            // empty hex
-		`rule R { strings: $a = { GG } condition: $a }`,                                         // bad hex
-		`rule R { strings: $a = { F } condition: $a }`,                                          // odd hex
-		`rule R { strings: $a = "x" $a = "y" condition: $a }`,                                   // dup string
-		`rule R { condition: 2 of them }`,                                                       // of-them without strings
-		`rule R { strings: $a = "x" condition: #a >< 1 }`,                                       // bad op
-		`rule R { strings: $a = "x" condition: $a } rule R { strings: $b = "y" condition: $b }`, // dup rule
-		`rule R { strings: $a = "unterminated condition: $a }`,
-		`rule R { strings: $a = "x" condition: $a`, // missing brace
-	}
-	for _, src := range cases {
+	for _, src := range malformedRules {
 		if _, err := Compile(src); err == nil {
 			t.Errorf("Compile accepted %q", src)
 		} else {
