@@ -109,8 +109,13 @@ go test -run '^$' -fuzz '^FuzzDecodePackages$' -fuzztime 10s -fuzzminimizetime 2
 # dissection toolchain, to the same contract, and an accepted rule set
 # must scan a fixed buffer without a panic.
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 2s ./internal/yara
+# FuzzParseMBR holds host.ParseMBR, the reader of a disk's first sector,
+# to the same contract: a wrong length or a missing 0x55AA is an error,
+# an accepted sector survives a Marshal round trip, and the disk's
+# in-place Bootable agrees with the parsed partition table.
+go test -run '^$' -fuzz '^FuzzParseMBR$' -fuzztime 10s -fuzzminimizetime 2s ./internal/host
 
-# Fleet-perf lane (DESIGN.md §9): run the seed / exec / event / C7 benchmarks
+# Fleet-perf lane (DESIGN.md §9): run the seed / wipe / exec / event / C7 benchmarks
 # with -benchmem, fold them into the "after" snapshot of a temp copy of
 # BENCH_C7.json via benchjson, and gate the perf trajectory. The copy
 # keeps a CI run from rewriting the committed file; refresh that on
@@ -132,7 +137,7 @@ go run ./cmd/benchjson -check BENCH_C7.json -require "$bench_req" \
 tmp_bench=$(mktemp)
 tmp_bench_json=$(mktemp)
 cp BENCH_C7.json "$tmp_bench_json"
-go test -timeout 300s -run '^$' -bench 'SeedDocuments|CheckWipeLazy|ExecuteFileShared' -benchmem ./internal/host | tee -a "$tmp_bench"
+go test -timeout 300s -run '^$' -bench 'SeedDocuments|CheckWipeLazy|ExecuteFileShared|WipePath|ReadMBR' -benchmem ./internal/host | tee -a "$tmp_bench"
 go test -timeout 300s -run '^$' -bench 'ScheduleFire|ScheduleCancel' -benchtime=0.2s -benchmem ./internal/sim | tee -a "$tmp_bench"
 # Every C7 bench runs the registry's six-site layout through the one C7
 # runner. UsersC7BusyReduced is the populated twin of ClaimC7Reduced: its

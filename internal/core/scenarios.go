@@ -279,9 +279,10 @@ func BuildAramco(w *World, opts AramcoOptions) (*AramcoScenario, error) {
 		w.Internet.RegisterRemoteDomain(cfg.ReporterDomain, "203.0.113.66", opts.ReporterForward)
 	} else {
 		w.Internet.RegisterDomain(cfg.ReporterDomain, "203.0.113.66")
+		accepted := netsim.OK(nil)
 		w.Internet.BindServer("203.0.113.66", netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
 			sc.Reports = append(sc.Reports, req)
-			return netsim.OK(nil)
+			return accepted
 		}))
 	}
 

@@ -94,3 +94,59 @@ func BenchmarkExecuteFileShared(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkReadMBR prices the MBR read the wiper makes before it zeroes
+// the active partition: sector 0 parsed where it is stored.
+func BenchmarkReadMBR(b *testing.B) {
+	d := NewDisk(1 << 21)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.ReadMBR(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWipePath prices the host side of one Shamoon detonation on a
+// C7 workstation (two lean documents): collect the user-folder targets,
+// overwrite each with the shared JPEG fragment, record the count, read
+// the MBR and zero it and the active partition's first sector through a
+// raw-disk driver. The MBR goes back untimed after each pass, so every
+// pass wipes a bootable disk whose documents already exist.
+func BenchmarkWipePath(b *testing.B) {
+	h := New(sim.NewKernel(sim.WithSeed(7)), "WS-00001")
+	if _, failed := h.SeedDocumentsSized("emp", 2, 3*1024); failed != 0 {
+		b.Fatalf("%d documents failed to seed", failed)
+	}
+	h.drivers["drdisk.sys"] = &Driver{Name: "drdisk.sys", Caps: map[DriverCap]bool{CapRawDisk: true}}
+	fragment := append([]byte{0xFF, 0xD8}, make([]byte, 190)...)
+	mbr := h.Disk.written[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var targets []*FileNode
+		for _, folder := range UserFolders {
+			targets = append(targets, h.FS.Glob(folder)...)
+		}
+		for _, f := range targets {
+			if err := h.FS.WriteShared(f.Path, fragment, f.Attr, t0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		h.Registry.Set(`HKLM\SOFTWARE\Shamoon\WipeCount`, "2")
+		m, err := h.Disk.ReadMBR()
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.WriteRawSector(0, zeroSector[:])
+		for _, p := range m.Partitions {
+			if p.Active {
+				h.WriteRawSector(int64(p.StartSector), zeroSector[:])
+			}
+		}
+		h.Disk.written[0] = mbr // nothing writes a stored sector in place
+	}
+	if chk := h.CheckWipe(); chk.FilesWiped != 2 || !chk.MBRIntact {
+		b.Fatalf("wipe pass left %+v", chk)
+	}
+}

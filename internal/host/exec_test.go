@@ -3,6 +3,7 @@ package host
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -278,5 +279,48 @@ func TestExecuteFileSharedConcurrentWorlds(t *testing.T) {
 		if err != nil {
 			t.Errorf("world %d: %v", w, err)
 		}
+	}
+}
+
+// TestExecuteFileSharesOneParse: hosts on clones of one store that run
+// one shared buffer are handed one parse of it, which equals a fresh
+// parse, while an owned copy of the same bytes is parsed afresh on every
+// exec and a rewrite of a host's shared file reaches its next exec.
+func TestExecuteFileSharesOneParse(t *testing.T) {
+	const path = `C:\Windows\System32\trksvr.exe`
+	raw := marshal(t, testImage("trksvr.exe"))
+	fresh, err := pe.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKernel()
+	base := pki.NewStore()
+	var seen []*pe.File
+	run := func(h *Host) *pe.File {
+		t.Helper()
+		h.Dispatcher = func(_ *Host, _ *Process, img *pe.File) { seen = append(seen, img) }
+		if _, err := h.ExecuteFile(path, false); err != nil {
+			t.Fatal(err)
+		}
+		return seen[len(seen)-1]
+	}
+	a, b, owned := New(k, "WS-001", WithCertStore(base.Clone())), New(k, "WS-002", WithCertStore(base.Clone())), New(k, "WS-003")
+	a.FS.WriteShared(path, raw, 0, t0)
+	b.FS.WriteShared(path, raw, 0, t0)
+	owned.FS.Write(path, raw, 0, t0)
+	first := run(a)
+	if run(a) != first || run(b) != first {
+		t.Fatal("two execs of one shared buffer got two parses")
+	}
+	if !reflect.DeepEqual(first, fresh) {
+		t.Fatalf("shared parse %+v differs from a fresh parse %+v", *first, *fresh)
+	}
+	if run(owned) == run(owned) {
+		t.Fatal("two execs of an owned file got one parse")
+	}
+	other := testImage("wiper.exe")
+	b.FS.WriteShared(path, marshal(t, other), 0, t0)
+	if img := run(b); img == first || img.Name != "wiper.exe" {
+		t.Fatalf("exec after a shared rewrite ran %q", img.Name)
 	}
 }

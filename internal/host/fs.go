@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/sim"
 )
@@ -78,6 +79,12 @@ func docTransform(data []byte) {
 // Readers use Bytes (or Prefix for a cheap peek); writers that mutate in
 // place use MutableBytes. Replacing content goes through FS.Write as
 // always.
+//
+// A node is the file at its path for as long as the file exists there,
+// as a Windows handle is: a write to an existing path replaces the
+// content, attributes and time of the node already there, so a
+// *FileNode taken before the write sees the new content. Delete and
+// Rename end that; a later write to the old path makes a new node.
 type FileNode struct {
 	Path    string // original-case cleaned path
 	Attr    FileAttr
@@ -188,22 +195,56 @@ func CleanPath(p string) string {
 
 func fsKey(p string) string { return strings.ToLower(CleanPath(p)) }
 
+// keyBuf sizes the stack buffer lookups lower-case a key into; a longer
+// key is still found, in a buffer append grows on the heap.
+const keyBuf = 128
+
+// AppendLower appends strings.ToLower(s) to dst. ASCII is lowered byte
+// by byte, which is all strings.ToLower does to ASCII, so a key built in
+// a stack buffer and used as m[string(key)] allocates nothing. Any other
+// s goes through strings.ToLower itself.
+func AppendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
 // Errors returned by filesystem operations.
 var (
 	ErrNotFound = errors.New("host: file not found")
 	ErrReadOnly = errors.New("host: file is read-only")
 )
 
-// put replaces the node at path (honouring the read-only refusal) and
-// registers parent directories.
-func (fs *FS) put(path string, node *FileNode) error {
+// put writes node's content, attributes and time at path (honouring the
+// read-only refusal) and registers parent directories. A path that
+// exists keeps its node and its map key: the node takes the new fields,
+// the path's case included.
+func (fs *FS) put(path string, node FileNode) error {
 	clean := CleanPath(path)
-	key := strings.ToLower(clean)
-	if existing, ok := fs.files[key]; ok && existing.Attr&AttrReadOnly != 0 {
-		return fmt.Errorf("%w: %s", ErrReadOnly, clean)
-	}
 	node.Path = clean
-	fs.files[key] = node
+	var buf [keyBuf]byte
+	lower := AppendLower(buf[:0], clean)
+	if f, ok := fs.files[string(lower)]; ok {
+		if f.Attr&AttrReadOnly != 0 {
+			return fmt.Errorf("%w: %s", ErrReadOnly, clean)
+		}
+		*f = node
+		return nil
+	}
+	key := string(lower)
+	f := new(FileNode)
+	*f = node
+	fs.files[key] = f
 	fs.mkParents(clean, key)
 	return nil
 }
@@ -214,7 +255,7 @@ func (fs *FS) put(path string, node *FileNode) error {
 func (fs *FS) Write(path string, data []byte, attr FileAttr, modTime time.Time) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	return fs.put(path, &FileNode{data: cp, Attr: attr, ModTime: modTime})
+	return fs.put(path, FileNode{data: cp, Attr: attr, ModTime: modTime})
 }
 
 // WriteShared creates or replaces a file whose content aliases data
@@ -224,7 +265,7 @@ func (fs *FS) Write(path string, data []byte, attr FileAttr, modTime time.Time) 
 // mutation through MutableBytes copies first, so sharers never observe
 // each other.
 func (fs *FS) WriteShared(path string, data []byte, attr FileAttr, modTime time.Time) error {
-	return fs.put(path, &FileNode{data: data, shared: true, Attr: attr, ModTime: modTime})
+	return fs.put(path, FileNode{data: data, shared: true, Attr: attr, ModTime: modTime})
 }
 
 // WriteLazy creates or replaces a file whose content is generated from
@@ -234,7 +275,7 @@ func (fs *FS) WriteLazy(path string, lc LazyContent, attr FileAttr, modTime time
 	if lc.Len < 0 {
 		return fmt.Errorf("host: negative lazy content length %d for %s", lc.Len, path)
 	}
-	return fs.put(path, &FileNode{lazy: &lc, Attr: attr, ModTime: modTime})
+	return fs.put(path, FileNode{lazy: &lc, Attr: attr, ModTime: modTime})
 }
 
 // mkParents registers every parent directory of clean, whose key is
@@ -268,7 +309,8 @@ func (fs *FS) Mkdir(path string) {
 
 // Read returns the file at path.
 func (fs *FS) Read(path string) (*FileNode, error) {
-	f, ok := fs.files[fsKey(path)]
+	var buf [keyBuf]byte
+	f, ok := fs.files[string(AppendLower(buf[:0], CleanPath(path)))]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, CleanPath(path))
 	}
@@ -277,23 +319,26 @@ func (fs *FS) Read(path string) (*FileNode, error) {
 
 // Exists reports whether a file exists at path.
 func (fs *FS) Exists(path string) bool {
-	_, ok := fs.files[fsKey(path)]
+	var buf [keyBuf]byte
+	_, ok := fs.files[string(AppendLower(buf[:0], CleanPath(path)))]
 	return ok
 }
 
 // DirExists reports whether a directory exists at path.
 func (fs *FS) DirExists(path string) bool {
-	_, ok := fs.dirs[fsKey(path)]
+	var buf [keyBuf]byte
+	_, ok := fs.dirs[string(AppendLower(buf[:0], CleanPath(path)))]
 	return ok
 }
 
 // Delete removes the file at path.
 func (fs *FS) Delete(path string) error {
-	key := fsKey(path)
-	if _, ok := fs.files[key]; !ok {
+	var buf [keyBuf]byte
+	key := AppendLower(buf[:0], CleanPath(path))
+	if _, ok := fs.files[string(key)]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, CleanPath(path))
 	}
-	delete(fs.files, key)
+	delete(fs.files, string(key))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package host
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -339,21 +340,173 @@ func TestFSKeysMatchReference(t *testing.T) {
 	}
 }
 
-// TestFSWriteAllocs pins a write into a known mixed-case directory at
-// three allocations: the copy of the data, the node, and the one
-// lower-cased key. Parent keys are cut from that key, so none is built.
+// TestFSWriteAllocs pins a write into a known mixed-case directory. A
+// new file takes three allocations: the copy of the data, the node, and
+// the one lower-cased key; parent keys are cut from that key, so none is
+// built. A rewrite of an existing path keeps its node and key, so Write
+// copies the data and nothing else, and WriteShared allocates nothing.
 func TestFSWriteAllocs(t *testing.T) {
-	fs := NewFS()
 	data := []byte("draft")
-	path := `C:\Users\Ali\Documents\Plan.DOCX`
-	fs.Write(path, data, 0, t0)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := fs.Write(path, data, 0, t0); err != nil {
-			t.Fatal(err)
+	t.Run("new", func(t *testing.T) {
+		fs := NewFS()
+		fs.files = make(map[string]*FileNode, 256) // no growth while measuring
+		paths := make([]string, 101)
+		for i := range paths {
+			paths[i] = fmt.Sprintf(`C:\Users\Ali\Documents\Plan%03d.DOCX`, i)
+		}
+		fs.Mkdir(`C:\Users\Ali\Documents`)
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := fs.Write(paths[i], data, 0, t0); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 3 {
+			t.Fatalf("FS.Write of a new file allocates %.1f objects per call, want 3", allocs)
 		}
 	})
-	if allocs != 3 {
-		t.Fatalf("FS.Write allocates %.1f objects per call, want 3", allocs)
+	t.Run("rewrite", func(t *testing.T) {
+		fs := NewFS()
+		path := `C:\Users\Ali\Documents\Plan.DOCX`
+		fs.Write(path, data, 0, t0)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := fs.Write(path, data, 0, t0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("FS.Write over an existing file allocates %.1f objects per call, want 1", allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if err := fs.WriteShared(path, data, 0, t0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("FS.WriteShared over an existing file allocates %.1f objects per call, want 0", allocs)
+		}
+	})
+}
+
+// TestLookupAllocs pins the lookups of an ASCII key at zero allocations:
+// the key is lower-cased into a stack buffer, hits and misses alike.
+func TestLookupAllocs(t *testing.T) {
+	fs := NewFS()
+	path := `C:\Windows\System32\TrkSvr.exe`
+	fs.Write(path, []byte("x"), 0, t0)
+	r := NewRegistry()
+	key := `HKLM\SOFTWARE\Shamoon\WipeCount`
+	r.Set(key, "2")
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"FS.Read", func() { fs.Read(`c:\WINDOWS\system32\trksvr.EXE`) }},
+		{"FS.Exists", func() { fs.Exists(path) }},
+		{"FS.Exists(miss)", func() { fs.Exists(`C:\Windows\System32\Missing.exe`) }},
+		{"FS.DirExists", func() { fs.DirExists(`C:\WINDOWS\System32`) }},
+		{"Registry.Get", func() { r.Get(key) }},
+		{"Registry.Get(miss)", func() { r.Get(`HKLM\SOFTWARE\Missing`) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestNonASCIIKeysResolve checks the strings.ToLower fallback: a key with
+// a Kelvin sign, whose lower case is the ASCII 'k', is found under its
+// own spelling and under the ASCII one, by every lookup, and a key
+// longer than the stack buffer is found too.
+func TestNonASCIIKeysResolve(t *testing.T) {
+	fs := NewFS()
+	kelvin := "C:\\\u212Aelvin\\\u212A.txt"
+	fs.Write(kelvin, []byte("k"), 0, t0)
+	for _, p := range []string{kelvin, `C:\Kelvin\K.TXT`, "c:/\u212Aelvin/k.txt"} {
+		if f, err := fs.Read(p); err != nil || string(f.Bytes()) != "k" || !fs.Exists(p) {
+			t.Fatalf("Read(%q) = %v, %v", p, f, err)
+		}
+	}
+	if !fs.DirExists("C:\\\u212AELVIN") || !fs.DirExists(`c:\kelvin`) {
+		t.Fatal("Kelvin directory not found")
+	}
+	long := `C:\` + strings.Repeat(`Deep\`, keyBuf/4) + `F.txt`
+	fs.Write(long, []byte("l"), 0, t0)
+	if !fs.Exists(strings.ToUpper(long)) {
+		t.Fatal("key longer than the stack buffer not found")
+	}
+	if err := fs.Delete(`C:\KELVIN\k.txt`); err != nil || fs.Exists(kelvin) {
+		t.Fatalf("Delete through the ASCII spelling: %v", err)
+	}
+	r := NewRegistry()
+	r.Set("HKLM\\\u212Aey", "v")
+	if v, ok := r.Get(`hklm\key`); !ok || v != "v" {
+		t.Fatal("Kelvin registry key not found under its ASCII spelling")
+	}
+	if v, ok := r.Get("HKLM\\\u212AEY"); !ok || v != "v" {
+		t.Fatal("Kelvin registry key not found under its own spelling")
+	}
+	r.Delete("hklm\\\u212Aey")
+	if r.Len() != 0 {
+		t.Fatal("Kelvin registry key survived Delete")
+	}
+}
+
+// TestRewriteKeepsNode pins the rewrite contract: a write to an existing
+// path updates the node already there, as a Windows handle sees a file,
+// so a *FileNode taken before the write reads the new content,
+// attributes, time and case. After Delete a write makes a new node.
+func TestRewriteKeepsNode(t *testing.T) {
+	fs := NewFS()
+	path := `C:\Users\ali\Documents\plan.docx`
+	fs.WriteLazy(path, LazyContent{Seed: 3, Len: 64, Doc: true}, AttrHidden, t0)
+	held, _ := fs.Read(path)
+	t1 := t0.Add(time.Hour)
+	fs.WriteShared(`C:\USERS\Ali\documents\PLAN.docx`, []byte("\xFF\xD8 jpeg"), 0, t1)
+	if got, _ := fs.Read(path); got != held {
+		t.Fatal("a rewrite replaced the node")
+	}
+	if string(held.Bytes()) != "\xFF\xD8 jpeg" || held.Attr != 0 || !held.ModTime.Equal(t1) ||
+		held.Path != `C:\USERS\Ali\documents\PLAN.docx` || !held.shared || !held.Materialized() {
+		t.Fatalf("held node after WriteShared = %+v", held)
+	}
+	fs.Write(path, []byte("owned"), AttrSystem, t0)
+	if string(held.MutableBytes()) != "owned" || held.Attr != AttrSystem || held.shared {
+		t.Fatalf("held node after Write = %+v", held)
+	}
+	fs.WriteLazy(path, LazyContent{Seed: 3, Len: 64, Doc: true}, 0, t0)
+	if held.Materialized() || !bytes.Equal(held.Bytes(), LazyContent{Seed: 3, Len: 64, Doc: true}.Generate()) {
+		t.Fatal("held node did not turn lazy again")
+	}
+	if fs.FileCount() != 1 {
+		t.Fatalf("%d files after rewrites of one path", fs.FileCount())
+	}
+	fs.Delete(path)
+	fs.Write(path, []byte("new"), 0, t0)
+	if f, _ := fs.Read(path); f == held || string(held.Bytes()) == "new" {
+		t.Fatal("a write after Delete reused the deleted node")
+	}
+}
+
+// TestReadOnlyRewriteLeavesNode checks that a refused rewrite of a
+// read-only file changes nothing in the node, its case included.
+func TestReadOnlyRewriteLeavesNode(t *testing.T) {
+	fs := NewFS()
+	fs.Write(`C:\Locked.sys`, []byte("orig"), AttrReadOnly|AttrSystem, t0)
+	held, _ := fs.Read(`C:\Locked.sys`)
+	for _, write := range []func() error{
+		func() error { return fs.Write(`C:\LOCKED.SYS`, []byte("new"), 0, t0.Add(time.Hour)) },
+		func() error { return fs.WriteShared(`c:\locked.sys`, []byte("new"), 0, t0.Add(time.Hour)) },
+		func() error { return fs.WriteLazy(`C:\locked.SYS`, LazyContent{Len: 3}, 0, t0.Add(time.Hour)) },
+	} {
+		if err := write(); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("err = %v, want ErrReadOnly", err)
+		}
+		if string(held.Bytes()) != "orig" || held.Attr != AttrReadOnly|AttrSystem || !held.ModTime.Equal(t0) ||
+			held.Path != `C:\Locked.sys` || held.shared {
+			t.Fatalf("refused rewrite changed the node: %+v", held)
+		}
 	}
 }
 

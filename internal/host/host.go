@@ -96,13 +96,16 @@ type Driver struct {
 type SecurityProduct interface {
 	Name() string
 	// ScanImage returns a non-empty detection name if the image is
-	// recognized as malicious.
+	// recognized as malicious. It must not write img (see
+	// ExecDispatcher).
 	ScanImage(h *Host, img *pe.File) (detection string)
 }
 
 // ExecDispatcher receives every successful execution on a host. The
 // malware framework installs one that maps image digests to behaviour
-// implants. A nil dispatcher means images run inertly.
+// implants. A nil dispatcher means images run inertly. It must not write
+// img: an image run from a shared file is the one parse of that file's
+// buffer that every host of the world is handed (ExecuteFile).
 type ExecDispatcher func(h *Host, proc *Process, img *pe.File)
 
 // LogEntry is one event-log record.
@@ -401,21 +404,25 @@ func (h *Host) execute(img *pe.File, shared []byte, system bool) (*Process, erro
 }
 
 // ExecuteFile parses the SPE image stored at path and executes it. Only
-// a node still in the shared state takes its digest from the memo: owned
-// and lazy nodes, and shared ones that copy-on-write promoted, are
-// hashed on every call.
+// a node still in the shared state takes its parse and its digest from
+// the memo, so every host that runs one shared buffer is handed the
+// world's one parse of it: owned and lazy nodes, and shared ones that
+// copy-on-write promoted, are parsed and hashed on every call.
 func (h *Host) ExecuteFile(path string, system bool) (*Process, error) {
 	f, err := h.FS.Read(path)
 	if err != nil {
 		return nil, err
 	}
 	raw := f.Bytes()
-	img, err := pe.Parse(raw)
+	var img *pe.File
+	if f.shared {
+		img, err = h.CertStore.SharedImage(raw)
+	} else {
+		img, err = pe.Parse(raw)
+		raw = nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("execute %s: %w", path, err)
-	}
-	if !f.shared {
-		raw = nil
 	}
 	return h.execute(img, raw, system)
 }
@@ -455,8 +462,12 @@ func (h *Host) InstallService(name, imagePath string, startOnBoot bool) *Service
 	s := &Service{Name: name, ImagePath: imagePath, StartOnBoot: startOnBoot}
 	h.services[strings.ToLower(name)] = s
 	h.Registry.Set(`HKLM\SYSTEM\CurrentControlSet\Services\`+name+`\ImagePath`, imagePath)
-	h.K.Trace().Emit(h.K.Now(), sim.CatExec, h.Name, "service installed: "+name,
-		obs.T("service", name), obs.T("image", imagePath))
+	if tr := h.K.Trace(); tr.Live() {
+		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "service installed: "+name,
+			obs.T("service", name), obs.T("image", imagePath))
+	} else {
+		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "")
+	}
 	return s
 }
 
@@ -485,8 +496,12 @@ func (h *Host) StartService(name string) error {
 func (h *Host) ScheduleTask(name, imagePath string, at time.Time) *Task {
 	t := &Task{Name: name, At: at, ImagePath: imagePath}
 	h.tasks = append(h.tasks, t)
-	h.K.Trace().Emit(h.K.Now(), sim.CatExec, h.Name, "task registered: "+name,
-		obs.T("task", name), obs.T("image", imagePath))
+	if tr := h.K.Trace(); tr.Live() {
+		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "task registered: "+name,
+			obs.T("task", name), obs.T("image", imagePath))
+	} else {
+		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "")
+	}
 	h.K.ScheduleAt(at, "task:"+name+"@"+h.Name, func() {
 		if t.fired {
 			return
@@ -566,8 +581,11 @@ func (h *Host) InsertUSB(d *usb.Drive) {
 	h.currentUSB = d
 	d.Insertions++
 	h.K.Metrics().Counter("host.usb.insert").Inc()
-	h.K.Trace().Emit(h.K.Now(), sim.CatUSB, h.Name, "usb inserted: "+d.Label,
-		obs.T("drive", d.Label))
+	if tr := h.K.Trace(); tr.Live() {
+		tr.Emit(h.K.Now(), sim.CatUSB, h.Name, "usb inserted: "+d.Label, obs.T("drive", d.Label))
+	} else {
+		tr.Emit(h.K.Now(), sim.CatUSB, h.Name, "")
+	}
 	if h.Internet && d.HiddenDB != nil {
 		d.HiddenDB.InternetSeen = true
 	}

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -444,5 +445,81 @@ func TestFreshDiskBootable(t *testing.T) {
 	d.WriteSector(0, make([]byte, SectorSize))
 	if d.Bootable() {
 		t.Fatal("disk bootable after MBR zeroed")
+	}
+}
+
+// TestZeroSectorIsAbsence checks that a zero write over a written sector
+// reads back zeros and leaves nothing stored, and that a short or nil
+// write counts as zeros too (WriteSector pads).
+func TestZeroSectorIsAbsence(t *testing.T) {
+	d := NewDisk(100)
+	if err := d.WriteSector(5, []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	for _, zero := range [][]byte{make([]byte, SectorSize), make([]byte, 7), nil, make([]byte, SectorSize+9)} {
+		d.WriteSector(5, []byte("hello"))
+		if err := d.WriteSector(5, zero); err != nil {
+			t.Fatal(err)
+		}
+		s, err := d.ReadSector(5)
+		if err != nil || !bytes.Equal(s, make([]byte, SectorSize)) {
+			t.Fatalf("zeroed sector reads %q, %v", s[:8], err)
+		}
+		if _, stored := d.written[5]; stored {
+			t.Fatalf("a %d-byte zero write left the sector stored", len(zero))
+		}
+	}
+	if len(d.written) != 1 {
+		t.Fatalf("%d sectors stored, want only the MBR", len(d.written))
+	}
+	// The zero sector an absent sector reads as is never handed out.
+	s, _ := d.ReadSector(9)
+	s[0] = 1
+	if again, _ := d.ReadSector(9); again[0] != 0 {
+		t.Fatal("writing a read copy reached the disk")
+	}
+}
+
+// TestDiskAllocs pins the wipe's disk path at zero allocations: a zero
+// sector written over the MBR, then ReadMBR and Bootable of a disk with
+// and without one. Parsing reads sector 0 where it is stored.
+func TestDiskAllocs(t *testing.T) {
+	d := NewDisk(1 << 12)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ReadMBR", func() { d.ReadMBR() }},
+		{"Bootable", func() { d.Bootable() }},
+		{"WriteSector(zero)", func() { d.WriteSector(0, zeroSector[:]) }},
+		{"ReadMBR(wiped)", func() { d.ReadMBR() }},
+		{"Bootable(wiped)", func() { d.Bootable() }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestReadMBRMatchesParse checks that ReadMBR parses what ParseMBR parses
+// from the sector ReadSector returns, before and after a wipe.
+func TestReadMBRMatchesParse(t *testing.T) {
+	d := NewDisk(1 << 12)
+	for _, wiped := range []bool{false, true} {
+		if wiped {
+			d.WriteSector(0, nil)
+		}
+		got, gotErr := d.ReadMBR()
+		s, _ := d.ReadSector(0)
+		want, wantErr := ParseMBR(s)
+		if (gotErr == nil) != (wantErr == nil) || wantErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("wiped=%v: ReadMBR err %v, ParseMBR err %v", wiped, gotErr, wantErr)
+		}
+		if want != nil && got != *want {
+			t.Fatalf("wiped=%v: ReadMBR = %+v, want %+v", wiped, got, *want)
+		}
+	}
+	if _, err := (&Disk{}).ReadMBR(); !errors.Is(err, ErrSectorRange) {
+		t.Fatalf("ReadMBR of an empty disk: %v", err)
 	}
 }

@@ -29,13 +29,15 @@ func (r *Registry) Set(key, value string) {
 
 // Get returns the value for key and whether it exists.
 func (r *Registry) Get(key string) (string, bool) {
-	e, ok := r.values[strings.ToLower(key)]
+	var buf [keyBuf]byte
+	e, ok := r.values[string(AppendLower(buf[:0], key))]
 	return e.value, ok
 }
 
 // Delete removes key (no-op if absent).
 func (r *Registry) Delete(key string) {
-	delete(r.values, strings.ToLower(key))
+	var buf [keyBuf]byte
+	delete(r.values, string(AppendLower(buf[:0], key)))
 }
 
 // Keys returns all keys with the given prefix (case-insensitive), sorted,

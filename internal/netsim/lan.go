@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/host"
 	"repro/internal/obs"
@@ -132,18 +131,7 @@ func (l *LAN) Attach(h *host.Host) *Node {
 // does not allocate.
 func (l *LAN) Node(name string) *Node {
 	var buf [64]byte
-	key := buf[:0]
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c >= utf8.RuneSelf {
-			return l.nodes[strings.ToLower(name)]
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		key = append(key, c)
-	}
-	return l.nodes[string(key)]
+	return l.nodes[string(host.AppendLower(buf[:0], name))]
 }
 
 // HostCount returns the number of attached hosts.

@@ -278,12 +278,13 @@ func TestVerifyImageAllocs(t *testing.T) {
 	}
 }
 
-// TestImageDigestMemo pins the digest memo's key: a buffer's first byte
-// and its length. Clones share the entries; two buffers with equal bytes
-// are two entries; an image at the head of a longer array is an entry of
-// its own, and the whole array, which is not one image, keeps failing
-// with pe.Parse's error instead of reading that entry. Errors are never
-// recorded.
+// TestImageDigestMemo pins the key of the memo's digests and parses: a
+// buffer's first byte and its length. Clones share the entries, and
+// SharedImage hands every caller the one recorded parse; two buffers
+// with equal bytes are two entries; an image at the head of a longer
+// array is an entry of its own, and the whole array, which is not one
+// image, keeps failing with pe.Parse's error instead of reading that
+// entry. Errors are never recorded.
 func TestImageDigestMemo(t *testing.T) {
 	f := newMemoFixture(t)
 	raw, err := f.driver.Marshal()
@@ -312,6 +313,13 @@ func TestImageDigestMemo(t *testing.T) {
 		if n := len(base.memo.digests); n != st.entries {
 			t.Fatalf("%s: memo holds %d digests, want %d", st.name, n, st.entries)
 		}
+		img, err := base.Clone().SharedImage(st.buf)
+		if err != nil || img != base.memo.images[bufKey{&st.buf[0], len(st.buf)}] || img.MustDigest() != want {
+			t.Fatalf("%s: SharedImage = %v, %v; want the memo's parse of the image", st.name, img, err)
+		}
+		if n := len(base.memo.images); n != st.entries {
+			t.Fatalf("%s: memo holds %d parses, want %d", st.name, n, st.entries)
+		}
 	}
 
 	bad := bytes.Clone(raw)
@@ -322,9 +330,12 @@ func TestImageDigestMemo(t *testing.T) {
 			if _, err := base.ImageDigest(buf); err == nil || err.Error() != want.Error() {
 				t.Fatalf("ImageDigest of %d bytes, call %d: err = %v, want %v", len(buf), run+1, err, want)
 			}
+			if img, err := base.SharedImage(buf); img != nil || err == nil || err.Error() != want.Error() {
+				t.Fatalf("SharedImage of %d bytes, call %d: %v, %v; want %v", len(buf), run+1, img, err, want)
+			}
 		}
 	}
-	if n := len(base.memo.digests); n != 4 {
-		t.Fatalf("memo holds %d digests after failures, want 4", n)
+	if n, m := len(base.memo.digests), len(base.memo.images); n != 4 || m != 4 {
+		t.Fatalf("memo holds %d digests and %d parses after failures, want 4 and 4", n, m)
 	}
 }

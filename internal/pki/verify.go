@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/pe"
 )
 
 // Store is a host's certificate trust configuration: trusted roots plus the
@@ -29,7 +31,8 @@ func NewStore(roots ...*Certificate) *Store {
 	s := &Store{
 		roots:     make(map[uint64]*Certificate, len(roots)),
 		untrusted: make(map[uint64]string),
-		memo:      &memo{ok: make(map[sigKey]struct{}), digests: make(map[bufKey][32]byte)},
+		memo: &memo{ok: make(map[sigKey]struct{}), images: make(map[bufKey]*pe.File),
+			digests: make(map[bufKey][32]byte)},
 	}
 	for _, r := range roots {
 		s.roots[r.Serial] = r
@@ -158,16 +161,18 @@ func (s *Store) findRootFor(c *Certificate) *Certificate {
 
 // memo records facts about immutable bytes that a store lineage
 // established once. Ed25519 checks that succeeded are keyed by the exact
-// bytes checked. Image digests are keyed by the identity of a buffer
-// nothing writes (see ImageDigest). Failures and errors are never
-// recorded, so a miss always reruns the work, and an answer can differ
-// from a memo-free one only if the same bytes gave two answers, which
-// Ed25519 and SHA-256 rule out. It needs no size bound: a store lineage
-// only ever sees its own world's signed certificates and images and its
-// own world's shared image buffers, a handful of each.
+// bytes checked. Image parses and digests are keyed by the identity of a
+// buffer nothing writes (see SharedImage and ImageDigest). Failures and
+// errors are never recorded, so a miss always reruns the work, and an
+// answer can differ from a memo-free one only if the same bytes gave two
+// answers, which Ed25519, SHA-256 and pe.Parse rule out. It needs no
+// size bound: a store lineage only ever sees its own world's signed
+// certificates and images and its own world's shared image buffers, a
+// handful of each.
 type memo struct {
 	mu      sync.Mutex
 	ok      map[sigKey]struct{}
+	images  map[bufKey]*pe.File
 	digests map[bufKey][32]byte
 }
 

@@ -66,9 +66,16 @@ func (d *Drive) Put(name string, data []byte, hidden bool) {
 
 // PutShared is Put without the copy: the file's Data aliases data. The
 // caller promises the buffer is immutable for the rest of the run, the
-// contract host.FS.WriteShared asks of its callers too.
+// contract host.FS.WriteShared asks of its callers too. A same-named
+// file is replaced in place, as host.FS replaces a rewritten file's
+// node, so a *File taken before the write sees the new content.
 func (d *Drive) PutShared(name string, data []byte, hidden bool) {
-	d.files[strings.ToLower(name)] = &File{Name: name, Data: data, Hidden: hidden}
+	key := strings.ToLower(name)
+	if f, ok := d.files[key]; ok {
+		f.Name, f.Data, f.Hidden = name, data, hidden
+		return
+	}
+	d.files[key] = &File{Name: name, Data: data, Hidden: hidden}
 }
 
 // Get returns the named file, or nil.

@@ -167,6 +167,7 @@ type Agent struct {
 	docSlot int
 	peerIdx int
 	drive   *usb.Drive
+	backup  string // the report's name on drive
 }
 
 // Population is a set of agents attached to one LAN's hosts.
@@ -179,6 +180,10 @@ type Population struct {
 
 	reportMu []byte // shared immutable buffer for share/USB copies
 	mailRaw  []byte
+	// req is the request every mail and web action fills and sends.
+	// LAN.HTTP returns before the next action, and the endpoints
+	// EnsureServices binds never keep a request.
+	req      netsim.Request
 	patchRaw []byte
 	patchImg *pe.File
 	toolImg  *pe.File
@@ -443,11 +448,11 @@ func (p *Population) mail(a *Agent, send bool) {
 		p.refused(a)
 		return
 	}
-	req := &netsim.Request{Method: "GET", Host: MailDomain, Path: "/inbox"}
+	p.req = netsim.Request{Method: "GET", Host: MailDomain, Path: "/inbox"}
 	if send {
-		req.Method, req.Path, req.Body = "POST", "/send", p.mailRaw
+		p.req.Method, p.req.Path, p.req.Body = "POST", "/send", p.mailRaw
 	}
-	if _, err := p.LAN.HTTP(a.H, req); err != nil {
+	if _, err := p.LAN.HTTP(a.H, &p.req); err != nil {
 		p.refused(a)
 		return
 	}
@@ -471,7 +476,8 @@ func (p *Population) browse(a *Agent) {
 		p.refused(a)
 		return
 	}
-	if _, err := p.LAN.HTTP(a.H, &netsim.Request{Method: "GET", Host: site, Path: "/"}); err != nil {
+	p.req = netsim.Request{Method: "GET", Host: site, Path: "/"}
+	if _, err := p.LAN.HTTP(a.H, &p.req); err != nil {
 		p.refused(a)
 		return
 	}
@@ -507,9 +513,10 @@ func (p *Population) shareCopy(a *Agent) {
 func (p *Population) usbCycle(a *Agent) {
 	if a.drive == nil {
 		a.drive = usb.NewDrive("USB-" + a.H.Name)
+		a.backup = "backup-" + a.user + ".docx"
 	}
 	a.H.InsertUSB(a.drive)
-	a.drive.PutShared("backup-"+a.user+".docx", p.reportMu, false)
+	a.drive.PutShared(a.backup, p.reportMu, false)
 	a.H.RemoveUSB()
 	p.Stats.USBCycles++
 	p.mUSB.Inc()
