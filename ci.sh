@@ -92,11 +92,14 @@ go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
 # so a new input takes long to minimize; the 2 s cap keeps the lane
 # fuzzing instead of minimizing for its whole budget.
 go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 10s -fuzzminimizetime 2s ./internal/core
-# FuzzParse holds minilua.Parse, which compiles the module source a Flame
-# agent receives through C&C pushes, to the same contract: a chunk or a
-# *SyntaxError, never a panic or hang. A cold cache finds new inputs
-# faster than it minimizes them, so the 2 s cap keeps the lane fuzzing.
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 2s ./internal/minilua
+# FuzzRun holds minilua, which parses and runs the module source a Flame
+# agent receives through C&C pushes, to the same contract: a *SyntaxError
+# or a chunk, and a chunk's run returns a value, a *RuntimeError or
+# ErrFuelExhausted, never a panic; fuel, the call-depth bound and the
+# string and table caps keep each run small. A cold cache finds new
+# inputs faster than it minimizes them, so the 2 s cap keeps the lane
+# fuzzing.
+go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 10s -fuzzminimizetime 2s ./internal/minilua
 # FuzzParseImageSignature holds the signature-blob reader that every
 # driver load runs through pki.VerifyImage to the same contract, and an
 # accepted blob must re-marshal to exactly its input.

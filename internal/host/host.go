@@ -360,10 +360,10 @@ func (h *Host) Execute(img *pe.File, system bool) (*Process, error) {
 	return h.execute(img, nil, system)
 }
 
-// execute is Execute for img parsed from shared, the immutable buffer of
-// a shared FS node, whose digest the trust store's memo answers once per
-// world (DESIGN.md §9 item 6). With shared nil, img is hashed.
-func (h *Host) execute(img *pe.File, shared []byte, system bool) (*Process, error) {
+// execute is Execute for img with its digest known: the one the trust
+// store's memo recorded for a shared FS node's image, once per world
+// (DESIGN.md §9 item 6). With digest nil, img is hashed.
+func (h *Host) execute(img *pe.File, digest *[32]byte, system bool) (*Process, error) {
 	if h.Down {
 		return nil, fmt.Errorf("%w: %s", ErrHostDown, h.Name)
 	}
@@ -377,18 +377,15 @@ func (h *Host) execute(img *pe.File, shared []byte, system bool) (*Process, erro
 			return nil, fmt.Errorf("%w: %s detected %s as %s", ErrBlocked, prod.Name(), img.Name, det)
 		}
 	}
-	var digest [32]byte
-	var err error
-	if shared != nil {
-		digest, err = h.CertStore.ImageDigest(shared)
-	} else {
-		digest, err = img.Digest()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("execute %q: %w", img.Name, err)
+	if digest == nil {
+		d, err := img.Digest()
+		if err != nil {
+			return nil, fmt.Errorf("execute %q: %w", img.Name, err)
+		}
+		digest = &d
 	}
 	h.nextPID++
-	proc := &Process{PID: h.nextPID, Image: img.Name, Digest: digest, System: system, Alive: true}
+	proc := &Process{PID: h.nextPID, Image: img.Name, Digest: *digest, System: system, Alive: true}
 	h.procs[proc.PID] = proc
 	h.mExec.Inc()
 	if tr := h.K.Trace(); tr.Live() {
@@ -413,18 +410,19 @@ func (h *Host) ExecuteFile(path string, system bool) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw := f.Bytes()
 	var img *pe.File
+	var digest *[32]byte
 	if f.shared {
-		img, err = h.CertStore.SharedImage(raw)
+		var d [32]byte
+		img, d, err = h.CertStore.SharedImage(f.Bytes())
+		digest = &d
 	} else {
-		img, err = pe.Parse(raw)
-		raw = nil
+		img, err = pe.Parse(f.Bytes())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("execute %s: %w", path, err)
 	}
-	return h.execute(img, raw, system)
+	return h.execute(img, digest, system)
 }
 
 // Kill marks a process dead.

@@ -23,18 +23,6 @@ type ifStmt struct {
 	els    []stmt
 }
 
-type whileStmt struct {
-	line int
-	cond expr
-	body []stmt
-}
-
-type repeatStmt struct {
-	line int
-	body []stmt
-	cond expr // loop exits when cond becomes true
-}
-
 type numForStmt struct {
 	line                  int
 	varName               string
@@ -42,26 +30,17 @@ type numForStmt struct {
 	body                  []stmt
 }
 
-type genForStmt struct {
-	line       int
-	keyV, valV string
-	iterable   expr
-	body       []stmt
-}
-
 type funcStmt struct {
-	line  int
-	name  string
-	local bool
-	fn    *funcExpr
+	line   int
+	name   string
+	params []string
+	body   []stmt
 }
 
 type returnStmt struct {
 	line int
 	e    expr // may be nil
 }
-
-type breakStmt struct{ line int }
 
 type exprStmt struct {
 	line int
@@ -71,13 +50,9 @@ type exprStmt struct {
 func (*localStmt) stmtNode()  {}
 func (*assignStmt) stmtNode() {}
 func (*ifStmt) stmtNode()     {}
-func (*whileStmt) stmtNode()  {}
-func (*repeatStmt) stmtNode() {}
 func (*numForStmt) stmtNode() {}
-func (*genForStmt) stmtNode() {}
 func (*funcStmt) stmtNode()   {}
 func (*returnStmt) stmtNode() {}
-func (*breakStmt) stmtNode()  {}
 func (*exprStmt) stmtNode()   {}
 
 // Expressions.
@@ -119,11 +94,6 @@ type tableExpr struct {
 	keys []expr
 	vals []expr
 }
-type funcExpr struct {
-	line   int
-	params []string
-	body   []stmt
-}
 
 func (*nilExpr) exprNode()    {}
 func (*boolExpr) exprNode()   {}
@@ -135,4 +105,3 @@ func (*unExpr) exprNode()     {}
 func (*callExpr) exprNode()   {}
 func (*indexExpr) exprNode()  {}
 func (*tableExpr) exprNode()  {}
-func (*funcExpr) exprNode()   {}

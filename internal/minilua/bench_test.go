@@ -38,7 +38,7 @@ func BenchmarkTableOps(b *testing.B) {
 		local t = {}
 		for i = 1, 200 do t["k" .. i] = i end
 		local sum = 0
-		for k, v in t do sum = sum + v end
+		for i = 1, 200 do sum = sum + t["k" .. i] end
 		return sum
 	`)
 	if err != nil {

@@ -33,23 +33,16 @@ end
 function euphoria_should_park(path, size)
 	if size > 1048576 then return false elseif size < 0 then return nil else return true end
 end
-`,
-	`
-local t = {a = 1, ["b"] = {2, 3}, 4}
-local n = 0
-for k, v in pairs(t) do n = n + 1 end
-repeat n = n - 1 until n <= 0
-while true do break end
-do local x = -t.a * 2 / 4 % 5 end
-return n + t.b[1] + #"clip"
+return euphoria_should_park("a.docx", 10) and munch_should_intercept("update.example", "/")
 `,
 }
 
-// FuzzParse holds Parse to the contract for module source that arrives
-// over C&C: any input yields either a chunk or a *SyntaxError, and Parse
-// never panics or hangs. Only parsing is fuzzed: Run's fuel bounds
-// steps, not the memory a step may build.
-func FuzzParse(f *testing.F) {
+// FuzzRun holds the interpreter to the contract for module source that
+// arrives over C&C: Parse yields either a chunk or a *SyntaxError, and a
+// chunk run on a fresh interpreter returns a value, a *RuntimeError or
+// ErrFuelExhausted. Neither panics, and fuel, the call-depth bound and
+// the value caps keep every run short and small.
+func FuzzRun(f *testing.F) {
 	for _, src := range moduleShapedSources {
 		f.Add(src)
 	}
@@ -66,6 +59,21 @@ func FuzzParse(f *testing.F) {
 		"a.b.c[d](e):f() = 1",
 		"return 1e999 .. 0x",
 		"--[[ block comment",
+		// Lua forms outside the language.
+		`
+local t = {a = 1, ["b"] = {2, 3}, 4}
+local n = 0
+for k, v in pairs(t) do n = n + 1 end
+repeat n = n - 1 until n <= 0
+while true do break end
+do local x = -t.a * 2 / 4 % 5 end
+return n + t.b[1] + #"clip"
+`,
+		// Each bound.
+		"function f(n) if n > 1000 then return n end return f(n + 1) end return f(1)",
+		`s = "x" for i = 1, 30 do s = s .. s end return #s`,
+		"t = {} for i = 1, 100000 do t[i] = i end return #t",
+		"for i = 1, 10000000 do end",
 	} {
 		f.Add(src)
 	}
@@ -75,8 +83,16 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse = (%v, %v), want exactly one of a chunk and an error", chunk, err)
 		}
 		var se *SyntaxError
-		if err != nil && !errors.As(err, &se) {
-			t.Fatalf("Parse error %T (%v), want a *SyntaxError", err, err)
+		if err != nil {
+			if !errors.As(err, &se) {
+				t.Fatalf("Parse error %T (%v), want a *SyntaxError", err, err)
+			}
+			return
+		}
+		_, err = NewInterp().Run(chunk)
+		var re *RuntimeError
+		if err != nil && !errors.As(err, &re) && !errors.Is(err, ErrFuelExhausted) {
+			t.Fatalf("Run error %T (%v), want a *RuntimeError or ErrFuelExhausted", err, err)
 		}
 	})
 }

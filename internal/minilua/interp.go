@@ -3,7 +3,6 @@ package minilua
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // RuntimeError reports an execution failure with the source line.
@@ -62,24 +61,33 @@ func (e *env) root() *env {
 type Interp struct {
 	globals *env
 	fuel    int
-	output  strings.Builder
+	depth   int // running chunks and Lua calls
 }
 
-// DefaultFuel is the per-Run execution budget when none is set.
+// DefaultFuel is the execution budget of each top-level Run, RunSource
+// or Call: a step per statement, loop iteration and call, and one per 64
+// bytes a string operation builds or entries # counts. A builtin that
+// calls back in spends the budget of the entry that called it.
 const DefaultFuel = 1 << 20
+
+// Fuel bounds work, not how deep calls nest or how large one value
+// grows, so these bound the rest; past any of them a script fails with a
+// *RuntimeError. maxDepth caps nested Lua calls (each nests Go frames),
+// maxString the bytes of a string that `..` or format builds, and
+// maxEntries the entries a script stores into one table. Tables that
+// host bindings build in Go are not capped.
+const (
+	maxDepth   = 200
+	maxString  = 1 << 20
+	maxEntries = 1 << 16
+)
 
 // NewInterp returns an interpreter with the standard library installed.
 func NewInterp() *Interp {
-	in := &Interp{globals: newEnv(nil), fuel: DefaultFuel}
+	in := &Interp{globals: newEnv(nil)}
 	installStdlib(in)
 	return in
 }
-
-// SetFuel sets the remaining execution budget.
-func (in *Interp) SetFuel(n int) { in.fuel = n }
-
-// Fuel returns the remaining budget.
-func (in *Interp) Fuel() int { return in.fuel }
 
 // SetGlobal binds a global variable (the capability-injection point: host
 // APIs are exposed to modules as Builtin globals).
@@ -98,23 +106,14 @@ func (in *Interp) Register(name string, fn func(in *Interp, args []Value) (Value
 	in.SetGlobal(name, &Builtin{Name: name, Fn: fn})
 }
 
-// Output returns everything print() emitted.
-func (in *Interp) Output() string { return in.output.String() }
-
-// ResetOutput clears the print buffer.
-func (in *Interp) ResetOutput() { in.output.Reset() }
-
 // Run executes a chunk in the global scope, returning the chunk's return
 // value (nil if it does not return).
 func (in *Interp) Run(c *Chunk) (Value, error) {
-	ret, ctl, err := in.execBlock(c.body, newEnv(in.globals))
-	if err != nil {
-		return nil, err
-	}
-	if ctl == ctlBreak {
-		return nil, &RuntimeError{Line: 0, Msg: "break outside loop"}
-	}
-	return ret, nil
+	in.refuel()
+	in.depth++
+	ret, _, err := in.execBlock(c.body, newEnv(in.globals))
+	in.depth--
+	return ret, err
 }
 
 // RunSource parses and executes src.
@@ -128,50 +127,54 @@ func (in *Interp) RunSource(src string) (Value, error) {
 
 // Call invokes a script function or builtin from Go.
 func (in *Interp) Call(fn Value, args ...Value) (Value, error) {
+	in.refuel()
 	return in.call(fn, args, 0)
 }
 
-type ctlKind int
+// refuel gives an entry from Go that no running chunk or call encloses
+// its own DefaultFuel.
+func (in *Interp) refuel() {
+	if in.depth == 0 {
+		in.fuel = DefaultFuel
+	}
+}
 
-const (
-	ctlNone ctlKind = iota
-	ctlReturn
-	ctlBreak
-)
-
-func (in *Interp) burn(line int) error {
-	in.fuel--
+// burn charges a step of fuel at line, plus a step per 64 units of size:
+// the bytes of a string an operation builds, or the entries # counts.
+// Without the size charge, a loop that appends a byte a step copies
+// about 125 GB before its fuel runs out.
+func (in *Interp) burn(line, size int) error {
+	in.fuel -= 1 + size/64
 	if in.fuel < 0 {
 		return fmt.Errorf("%w (line %d)", ErrFuelExhausted, line)
 	}
 	return nil
 }
 
-func (in *Interp) execBlock(body []stmt, e *env) (Value, ctlKind, error) {
+// execBlock runs body and reports whether a return statement ended it,
+// with the returned value.
+func (in *Interp) execBlock(body []stmt, e *env) (Value, bool, error) {
 	for _, s := range body {
-		ret, ctl, err := in.execStmt(s, e)
-		if err != nil {
-			return nil, ctlNone, err
-		}
-		if ctl != ctlNone {
-			return ret, ctl, nil
+		ret, returned, err := in.execStmt(s, e)
+		if err != nil || returned {
+			return ret, returned, err
 		}
 	}
-	return nil, ctlNone, nil
+	return nil, false, nil
 }
 
-func (in *Interp) execStmt(s stmt, e *env) (Value, ctlKind, error) {
+func (in *Interp) execStmt(s stmt, e *env) (Value, bool, error) {
 	switch st := s.(type) {
 	case *localStmt:
-		if err := in.burn(st.line); err != nil {
-			return nil, ctlNone, err
+		if err := in.burn(st.line, 0); err != nil {
+			return nil, false, err
 		}
 		vals := make([]Value, len(st.names))
 		for i := range st.names {
 			if i < len(st.exprs) {
 				v, err := in.eval(st.exprs[i], e)
 				if err != nil {
-					return nil, ctlNone, err
+					return nil, false, err
 				}
 				vals[i] = v
 			}
@@ -179,37 +182,37 @@ func (in *Interp) execStmt(s stmt, e *env) (Value, ctlKind, error) {
 		for i, name := range st.names {
 			e.vars[name] = vals[i]
 		}
-		return nil, ctlNone, nil
+		return nil, false, nil
 
 	case *assignStmt:
-		if err := in.burn(st.line); err != nil {
-			return nil, ctlNone, err
+		if err := in.burn(st.line, 0); err != nil {
+			return nil, false, err
 		}
 		vals := make([]Value, len(st.targets))
 		for i := range st.targets {
 			if i < len(st.exprs) {
 				v, err := in.eval(st.exprs[i], e)
 				if err != nil {
-					return nil, ctlNone, err
+					return nil, false, err
 				}
 				vals[i] = v
 			}
 		}
 		for i, tgt := range st.targets {
 			if err := in.assign(tgt, vals[i], e); err != nil {
-				return nil, ctlNone, err
+				return nil, false, err
 			}
 		}
-		return nil, ctlNone, nil
+		return nil, false, nil
 
 	case *ifStmt:
-		if err := in.burn(st.line); err != nil {
-			return nil, ctlNone, err
+		if err := in.burn(st.line, 0); err != nil {
+			return nil, false, err
 		}
 		for i, cond := range st.conds {
 			v, err := in.eval(cond, e)
 			if err != nil {
-				return nil, ctlNone, err
+				return nil, false, err
 			}
 			if Truthy(v) {
 				return in.execBlock(st.blocks[i], newEnv(e))
@@ -218,160 +221,69 @@ func (in *Interp) execStmt(s stmt, e *env) (Value, ctlKind, error) {
 		if st.els != nil {
 			return in.execBlock(st.els, newEnv(e))
 		}
-		return nil, ctlNone, nil
-
-	case *whileStmt:
-		for {
-			if err := in.burn(st.line); err != nil {
-				return nil, ctlNone, err
-			}
-			v, err := in.eval(st.cond, e)
-			if err != nil {
-				return nil, ctlNone, err
-			}
-			if !Truthy(v) {
-				return nil, ctlNone, nil
-			}
-			ret, ctl, err := in.execBlock(st.body, newEnv(e))
-			if err != nil {
-				return nil, ctlNone, err
-			}
-			if ctl == ctlReturn {
-				return ret, ctl, nil
-			}
-			if ctl == ctlBreak {
-				return nil, ctlNone, nil
-			}
-		}
-
-	case *repeatStmt:
-		for {
-			if err := in.burn(st.line); err != nil {
-				return nil, ctlNone, err
-			}
-			// The condition sees locals declared in the body (Lua
-			// semantics), so body and condition share the scope.
-			scope := newEnv(e)
-			ret, ctl, err := in.execBlock(st.body, scope)
-			if err != nil {
-				return nil, ctlNone, err
-			}
-			if ctl == ctlReturn {
-				return ret, ctl, nil
-			}
-			if ctl == ctlBreak {
-				return nil, ctlNone, nil
-			}
-			v, err := in.eval(st.cond, scope)
-			if err != nil {
-				return nil, ctlNone, err
-			}
-			if Truthy(v) {
-				return nil, ctlNone, nil
-			}
-		}
+		return nil, false, nil
 
 	case *numForStmt:
 		start, err := in.evalNumber(st.startE, e, st.line)
 		if err != nil {
-			return nil, ctlNone, err
+			return nil, false, err
 		}
 		limit, err := in.evalNumber(st.limitE, e, st.line)
 		if err != nil {
-			return nil, ctlNone, err
+			return nil, false, err
 		}
 		step := 1.0
 		if st.stepE != nil {
 			step, err = in.evalNumber(st.stepE, e, st.line)
 			if err != nil {
-				return nil, ctlNone, err
+				return nil, false, err
 			}
 		}
 		if step == 0 {
-			return nil, ctlNone, &RuntimeError{Line: st.line, Msg: "for step is zero"}
+			return nil, false, &RuntimeError{Line: st.line, Msg: "for step is zero"}
 		}
 		for i := start; (step > 0 && i <= limit) || (step < 0 && i >= limit); i += step {
-			if err := in.burn(st.line); err != nil {
-				return nil, ctlNone, err
+			if err := in.burn(st.line, 0); err != nil {
+				return nil, false, err
 			}
 			scope := newEnv(e)
 			scope.vars[st.varName] = i
-			ret, ctl, err := in.execBlock(st.body, scope)
-			if err != nil {
-				return nil, ctlNone, err
-			}
-			if ctl == ctlReturn {
-				return ret, ctl, nil
-			}
-			if ctl == ctlBreak {
-				return nil, ctlNone, nil
+			ret, returned, err := in.execBlock(st.body, scope)
+			if err != nil || returned {
+				return ret, returned, err
 			}
 		}
-		return nil, ctlNone, nil
-
-	case *genForStmt:
-		v, err := in.eval(st.iterable, e)
-		if err != nil {
-			return nil, ctlNone, err
-		}
-		tbl, ok := v.(*Table)
-		if !ok {
-			return nil, ctlNone, &RuntimeError{Line: st.line, Msg: "generic for requires a table, got " + TypeName(v)}
-		}
-		for _, key := range tbl.SortedKeys() {
-			if err := in.burn(st.line); err != nil {
-				return nil, ctlNone, err
-			}
-			scope := newEnv(e)
-			scope.vars[st.keyV] = key
-			scope.vars[st.valV] = tbl.Get(key)
-			ret, ctl, err := in.execBlock(st.body, scope)
-			if err != nil {
-				return nil, ctlNone, err
-			}
-			if ctl == ctlReturn {
-				return ret, ctl, nil
-			}
-			if ctl == ctlBreak {
-				return nil, ctlNone, nil
-			}
-		}
-		return nil, ctlNone, nil
+		return nil, false, nil
 
 	case *funcStmt:
-		fn := &Function{name: st.name, params: st.fn.params, body: st.fn.body, env: e}
-		if st.local {
-			e.vars[st.name] = fn
-		} else if !e.setExisting(st.name, fn) {
+		fn := &Function{name: st.name, params: st.params, body: st.body, env: e}
+		if !e.setExisting(st.name, fn) {
 			e.root().vars[st.name] = fn
 		}
-		return nil, ctlNone, nil
+		return nil, false, nil
 
 	case *returnStmt:
-		if err := in.burn(st.line); err != nil {
-			return nil, ctlNone, err
+		if err := in.burn(st.line, 0); err != nil {
+			return nil, false, err
 		}
 		if st.e == nil {
-			return nil, ctlReturn, nil
+			return nil, true, nil
 		}
 		v, err := in.eval(st.e, e)
 		if err != nil {
-			return nil, ctlNone, err
+			return nil, false, err
 		}
-		return v, ctlReturn, nil
-
-	case *breakStmt:
-		return nil, ctlBreak, nil
+		return v, true, nil
 
 	case *exprStmt:
-		if err := in.burn(st.line); err != nil {
-			return nil, ctlNone, err
+		if err := in.burn(st.line, 0); err != nil {
+			return nil, false, err
 		}
 		_, err := in.eval(st.e, e)
-		return nil, ctlNone, err
+		return nil, false, err
 
 	default:
-		return nil, ctlNone, fmt.Errorf("minilua: unknown statement %T", s)
+		return nil, false, fmt.Errorf("minilua: unknown statement %T", s)
 	}
 }
 
@@ -397,6 +309,9 @@ func (in *Interp) assign(tgt expr, v Value, e *env) error {
 		}
 		if key == nil {
 			return &RuntimeError{Line: t.line, Msg: "table index is nil"}
+		}
+		if v != nil && tbl.Size() >= maxEntries && tbl.Get(key) == nil {
+			return &RuntimeError{Line: t.line, Msg: fmt.Sprintf("a table holds at most %d entries", maxEntries)}
 		}
 		tbl.Set(key, v)
 		return nil
@@ -430,8 +345,6 @@ func (in *Interp) eval(ex expr, e *env) (Value, error) {
 	case *nameExpr:
 		v, _ := e.lookup(x.name)
 		return v, nil
-	case *funcExpr:
-		return &Function{params: x.params, body: x.body, env: e}, nil
 	case *unExpr:
 		return in.evalUnary(x, e)
 	case *binExpr:
@@ -451,7 +364,7 @@ func (in *Interp) eval(ex expr, e *env) (Value, error) {
 		}
 		return tbl.Get(key), nil
 	case *callExpr:
-		if err := in.burn(x.line); err != nil {
+		if err := in.burn(x.line, 0); err != nil {
 			return nil, err
 		}
 		fn, err := in.eval(x.fn, e)
@@ -500,6 +413,9 @@ func (in *Interp) call(fn Value, args []Value, line int) (Value, error) {
 	case *Builtin:
 		return f.Fn(in, args)
 	case *Function:
+		if in.depth >= maxDepth {
+			return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("calls nest deeper than %d", maxDepth)}
+		}
 		scope := newEnv(f.env)
 		for i, p := range f.params {
 			if i < len(args) {
@@ -508,14 +424,10 @@ func (in *Interp) call(fn Value, args []Value, line int) (Value, error) {
 				scope.vars[p] = nil
 			}
 		}
-		ret, ctl, err := in.execBlock(f.body, scope)
-		if err != nil {
-			return nil, err
-		}
-		if ctl == ctlBreak {
-			return nil, &RuntimeError{Line: line, Msg: "break outside loop"}
-		}
-		return ret, nil
+		in.depth++
+		ret, _, err := in.execBlock(f.body, scope)
+		in.depth--
+		return ret, err
 	default:
 		return nil, &RuntimeError{Line: line, Msg: "attempt to call a " + TypeName(fn) + " value"}
 	}
@@ -540,7 +452,8 @@ func (in *Interp) evalUnary(x *unExpr, e *env) (Value, error) {
 		case string:
 			return float64(len(vv)), nil
 		case *Table:
-			return float64(vv.Len()), nil
+			n := vv.Len()
+			return float64(n), in.burn(x.line, n)
 		default:
 			return nil, &RuntimeError{Line: x.line, Msg: "attempt to get length of a " + TypeName(v)}
 		}
@@ -585,6 +498,9 @@ func (in *Interp) evalBinary(x *binExpr, e *env) (Value, error) {
 		rs, rok := concatOperand(r)
 		if !lok || !rok {
 			return nil, &RuntimeError{Line: x.line, Msg: "attempt to concatenate a " + TypeName(pickBad(l, r, lok))}
+		}
+		if err := in.buildString(x.line, len(ls)+len(rs)); err != nil {
+			return nil, err
 		}
 		return ls + rs, nil
 	}
@@ -633,6 +549,14 @@ func (in *Interp) evalBinary(x *binExpr, e *env) (Value, error) {
 	default:
 		return nil, &RuntimeError{Line: x.line, Msg: "unknown operator " + x.op}
 	}
+}
+
+// buildString charges a string of n bytes that `..` or format builds.
+func (in *Interp) buildString(line, n int) error {
+	if n > maxString {
+		return &RuntimeError{Line: line, Msg: fmt.Sprintf("string longer than %d bytes", maxString)}
+	}
+	return in.burn(line, n)
 }
 
 func pickBad(l, r Value, lok bool) Value {

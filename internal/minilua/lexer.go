@@ -5,12 +5,14 @@
 // and can be hot-swapped by C&C updates — the design property the paper
 // singles out as what "distinguishes it from typical malware".
 //
-// Supported language: nil/true/false, numbers (float64), strings, tables,
-// first-class functions with closures; local/global variables; if/elseif/
-// else, while, repeat/until, numeric and generic for, break, return;
-// operators + - * / % .. == ~= < <= > >= and or not - #; table
-// constructors and indexing (t.k, t[k]). Execution is fuel-limited so
-// hostile or runaway modules terminate.
+// Supported language, the subset the Flame modules speak: nil/true/false,
+// numbers (float64), strings, tables, named functions with closures;
+// local/global variables and multiple assignment; if/elseif/else, numeric
+// for, return; operators + - * / % .. == ~= < <= > >= and or not - #;
+// table constructors and indexing (t.k, t[k]); the builtins format, find
+// and lower. The other Lua keywords stay reserved. Execution is
+// fuel-limited and values are capped so hostile or runaway modules
+// terminate.
 package minilua
 
 import (

@@ -86,7 +86,7 @@ func TestShortCircuit(t *testing.T) {
 	if v != false {
 		t.Fatalf("and short-circuit broken: %v", v)
 	}
-	v, _ = run(t, `return 5 or error("never")`)
+	v, _ = run(t, `return 5 or never_called()`)
 	if v != 5.0 {
 		t.Fatalf("or short-circuit = %v", v)
 	}
@@ -149,75 +149,6 @@ func TestIfElseChain(t *testing.T) {
 	}
 }
 
-func TestWhileAndBreak(t *testing.T) {
-	v, _ := run(t, `
-		local i = 0
-		local sum = 0
-		while true do
-			i = i + 1
-			if i > 10 then break end
-			sum = sum + i
-		end
-		return sum
-	`)
-	if v != 55.0 {
-		t.Fatalf("sum = %v", v)
-	}
-}
-
-func TestRepeatUntil(t *testing.T) {
-	v, _ := run(t, `
-		local n = 0
-		repeat n = n + 1 until n >= 5
-		return n
-	`)
-	if v != 5.0 {
-		t.Fatalf("repeat = %v", v)
-	}
-	// Body runs at least once even when the condition is already true.
-	v, _ = run(t, `
-		local n = 100
-		repeat n = n + 1 until true
-		return n
-	`)
-	if v != 101.0 {
-		t.Fatalf("repeat-once = %v", v)
-	}
-	// The condition sees body locals (Lua scoping rule).
-	v, _ = run(t, `
-		local i = 0
-		repeat
-			i = i + 1
-			local done = i > 3
-		until done
-		return i
-	`)
-	if v != 4.0 {
-		t.Fatalf("repeat body-local cond = %v", v)
-	}
-	// break exits immediately.
-	v, _ = run(t, `
-		local n = 0
-		repeat
-			n = n + 1
-			if n == 2 then break end
-		until false
-		return n
-	`)
-	if v != 2.0 {
-		t.Fatalf("repeat break = %v", v)
-	}
-	// Fuel still bounds infinite repeats.
-	in := NewInterp()
-	in.SetFuel(500)
-	if _, err := in.RunSource(`repeat until false`); !errors.Is(err, ErrFuelExhausted) {
-		t.Fatalf("err = %v, want fuel exhaustion", err)
-	}
-	if err := runErr(t, `repeat n = 1`); err == nil {
-		t.Fatal("unterminated repeat accepted")
-	}
-}
-
 func TestNumericFor(t *testing.T) {
 	v, _ := run(t, `
 		local sum = 0
@@ -237,22 +168,6 @@ func TestNumericFor(t *testing.T) {
 	}
 	if err := runErr(t, `for i = 1, 5, 0 do end`); err == nil {
 		t.Fatal("zero step allowed")
-	}
-}
-
-func TestGenericForDeterministicOrder(t *testing.T) {
-	v, in := run(t, `
-		local t = {z = 1, a = 2, m = 3}
-		t[10] = "ten"
-		t[2] = "two"
-		for k, v in t do print(k) end
-		return true
-	`)
-	_ = v
-	// Numbers first ascending, then strings ascending.
-	want := "2\n10\na\nm\nz\n"
-	if in.Output() != want {
-		t.Fatalf("iteration order = %q, want %q", in.Output(), want)
 	}
 }
 
@@ -302,8 +217,9 @@ func TestFunctionsAndRecursion(t *testing.T) {
 func TestClosuresCaptureEnvironment(t *testing.T) {
 	v, _ := run(t, `
 		function counter()
-			local n = 0
-			return function() n = n + 1 return n end
+			local n, tick = 0
+			function tick() n = n + 1 return n end
+			return tick
 		end
 		local c1 = counter()
 		local c2 = counter()
@@ -313,16 +229,6 @@ func TestClosuresCaptureEnvironment(t *testing.T) {
 	`)
 	if v != 42.0 {
 		t.Fatalf("closures = %v", v)
-	}
-}
-
-func TestLocalFunction(t *testing.T) {
-	v, _ := run(t, `
-		local function double(x) return x * 2 end
-		return double(21)
-	`)
-	if v != 42.0 {
-		t.Fatalf("got %v", v)
 	}
 }
 
@@ -339,27 +245,12 @@ func TestMultipleAssignment(t *testing.T) {
 
 func TestStdlibStringOps(t *testing.T) {
 	cases := map[string]Value{
-		`return sub("beetlejuice", 1, 6)`:       "beetle",
-		`return sub("abc", 2)`:                  "bc",
-		`return sub("abc", -2)`:                 "bc",
-		`return find("mssecmgr.ocx", ".ocx")`:   9.0,
-		`return find("abc", "zz")`:              nil,
-		`return upper("gadget")`:                "GADGET",
-		`return lower("MUNCH")`:                 "munch",
-		`return format("%s=%d", "drives", 3)`:   "drives=3",
-		`return tostring(42)`:                   "42",
-		`return tonumber("17.5")`:               17.5,
-		`return tonumber("xyz")`:                nil,
-		`return type({})`:                       "table",
-		`return type("s")`:                      "string",
-		`return type(nil)`:                      "nil",
-		`return floor(3.9)`:                     3.0,
-		`return max(1, 9, 4)`:                   9.0,
-		`return min(5, 2, 8)`:                   2.0,
-		`return concat({"a","b","c"}, "-")`:     "a-b-c",
-		`return len({"x","y"})`:                 2.0,
-		`return split("a,b,c", ",")[2]`:         "b",
-		`local t = {} insert(t, 5) return t[1]`: 5.0,
+		`return find("mssecmgr.ocx", ".ocx")`:    9.0,
+		`return find("abc", "zz")`:               nil,
+		`return lower("MUNCH")`:                  "munch",
+		`return format("%s=%d", "drives", 3)`:    "drives=3",
+		`return format("%f%% %s", 2.5, nil)`:     "2.50% nil",
+		`return format("%d files", 41.9) .. "!"`: "41 files!",
 	}
 	for src, want := range cases {
 		v, _ := run(t, src)
@@ -369,33 +260,15 @@ func TestStdlibStringOps(t *testing.T) {
 	}
 }
 
-func TestStdlibRemove(t *testing.T) {
-	v, _ := run(t, `
-		local t = {"a", "b", "c"}
-		local last = remove(t)
-		return last .. ":" .. #t
-	`)
-	if v != "c:2" {
-		t.Fatalf("remove = %v", v)
-	}
-}
-
-func TestPrintOutput(t *testing.T) {
-	_, in := run(t, `print("hello", 42, true, nil)`)
-	if in.Output() != "hello\t42\ttrue\tnil\n" {
-		t.Fatalf("output = %q", in.Output())
-	}
-	in.ResetOutput()
-	if in.Output() != "" {
-		t.Fatal("ResetOutput failed")
-	}
-}
-
 func TestHostBindings(t *testing.T) {
 	in := NewInterp()
 	var captured []string
 	in.Register("host_list_files", func(_ *Interp, args []Value) (Value, error) {
-		return GoStringsToTable([]string{"a.docx", "b.pdf", "c.dwg"}), nil
+		files := NewTable()
+		for _, f := range []string{"a.docx", "b.pdf", "c.dwg"} {
+			files.Append(f)
+		}
+		return files, nil
 	})
 	in.Register("host_leak", func(_ *Interp, args []Value) (Value, error) {
 		captured = append(captured, ToString(argAt(args, 0)))
@@ -420,21 +293,67 @@ func TestHostBindings(t *testing.T) {
 
 func TestFuelExhaustion(t *testing.T) {
 	in := NewInterp()
-	in.SetFuel(1000)
-	_, err := in.RunSource(`while true do end`)
+	_, err := in.RunSource(`for i = 1, 2 * 1048576 do end`)
 	if !errors.Is(err, ErrFuelExhausted) {
 		t.Fatalf("err = %v, want ErrFuelExhausted", err)
 	}
 }
 
+// TestFuelSurvivesNormalRun: every top-level call starts with its own
+// DefaultFuel, so two back-to-back calls that each burn about 60% of it
+// both finish, and a call after one that ran dry finishes too.
 func TestFuelSurvivesNormalRun(t *testing.T) {
 	in := NewInterp()
-	in.SetFuel(100000)
-	if _, err := in.RunSource(`local s = 0 for i = 1, 100 do s = s + i end return s`); err != nil {
-		t.Fatalf("err = %v", err)
+	if _, err := in.RunSource(`
+		function burn(n) local s = 0 for i = 1, n do s = s + i end return s end
+	`); err != nil {
+		t.Fatal(err)
 	}
-	if in.Fuel() <= 0 || in.Fuel() >= 100000 {
-		t.Fatalf("fuel = %d", in.Fuel())
+	burn := in.Global("burn")
+	sixty := float64(DefaultFuel) * 0.6 / 2 // each iteration burns a step for the loop and one for the assignment
+	for call := 1; call <= 2; call++ {
+		if _, err := in.Call(burn, sixty); err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+	}
+	if _, err := in.Call(burn, float64(DefaultFuel)); !errors.Is(err, ErrFuelExhausted) {
+		t.Fatalf("a call past the budget: err = %v, want ErrFuelExhausted", err)
+	}
+	if _, err := in.Call(burn, sixty); err != nil {
+		t.Fatalf("a call after the budget ran out: %v", err)
+	}
+}
+
+// TestBoundsAreRuntimeErrors: what fuel does not bound fails with a
+// *RuntimeError. Lua calls nest at most maxDepth deep (each nests Go
+// frames, so unbounded self-recursion used to need hundreds of MB of
+// stack; 1,000 levels keep this test cheap where the bound is missing),
+// `..` and format build at most maxString bytes (25 doublings would
+// build 32 MiB), and a script stores at most maxEntries entries into
+// one table, though it may still overwrite and delete entries there.
+func TestBoundsAreRuntimeErrors(t *testing.T) {
+	cases := map[string]string{
+		`function f(n) if n == 0 then return 0 end return f(n - 1) end return f(1000)`: "calls nest deeper than 200",
+		`s = "x" for i = 1, 25 do s = s .. s end return #s`:                            "string longer than 1048576 bytes",
+		`s = "x" for i = 1, 20 do s = s .. s end return format("%s!", s)`:              "string longer than 1048576 bytes",
+		`t = {} for i = 1, 65537 do t[i] = i end`:                                      "a table holds at most 65536 entries",
+	}
+	for src, want := range cases {
+		err := runErr(t, src)
+		var rt *RuntimeError
+		if !errors.As(err, &rt) || rt.Msg != want {
+			t.Errorf("%q: err = %v, want a *RuntimeError %q", src, err, want)
+		}
+	}
+	v, _ := run(t, `
+		function f(n) if n == 0 then return 0 end return 1 + f(n - 1) end
+		s = "x" for i = 1, 20 do s = s .. s end
+		t = {} for i = 1, 65536 do t[i] = i end
+		t[1] = nil t[1] = 0 t[2] = 0
+		return f(150) + #s + t[2]
+	`)
+	if v != 150.0+(1<<20) {
+		t.Fatalf("work inside every bound = %v", v)
 	}
 }
 
@@ -449,8 +368,11 @@ func TestRuntimeErrors(t *testing.T) {
 		`return #5`,
 		`return -"str"`,
 		`local t = {} t[nil] = 1`,
-		`error("module failure")`,
+		`undefined_module_fn()`,
 		`return 1 < "a"`,
+		`return format("%x", 1)`,
+		`return find(nil, "a")`,
+		`return lower(5)`,
 	}
 	for _, src := range cases {
 		err := runErr(t, src)
@@ -484,6 +406,29 @@ func TestSyntaxErrors(t *testing.T) {
 		var se *SyntaxError
 		if !errors.As(err, &se) {
 			t.Errorf("%q: err = %T, want SyntaxError", src, err)
+		}
+	}
+}
+
+// TestRemovedFormsAreSyntaxErrors: the language is the subset the Flame
+// modules use, so each Lua form outside it fails to parse at its line.
+func TestRemovedFormsAreSyntaxErrors(t *testing.T) {
+	forms := map[string]string{
+		"while":             "while n < 3 do n = n + 1 end",
+		"repeat":            "repeat n = n + 1 until n > 3",
+		"generic for":       "for k, v in t do n = n + 1 end",
+		"break":             "for i = 1, 3 do break end",
+		"do block":          "do local x = 1 end",
+		"local function":    "local function f() return 1 end",
+		"function value":    "f = function() return 1 end",
+		"function argument": "g(function() end)",
+	}
+	for name, form := range forms {
+		src := "local n, t = 0, {}\n-- the form\n" + form + "\nreturn n"
+		_, err := Parse(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Line != 3 {
+			t.Errorf("%s: Parse = %v, want a *SyntaxError at line 3", name, err)
 		}
 	}
 }
@@ -524,12 +469,13 @@ func TestMissingArgsAreNil(t *testing.T) {
 	}
 }
 
-func TestDoBlockScoping(t *testing.T) {
+func TestBlockScoping(t *testing.T) {
 	v, _ := run(t, `
 		local x = 1
-		do
+		if true then
 			local x = 2
 		end
+		for i = 1, 2 do local x = 3 end
 		return x
 	`)
 	if v != 1.0 {
@@ -550,10 +496,11 @@ func TestTableLenBorder(t *testing.T) {
 
 func TestInterpreterDeterminism(t *testing.T) {
 	src := `
-		local acc = {}
+		keys = {"a", "b", "c"}
 		local t = {b = 2, a = 1, c = 3}
-		for k, v in t do insert(acc, k .. "=" .. v) end
-		return concat(acc, ",")
+		local acc = ""
+		for i = 1, #keys do acc = acc .. format("%s=%d,", keys[i], t[keys[i]]) end
+		return acc
 	`
 	first, _ := run(t, src)
 	for i := 0; i < 5; i++ {
@@ -562,7 +509,7 @@ func TestInterpreterDeterminism(t *testing.T) {
 			t.Fatalf("non-deterministic: %v vs %v", first, again)
 		}
 	}
-	if first != "a=1,b=2,c=3" {
+	if first != "a=1,b=2,c=3," {
 		t.Fatalf("order = %v", first)
 	}
 }
@@ -607,10 +554,11 @@ func TestConcatRightAssociative(t *testing.T) {
 }
 
 func TestBreakOutsideLoopError(t *testing.T) {
-	// break at chunk level is a runtime control error.
+	// break is not part of the language, so it fails to parse anywhere.
 	in := NewInterp()
 	_, err := in.RunSource(`break`)
-	if err == nil {
-		t.Fatal("break at top level succeeded")
+	var se *SyntaxError
+	if !errors.As(err, &se) {
+		t.Fatalf("break at top level: err = %v, want a *SyntaxError", err)
 	}
 }

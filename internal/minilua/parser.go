@@ -10,7 +10,7 @@ func Parse(src string) (*Chunk, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	body, err := p.block(map[string]bool{})
+	body, err := p.block()
 	if err != nil {
 		return nil, err
 	}
@@ -84,30 +84,13 @@ func (p *parser) blockEnd() bool {
 		return false
 	}
 	switch t.text {
-	case "end", "else", "elseif", "until":
+	case "end", "else", "elseif":
 		return true
 	}
 	return false
 }
 
-func (p *parser) repeatStatement() (stmt, error) {
-	line := p.cur().line
-	p.pos++ // repeat
-	body, err := p.block(nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("until"); err != nil {
-		return nil, err
-	}
-	cond, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	return &repeatStmt{line: line, body: body, cond: cond}, nil
-}
-
-func (p *parser) block(_ map[string]bool) ([]stmt, error) {
+func (p *parser) block() ([]stmt, error) {
 	var out []stmt
 	for !p.blockEnd() {
 		s, err := p.statement()
@@ -137,14 +120,10 @@ func (p *parser) statement() (stmt, error) {
 			return p.localStatement()
 		case "if":
 			return p.ifStatement()
-		case "while":
-			return p.whileStatement()
-		case "repeat":
-			return p.repeatStatement()
 		case "for":
 			return p.forStatement()
 		case "function":
-			return p.funcStatement(false)
+			return p.funcStatement()
 		case "return":
 			p.pos++
 			rs := &returnStmt{line: t.line}
@@ -157,20 +136,6 @@ func (p *parser) statement() (stmt, error) {
 			}
 			p.acceptOp(";")
 			return rs, nil
-		case "break":
-			p.pos++
-			return &breakStmt{line: t.line}, nil
-		case "do":
-			p.pos++
-			body, err := p.block(nil)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("end"); err != nil {
-				return nil, err
-			}
-			// Model "do ... end" as an if true block.
-			return &ifStmt{line: t.line, conds: []expr{&boolExpr{v: true}}, blocks: [][]stmt{body}}, nil
 		}
 	}
 	return p.exprOrAssign()
@@ -179,17 +144,6 @@ func (p *parser) statement() (stmt, error) {
 func (p *parser) localStatement() (stmt, error) {
 	line := p.cur().line
 	p.pos++ // local
-	if p.acceptKw("function") {
-		name, err := p.expectName()
-		if err != nil {
-			return nil, err
-		}
-		fn, err := p.funcBody(line)
-		if err != nil {
-			return nil, err
-		}
-		return &funcStmt{line: line, name: name, local: true, fn: fn}, nil
-	}
 	var names []string
 	for {
 		name, err := p.expectName()
@@ -224,7 +178,7 @@ func (p *parser) ifStatement() (stmt, error) {
 		if err := p.expectKw("then"); err != nil {
 			return nil, err
 		}
-		body, err := p.block(nil)
+		body, err := p.block()
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +190,7 @@ func (p *parser) ifStatement() (stmt, error) {
 		break
 	}
 	if p.acceptKw("else") {
-		els, err := p.block(nil)
+		els, err := p.block()
 		if err != nil {
 			return nil, err
 		}
@@ -248,57 +202,12 @@ func (p *parser) ifStatement() (stmt, error) {
 	return out, nil
 }
 
-func (p *parser) whileStatement() (stmt, error) {
-	line := p.cur().line
-	p.pos++ // while
-	cond, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("do"); err != nil {
-		return nil, err
-	}
-	body, err := p.block(nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("end"); err != nil {
-		return nil, err
-	}
-	return &whileStmt{line: line, cond: cond, body: body}, nil
-}
-
 func (p *parser) forStatement() (stmt, error) {
 	line := p.cur().line
 	p.pos++ // for
 	first, err := p.expectName()
 	if err != nil {
 		return nil, err
-	}
-	// Generic for: for k, v in expr do ... end
-	if p.acceptOp(",") {
-		second, err := p.expectName()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("in"); err != nil {
-			return nil, err
-		}
-		iterable, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("do"); err != nil {
-			return nil, err
-		}
-		body, err := p.block(nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("end"); err != nil {
-			return nil, err
-		}
-		return &genForStmt{line: line, keyV: first, valV: second, iterable: iterable, body: body}, nil
 	}
 	if err := p.expectOp("="); err != nil {
 		return nil, err
@@ -324,7 +233,7 @@ func (p *parser) forStatement() (stmt, error) {
 	if err := p.expectKw("do"); err != nil {
 		return nil, err
 	}
-	body, err := p.block(nil)
+	body, err := p.block()
 	if err != nil {
 		return nil, err
 	}
@@ -334,21 +243,13 @@ func (p *parser) forStatement() (stmt, error) {
 	return &numForStmt{line: line, varName: first, startE: start, limitE: limit, stepE: step, body: body}, nil
 }
 
-func (p *parser) funcStatement(local bool) (stmt, error) {
+func (p *parser) funcStatement() (stmt, error) {
 	line := p.cur().line
 	p.pos++ // function
 	name, err := p.expectName()
 	if err != nil {
 		return nil, err
 	}
-	fn, err := p.funcBody(line)
-	if err != nil {
-		return nil, err
-	}
-	return &funcStmt{line: line, name: name, local: local, fn: fn}, nil
-}
-
-func (p *parser) funcBody(line int) (*funcExpr, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
@@ -369,14 +270,14 @@ func (p *parser) funcBody(line int) (*funcExpr, error) {
 			return nil, err
 		}
 	}
-	body, err := p.block(nil)
+	body, err := p.block()
 	if err != nil {
 		return nil, err
 	}
 	if err := p.expectKw("end"); err != nil {
 		return nil, err
 	}
-	return &funcExpr{line: line, params: params, body: body}, nil
+	return &funcStmt{line: line, name: name, params: params, body: body}, nil
 }
 
 func (p *parser) exprOrAssign() (stmt, error) {
@@ -515,9 +416,6 @@ func (p *parser) simpleExpr() (expr, error) {
 	case t.kind == tkKeyword && t.text == "false":
 		p.pos++
 		return &boolExpr{v: false}, nil
-	case t.kind == tkKeyword && t.text == "function":
-		p.pos++
-		return p.funcBody(t.line)
 	case t.kind == tkOp && t.text == "{":
 		return p.tableConstructor()
 	default:

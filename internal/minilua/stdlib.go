@@ -19,112 +19,6 @@ func argAt(args []Value, i int) Value {
 
 // installStdlib binds the standard library into the interpreter globals.
 func installStdlib(in *Interp) {
-	in.Register("print", func(in *Interp, args []Value) (Value, error) {
-		in.output.WriteString(formatValues(args))
-		in.output.WriteByte('\n')
-		return nil, nil
-	})
-	in.Register("type", func(_ *Interp, args []Value) (Value, error) {
-		return TypeName(argAt(args, 0)), nil
-	})
-	in.Register("tostring", func(_ *Interp, args []Value) (Value, error) {
-		return ToString(argAt(args, 0)), nil
-	})
-	in.Register("tonumber", func(_ *Interp, args []Value) (Value, error) {
-		switch v := argAt(args, 0).(type) {
-		case float64:
-			return v, nil
-		case string:
-			n, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return nil, nil
-			}
-			return n, nil
-		default:
-			return nil, nil
-		}
-	})
-	in.Register("len", func(_ *Interp, args []Value) (Value, error) {
-		switch v := argAt(args, 0).(type) {
-		case string:
-			return float64(len(v)), nil
-		case *Table:
-			return float64(v.Len()), nil
-		default:
-			return nil, argErr("len", 1, "string or table", v)
-		}
-	})
-	in.Register("insert", func(_ *Interp, args []Value) (Value, error) {
-		t, ok := argAt(args, 0).(*Table)
-		if !ok {
-			return nil, argErr("insert", 1, "table", argAt(args, 0))
-		}
-		t.Append(argAt(args, 1))
-		return nil, nil
-	})
-	in.Register("remove", func(_ *Interp, args []Value) (Value, error) {
-		t, ok := argAt(args, 0).(*Table)
-		if !ok {
-			return nil, argErr("remove", 1, "table", argAt(args, 0))
-		}
-		n := t.Len()
-		if n == 0 {
-			return nil, nil
-		}
-		last := t.Get(float64(n))
-		t.Set(float64(n), nil)
-		return last, nil
-	})
-	in.Register("keys", func(_ *Interp, args []Value) (Value, error) {
-		t, ok := argAt(args, 0).(*Table)
-		if !ok {
-			return nil, argErr("keys", 1, "table", argAt(args, 0))
-		}
-		out := NewTable()
-		for _, k := range t.SortedKeys() {
-			out.Append(k)
-		}
-		return out, nil
-	})
-	in.Register("concat", func(_ *Interp, args []Value) (Value, error) {
-		t, ok := argAt(args, 0).(*Table)
-		if !ok {
-			return nil, argErr("concat", 1, "table", argAt(args, 0))
-		}
-		sep := ""
-		if s, ok := argAt(args, 1).(string); ok {
-			sep = s
-		}
-		return strings.Join(TableToGoStrings(t), sep), nil
-	})
-	in.Register("sub", func(_ *Interp, args []Value) (Value, error) {
-		s, ok := argAt(args, 0).(string)
-		if !ok {
-			return nil, argErr("sub", 1, "string", argAt(args, 0))
-		}
-		i, _ := argAt(args, 1).(float64)
-		j := float64(len(s))
-		if v, ok := argAt(args, 2).(float64); ok {
-			j = v
-		}
-		start, end := int(i), int(j)
-		if start < 0 {
-			start = len(s) + start + 1
-		}
-		if end < 0 {
-			end = len(s) + end + 1
-		}
-		if start < 1 {
-			start = 1
-		}
-		if end > len(s) {
-			end = len(s)
-		}
-		if start > end {
-			return "", nil
-		}
-		return s[start-1 : end], nil
-	})
 	in.Register("find", func(_ *Interp, args []Value) (Value, error) {
 		s, ok := argAt(args, 0).(string)
 		if !ok {
@@ -140,39 +34,24 @@ func installStdlib(in *Interp) {
 		}
 		return float64(idx + 1), nil
 	})
-	in.Register("lower", func(_ *Interp, args []Value) (Value, error) {
+	in.Register("lower", func(in *Interp, args []Value) (Value, error) {
 		s, ok := argAt(args, 0).(string)
 		if !ok {
 			return nil, argErr("lower", 1, "string", argAt(args, 0))
 		}
+		if err := in.burn(0, len(s)); err != nil {
+			return nil, err
+		}
 		return strings.ToLower(s), nil
 	})
-	in.Register("upper", func(_ *Interp, args []Value) (Value, error) {
-		s, ok := argAt(args, 0).(string)
-		if !ok {
-			return nil, argErr("upper", 1, "string", argAt(args, 0))
-		}
-		return strings.ToUpper(s), nil
-	})
-	in.Register("split", func(_ *Interp, args []Value) (Value, error) {
-		s, ok := argAt(args, 0).(string)
-		if !ok {
-			return nil, argErr("split", 1, "string", argAt(args, 0))
-		}
-		sep, ok := argAt(args, 1).(string)
-		if !ok || sep == "" {
-			return nil, argErr("split", 2, "non-empty string", argAt(args, 1))
-		}
-		return GoStringsToTable(strings.Split(s, sep)), nil
-	})
-	in.Register("format", func(_ *Interp, args []Value) (Value, error) {
+	in.Register("format", func(in *Interp, args []Value) (Value, error) {
 		f, ok := argAt(args, 0).(string)
 		if !ok {
 			return nil, argErr("format", 1, "string", argAt(args, 0))
 		}
 		var out strings.Builder
 		argi := 1
-		for i := 0; i < len(f); i++ {
+		for i := 0; i < len(f) && out.Len() <= maxString; i++ {
 			if f[i] != '%' || i+1 == len(f) {
 				out.WriteByte(f[i])
 				continue
@@ -196,40 +75,9 @@ func installStdlib(in *Interp) {
 				return nil, &RuntimeError{Msg: fmt.Sprintf("format: unsupported verb %%%c", f[i])}
 			}
 		}
+		if err := in.buildString(0, out.Len()); err != nil {
+			return nil, err
+		}
 		return out.String(), nil
-	})
-	in.Register("floor", func(_ *Interp, args []Value) (Value, error) {
-		n, ok := argAt(args, 0).(float64)
-		if !ok {
-			return nil, argErr("floor", 1, "number", argAt(args, 0))
-		}
-		return float64(int64(n)), nil
-	})
-	in.Register("max", func(_ *Interp, args []Value) (Value, error) {
-		best, ok := argAt(args, 0).(float64)
-		if !ok {
-			return nil, argErr("max", 1, "number", argAt(args, 0))
-		}
-		for i := 1; i < len(args); i++ {
-			if n, ok := args[i].(float64); ok && n > best {
-				best = n
-			}
-		}
-		return best, nil
-	})
-	in.Register("min", func(_ *Interp, args []Value) (Value, error) {
-		best, ok := argAt(args, 0).(float64)
-		if !ok {
-			return nil, argErr("min", 1, "number", argAt(args, 0))
-		}
-		for i := 1; i < len(args); i++ {
-			if n, ok := args[i].(float64); ok && n < best {
-				best = n
-			}
-		}
-		return best, nil
-	})
-	in.Register("error", func(_ *Interp, args []Value) (Value, error) {
-		return nil, &RuntimeError{Msg: ToString(argAt(args, 0))}
 	})
 }

@@ -2,9 +2,7 @@ package minilua
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // Value is any minilua value: nil, bool, float64, string, *Table,
@@ -12,7 +10,7 @@ import (
 type Value any
 
 // Table is the associative container. Integer-keyed entries starting at 1
-// form the array part for # and ipairs-style iteration.
+// form the array part that # measures.
 type Table struct {
 	m map[Value]Value
 }
@@ -46,40 +44,6 @@ func (t *Table) Len() int {
 
 // Append adds value at the end of the array part.
 func (t *Table) Append(value Value) { t.Set(float64(t.Len()+1), value) }
-
-// SortedKeys returns all keys in a deterministic order: numbers ascending,
-// then strings ascending, then everything else by formatted representation.
-func (t *Table) SortedKeys() []Value {
-	keys := make([]Value, 0, len(t.m))
-	for k := range t.m {
-		keys = append(keys, k)
-	}
-	rank := func(v Value) int {
-		switch v.(type) {
-		case float64:
-			return 0
-		case string:
-			return 1
-		default:
-			return 2
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ri, rj := rank(keys[i]), rank(keys[j])
-		if ri != rj {
-			return ri < rj
-		}
-		switch a := keys[i].(type) {
-		case float64:
-			return a < keys[j].(float64)
-		case string:
-			return a < keys[j].(string)
-		default:
-			return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j])
-		}
-	})
-	return keys
-}
 
 // Size returns the number of entries (array + hash parts).
 func (t *Table) Size() int { return len(t.m) }
@@ -120,7 +84,7 @@ func Truthy(v Value) bool {
 	}
 }
 
-// ToString renders a value the way print does.
+// ToString renders a value the way format's %s does.
 func ToString(v Value) string {
 	switch x := v.(type) {
 	case nil:
@@ -169,31 +133,4 @@ func TypeName(v Value) string {
 	default:
 		return "userdata"
 	}
-}
-
-// GoStringsToTable builds an array-style table from strings.
-func GoStringsToTable(items []string) *Table {
-	t := NewTable()
-	for _, s := range items {
-		t.Append(s)
-	}
-	return t
-}
-
-// TableToGoStrings flattens the array part of a table to Go strings.
-func TableToGoStrings(t *Table) []string {
-	n := t.Len()
-	out := make([]string, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, ToString(t.Get(float64(i))))
-	}
-	return out
-}
-
-func formatValues(vals []Value) string {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = ToString(v)
-	}
-	return strings.Join(parts, "\t")
 }

@@ -71,67 +71,45 @@ func VerifyImage(img *pe.File, store *Store, now time.Time, usage KeyUsage) (*Im
 	return sig, nil
 }
 
-// SharedImage returns pe.Parse(b) through the store's memo (DESIGN.md §9
-// item 6): every call for one buffer in a store lineage returns the
-// lineage's one parse of it, so callers must not write the image, as
-// they must not write the buffer its payloads alias. b must be a buffer
-// nothing writes while the store lineage lives, the contract of
-// host.FS.WriteShared. The key is b's identity, its first byte and its
-// length, never its content. A buffer that fails to parse returns the
-// same error on every call and is never recorded.
-func (s *Store) SharedImage(b []byte) (*pe.File, error) {
+// SharedImage returns pe.Parse(b) and the image's Digest through the
+// store's memo (DESIGN.md §9 item 6): every call for one buffer in a
+// store lineage returns the lineage's one parse of it and its digest,
+// so callers must not write the image, as they must not write the
+// buffer its payloads alias. b must be a buffer nothing writes while
+// the store lineage lives, the contract of host.FS.WriteShared. The key
+// is b's identity, its first byte and its length, never its content. A
+// buffer that fails to parse or digest returns the same error on every
+// call and is never recorded.
+func (s *Store) SharedImage(b []byte) (*pe.File, [32]byte, error) {
 	if len(b) == 0 {
-		return pe.Parse(b)
+		_, err := pe.Parse(b)
+		return nil, [32]byte{}, err
 	}
 	k := bufKey{first: &b[0], n: len(b)}
 	m := s.memo
 	m.mu.Lock()
-	img, hit := m.images[k]
+	e, hit := m.images[k]
 	m.mu.Unlock()
 	if hit {
-		return img, nil
+		return e.img, e.digest, nil
 	}
 	img, err := pe.Parse(b)
 	if err != nil {
-		return nil, err
+		return nil, [32]byte{}, err
+	}
+	d, err := img.Digest()
+	if err != nil {
+		return nil, [32]byte{}, err
 	}
 	m.mu.Lock()
 	if prev, ok := m.images[k]; ok {
-		img = prev // a clone on another goroutine parsed b first
+		e = prev // a clone on another goroutine parsed b first
 	} else {
-		m.images[k] = img
+		e = sharedImage{img: img, digest: d}
+		m.images[k] = e
 	}
 	m.mu.Unlock()
-	return img, nil
-}
-
-// ImageDigest returns SharedImage(b) then Digest, through the store's
-// memo, under the same contract and key. A buffer that fails to parse
-// or digest returns the same error on every call and is never recorded.
-func (s *Store) ImageDigest(b []byte) ([32]byte, error) {
-	if len(b) == 0 {
-		_, err := pe.Parse(b)
-		return [32]byte{}, err
-	}
-	k := bufKey{first: &b[0], n: len(b)}
-	m := s.memo
-	m.mu.Lock()
-	d, hit := m.digests[k]
-	m.mu.Unlock()
-	if hit {
-		return d, nil
-	}
-	img, err := s.SharedImage(b)
-	if err != nil {
-		return d, err
-	}
-	if d, err = img.Digest(); err != nil {
-		return d, err
-	}
-	m.mu.Lock()
-	m.digests[k] = d
-	m.mu.Unlock()
-	return d, nil
+	return e.img, e.digest, nil
 }
 
 // marshal encodes the signature blob:

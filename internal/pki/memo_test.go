@@ -278,13 +278,13 @@ func TestVerifyImageAllocs(t *testing.T) {
 	}
 }
 
-// TestImageDigestMemo pins the key of the memo's digests and parses: a
+// TestImageDigestMemo pins the key of the memo's parses and digests: a
 // buffer's first byte and its length. Clones share the entries, and
-// SharedImage hands every caller the one recorded parse; two buffers
-// with equal bytes are two entries; an image at the head of a longer
-// array is an entry of its own, and the whole array, which is not one
-// image, keeps failing with pe.Parse's error instead of reading that
-// entry. Errors are never recorded.
+// SharedImage hands every caller the one recorded parse and its digest;
+// two buffers with equal bytes are two entries; an image at the head of
+// a longer array is an entry of its own, and the whole array, which is
+// not one image, keeps failing with pe.Parse's error instead of reading
+// that entry. Errors are never recorded.
 func TestImageDigestMemo(t *testing.T) {
 	f := newMemoFixture(t)
 	raw, err := f.driver.Marshal()
@@ -306,19 +306,15 @@ func TestImageDigestMemo(t *testing.T) {
 		{"tail of the array", packed[len(raw):], 4},
 	}
 	for _, st := range steps {
-		got, err := base.Clone().ImageDigest(st.buf)
-		if err != nil || got != want {
-			t.Fatalf("%s: ImageDigest = %x, %v; want the image's digest", st.name, got, err)
-		}
-		if n := len(base.memo.digests); n != st.entries {
-			t.Fatalf("%s: memo holds %d digests, want %d", st.name, n, st.entries)
-		}
-		img, err := base.Clone().SharedImage(st.buf)
-		if err != nil || img != base.memo.images[bufKey{&st.buf[0], len(st.buf)}] || img.MustDigest() != want {
-			t.Fatalf("%s: SharedImage = %v, %v; want the memo's parse of the image", st.name, img, err)
-		}
-		if n := len(base.memo.images); n != st.entries {
-			t.Fatalf("%s: memo holds %d parses, want %d", st.name, n, st.entries)
+		for call := 1; call <= 2; call++ {
+			img, got, err := base.Clone().SharedImage(st.buf)
+			rec := base.memo.images[bufKey{&st.buf[0], len(st.buf)}]
+			if err != nil || got != want || img != rec.img || rec.digest != want || img.MustDigest() != want {
+				t.Fatalf("%s, call %d: SharedImage = %v, %x, %v; want the memo's parse of the image and its digest", st.name, call, img, got, err)
+			}
+			if n := len(base.memo.images); n != st.entries {
+				t.Fatalf("%s, call %d: memo holds %d parses, want %d", st.name, call, n, st.entries)
+			}
 		}
 	}
 
@@ -327,15 +323,12 @@ func TestImageDigestMemo(t *testing.T) {
 	for _, buf := range [][]byte{packed, bad, nil} {
 		_, want := pe.Parse(buf)
 		for run := 0; run < 2; run++ {
-			if _, err := base.ImageDigest(buf); err == nil || err.Error() != want.Error() {
-				t.Fatalf("ImageDigest of %d bytes, call %d: err = %v, want %v", len(buf), run+1, err, want)
-			}
-			if img, err := base.SharedImage(buf); img != nil || err == nil || err.Error() != want.Error() {
-				t.Fatalf("SharedImage of %d bytes, call %d: %v, %v; want %v", len(buf), run+1, img, err, want)
+			if img, d, err := base.SharedImage(buf); img != nil || d != ([32]byte{}) || err == nil || err.Error() != want.Error() {
+				t.Fatalf("SharedImage of %d bytes, call %d: %v, %x, %v; want %v", len(buf), run+1, img, d, err, want)
 			}
 		}
 	}
-	if n, m := len(base.memo.digests), len(base.memo.images); n != 4 || m != 4 {
-		t.Fatalf("memo holds %d digests and %d parses after failures, want 4 and 4", n, m)
+	if n := len(base.memo.images); n != 4 {
+		t.Fatalf("memo holds %d parses after failures, want 4", n)
 	}
 }

@@ -31,8 +31,7 @@ func NewStore(roots ...*Certificate) *Store {
 	s := &Store{
 		roots:     make(map[uint64]*Certificate, len(roots)),
 		untrusted: make(map[uint64]string),
-		memo: &memo{ok: make(map[sigKey]struct{}), images: make(map[bufKey]*pe.File),
-			digests: make(map[bufKey][32]byte)},
+		memo:      &memo{ok: make(map[sigKey]struct{}), images: make(map[bufKey]sharedImage)},
 	}
 	for _, r := range roots {
 		s.roots[r.Serial] = r
@@ -161,8 +160,8 @@ func (s *Store) findRootFor(c *Certificate) *Certificate {
 
 // memo records facts about immutable bytes that a store lineage
 // established once. Ed25519 checks that succeeded are keyed by the exact
-// bytes checked. Image parses and digests are keyed by the identity of a
-// buffer nothing writes (see SharedImage and ImageDigest). Failures and
+// bytes checked. Image parses and their digests are keyed by the identity
+// of a buffer nothing writes (see SharedImage). Failures and
 // errors are never recorded, so a miss always reruns the work, and an
 // answer can differ from a memo-free one only if the same bytes gave two
 // answers, which Ed25519, SHA-256 and pe.Parse rule out. It needs no
@@ -170,10 +169,15 @@ func (s *Store) findRootFor(c *Certificate) *Certificate {
 // certificates and images and its own world's shared image buffers, a
 // handful of each.
 type memo struct {
-	mu      sync.Mutex
-	ok      map[sigKey]struct{}
-	images  map[bufKey]*pe.File
-	digests map[bufKey][32]byte
+	mu     sync.Mutex
+	ok     map[sigKey]struct{}
+	images map[bufKey]sharedImage
+}
+
+// sharedImage is a shared buffer's parse and the image's digest.
+type sharedImage struct {
+	img    *pe.File
+	digest [32]byte
 }
 
 // sigKey is public key, digest and signature, concatenated.
