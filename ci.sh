@@ -92,6 +92,12 @@ go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
 # so a new input takes long to minimize; the 2 s cap keeps the lane
 # fuzzing instead of minimizing for its whole budget.
 go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 10s -fuzzminimizetime 2s ./internal/core
+# FuzzReadCheckpoint holds the checkpoint readers, ReadCheckpoint and
+# Env.ParseKey, to the same contract: an accepted checkpoint writes,
+# reads back and writes again to the same bytes, its key parses back to
+# itself, and a version other than 1 makes Fork fail before it replays
+# anything. Every input writes a file, so minimization is capped too.
+go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 10s -fuzzminimizetime 2s ./internal/core
 # FuzzRun holds minilua, which parses and runs the module source a Flame
 # agent receives through C&C pushes, to the same contract: a *SyntaxError
 # or a chunk, and a chunk's run returns a value, a *RuntimeError or

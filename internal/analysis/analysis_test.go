@@ -362,7 +362,7 @@ rule ReporterComponent {
         $get = "data.asp"
         $inf = "f1.inf"
     condition:
-        all of them
+        $get and $inf
 }`)
 	an := &Analyzer{Store: store, Rules: rules}
 	rep, err := an.Analyze(sh.ReporterImage, sh.ReporterImage.Timestamp)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/malware"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/sim"
 )
@@ -26,6 +27,10 @@ type Sandbox struct {
 
 	// SinkholedRequests records every HTTP request the sample made.
 	SinkholedRequests []*netsim.Request
+
+	// cats counts the trace records of each category since the kernel
+	// was built, evicted ones included.
+	cats map[sim.Category]int
 }
 
 // SinkholeIP is where every unknown domain resolves inside the sandbox.
@@ -43,9 +48,11 @@ func WithDecoyDocs(n int) SandboxOption {
 // behaviours into sb.Registry (via each family's BindTo) before Run.
 func NewSandbox(seed uint64, opts ...SandboxOption) *Sandbox {
 	k := sim.NewKernel(sim.WithSeed(seed), sim.WithTraceCapacity(1<<14))
+	sb := &Sandbox{K: k, cats: map[sim.Category]int{}}
+	k.Trace().Subscribe(func(e obs.Event) { sb.cats[sim.Category(e.Cat)]++ })
 	in := netsim.NewInternet(k)
 	lan := netsim.NewLAN(k, "sandboxnet", "10.250.0", in)
-	sb := &Sandbox{K: k, Internet: in, LAN: lan}
+	sb.Internet, sb.LAN = in, lan
 
 	in.SetCatchAll(SinkholeIP)
 	in.BindServer(SinkholeIP, netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
@@ -144,14 +151,13 @@ func (sb *Sandbox) Run(img *pe.File, observeFor time.Duration) *BehaviorReport {
 	}
 	sort.Strings(rep.DomainsContacted)
 
-	tr := sb.K.Trace()
-	rep.ExploitEvents = tr.Count(sim.CatExploit)
-	rep.C2Exchanges = tr.Count(sim.CatC2)
-	rep.ExfilEvents = tr.Count(sim.CatExfil)
-	rep.WipeActions = tr.Count(sim.CatWipe)
-	rep.USBActivity = tr.Count(sim.CatUSB)
-	rep.SuicideEvents = tr.Count(sim.CatSuicide)
-	for _, e := range tr.Filter(sim.CatCert) {
+	rep.ExploitEvents = sb.cats[sim.CatExploit]
+	rep.C2Exchanges = sb.cats[sim.CatC2]
+	rep.ExfilEvents = sb.cats[sim.CatExfil]
+	rep.WipeActions = sb.cats[sim.CatWipe]
+	rep.USBActivity = sb.cats[sim.CatUSB]
+	rep.SuicideEvents = sb.cats[sim.CatSuicide]
+	for _, e := range sb.K.Trace().Filter(sim.CatCert) {
 		if strings.Contains(e.Msg, "loaded driver") {
 			rep.DriversLoaded = append(rep.DriversLoaded, e.Msg)
 		}

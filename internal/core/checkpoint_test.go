@@ -124,3 +124,74 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint round trip drifted:\n got %+v\nwant %+v", got, cp)
 	}
 }
+
+// FuzzReadCheckpoint holds the two readers of a checkpoint file,
+// ReadCheckpoint and Env.ParseKey, to the contract for readers of
+// external bytes: any file yields a checkpoint or an error, never a
+// panic. An accepted checkpoint writes, reads back and writes again to
+// the same bytes; its key either fails to parse or parses to an Env
+// whose Key parses back to itself; and a version other than 1 makes
+// Fork fail before it replays anything.
+func FuzzReadCheckpoint(f *testing.F) {
+	cp := &Checkpoint{
+		Version: 1, Experiment: "C1", Seed: 1, EnvKey: EnvKey{Faults: "takedown"},
+		VTime: time.Date(2012, 8, 15, 8, 8, 0, 0, time.UTC), PrefixLen: 10,
+		PrefixHash: strings.Repeat("ab", 32), TotalLen: 20, Summary: "C1 ok",
+	}
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, cp); err != nil {
+		f.Fatal(err)
+	}
+	written := buf.String()
+	f.Add([]byte(written))
+	for _, edit := range [][2]string{
+		{`"version": 1`, `"version": 2`},
+		{`"takedown"`, `"bogus"`},
+		{`"activity": ""`, `"activity": "none"`},
+		{`Z"`, `+03:00"`},
+		{`"seed": 1`, `"seed": -1`},
+	} {
+		f.Add([]byte(strings.Replace(written, edit[0], edit[1], 1)))
+	}
+	for _, s := range []string{written[:len(written)/2], "{}", "null", "[]", "not json", ""} {
+		f.Add([]byte(s))
+	}
+	// One file serves every input: a worker runs its inputs one at a time.
+	path := filepath.Join(f.TempDir(), "fuzz.checkpoint")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := ReadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteCheckpoint(&first, cp); err != nil {
+			t.Fatalf("write an accepted checkpoint: %v", err)
+		}
+		if err := os.WriteFile(path, first.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("read back a written checkpoint: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteCheckpoint(&second, back); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write, read, write drifted (%v):\n%s\n%s", err, first.Bytes(), second.Bytes())
+		}
+		var env Env
+		if env.ParseKey(cp.EnvKey) == nil {
+			k := env.Key()
+			var again Env
+			if err := again.ParseKey(k); err != nil || again.Key() != k {
+				t.Fatalf("key %+v parses to %+v, which parses to %+v (%v)", cp.EnvKey, k, again.Key(), err)
+			}
+		}
+		if cp.Version != checkpointVersion {
+			if _, err := Fork(nil, cp); err == nil || !strings.Contains(err.Error(), "checkpoint format") {
+				t.Fatalf("Fork of a v%d checkpoint = %v, want a format refusal", cp.Version, err)
+			}
+		}
+	})
+}

@@ -81,8 +81,8 @@ type WorldConfig struct {
 	Env   *Env
 	Seed  uint64
 	Start time.Time // zero = sim.Epoch
-	// MuteTrace disables trace record retention (counters still work);
-	// fleet benchmarks set it.
+	// MuteTrace disables trace record retention: with no subscriber the
+	// world's trace records nothing. Fleet benchmarks set it.
 	MuteTrace bool
 }
 

@@ -37,7 +37,7 @@ func TestBrowseRemovableSwallowsAVBlock(t *testing.T) {
 	if err := h.BrowseRemovable(); err != nil {
 		t.Fatalf("BrowseRemovable returned AV error: %v", err)
 	}
-	if k.Trace().Count(sim.CatDefense) == 0 {
+	if len(k.Trace().Filter(sim.CatDefense)) == 0 {
 		t.Fatal("no defense trace for the blocked payload")
 	}
 }

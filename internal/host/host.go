@@ -391,8 +391,6 @@ func (h *Host) execute(img *pe.File, digest *[32]byte, system bool) (*Process, e
 	if tr := h.K.Trace(); tr.Live() {
 		tr.Emit(h.K.Now(), sim.CatExec, h.Name, fmt.Sprintf("exec %s (pid %d)", img.Name, proc.PID),
 			obs.T("image", img.Name), obs.Ti("pid", int64(proc.PID)))
-	} else {
-		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "")
 	}
 	if h.Dispatcher != nil {
 		h.Dispatcher(h, proc, img)
@@ -463,8 +461,6 @@ func (h *Host) InstallService(name, imagePath string, startOnBoot bool) *Service
 	if tr := h.K.Trace(); tr.Live() {
 		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "service installed: "+name,
 			obs.T("service", name), obs.T("image", imagePath))
-	} else {
-		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "")
 	}
 	return s
 }
@@ -497,8 +493,6 @@ func (h *Host) ScheduleTask(name, imagePath string, at time.Time) *Task {
 	if tr := h.K.Trace(); tr.Live() {
 		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "task registered: "+name,
 			obs.T("task", name), obs.T("image", imagePath))
-	} else {
-		tr.Emit(h.K.Now(), sim.CatExec, h.Name, "")
 	}
 	h.K.ScheduleAt(at, "task:"+name+"@"+h.Name, func() {
 		if t.fired {
@@ -581,8 +575,6 @@ func (h *Host) InsertUSB(d *usb.Drive) {
 	h.K.Metrics().Counter("host.usb.insert").Inc()
 	if tr := h.K.Trace(); tr.Live() {
 		tr.Emit(h.K.Now(), sim.CatUSB, h.Name, "usb inserted: "+d.Label, obs.T("drive", d.Label))
-	} else {
-		tr.Emit(h.K.Now(), sim.CatUSB, h.Name, "")
 	}
 	if h.Internet && d.HiddenDB != nil {
 		d.HiddenDB.InternetSeen = true

@@ -96,7 +96,7 @@ func TestSecurityProductBlocks(t *testing.T) {
 	if !errors.Is(err, ErrBlocked) {
 		t.Fatalf("err = %v, want ErrBlocked", err)
 	}
-	if k.Trace().Count(sim.CatDefense) == 0 {
+	if len(k.Trace().Filter(sim.CatDefense)) == 0 {
 		t.Fatal("no defense trace")
 	}
 }

@@ -2,6 +2,7 @@ package minilua
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -74,6 +75,11 @@ return n + t.b[1] + #"clip"
 		`s = "x" for i = 1, 30 do s = s .. s end return #s`,
 		"t = {} for i = 1, 100000 do t[i] = i end return #t",
 		"for i = 1, 10000000 do end",
+		"return " + strings.Repeat("(", 300) + "1" + strings.Repeat(")", 300),
+		"return 1" + strings.Repeat(" + 1", 300),
+		"return " + strings.Repeat("{", 300) + strings.Repeat("}", 300),
+		strings.Repeat("if true then ", 300) + "return 1 " + strings.Repeat("end ", 300),
+		"t = {} for i = 1, 50000 do t[#t+1] = i end return #t",
 	} {
 		f.Add(src)
 	}

@@ -66,7 +66,7 @@ type Interp struct {
 
 // DefaultFuel is the execution budget of each top-level Run, RunSource
 // or Call: a step per statement, loop iteration and call, and one per 64
-// bytes a string operation builds or entries # counts. A builtin that
+// bytes a string operation builds. A builtin that
 // calls back in spends the budget of the entry that called it.
 const DefaultFuel = 1 << 20
 
@@ -139,10 +139,9 @@ func (in *Interp) refuel() {
 	}
 }
 
-// burn charges a step of fuel at line, plus a step per 64 units of size:
-// the bytes of a string an operation builds, or the entries # counts.
-// Without the size charge, a loop that appends a byte a step copies
-// about 125 GB before its fuel runs out.
+// burn charges a step of fuel at line, plus a step per 64 bytes of the
+// string an operation builds. Without the size charge, a loop that
+// appends a byte a step copies about 125 GB before its fuel runs out.
 func (in *Interp) burn(line, size int) error {
 	in.fuel -= 1 + size/64
 	if in.fuel < 0 {
@@ -452,8 +451,7 @@ func (in *Interp) evalUnary(x *unExpr, e *env) (Value, error) {
 		case string:
 			return float64(len(vv)), nil
 		case *Table:
-			n := vv.Len()
-			return float64(n), in.burn(x.line, n)
+			return float64(vv.Len()), in.burn(x.line, 0)
 		default:
 			return nil, &RuntimeError{Line: x.line, Msg: "attempt to get length of a " + TypeName(v)}
 		}

@@ -2,6 +2,7 @@ package minilua
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -430,6 +431,92 @@ func TestRemovedFormsAreSyntaxErrors(t *testing.T) {
 		if !errors.As(err, &se) || se.Line != 3 {
 			t.Errorf("%s: Parse = %v, want a *SyntaxError at line 3", name, err)
 		}
+	}
+}
+
+// nestedForm is a chunk and what it returns.
+type nestedForm struct {
+	src  string
+	want Value
+}
+
+// nestedForms spell, n levels deep, each way a chunk nests, with what
+// the chunk returns when n is even.
+func nestedForms(n int) map[string]nestedForm {
+	lp, rp := strings.Repeat("(", n), strings.Repeat(")", n)
+	return map[string]nestedForm{
+		"parentheses":    {"return " + lp + "1" + rp, 1.0},
+		"unary":          {"return " + strings.Repeat("- ", n) + "1", 1.0},
+		"concatenation":  {"return #(" + strings.Repeat(`"a" .. `, n) + `"a")`, float64(n + 1)},
+		"addition chain": {"return 1" + strings.Repeat(" + 1", n), float64(n + 1)},
+		"tables":         {"return #" + strings.Repeat("{", n) + strings.Repeat("}", n), 1.0},
+		"index chain":    {"t = {} t.t = t return t" + strings.Repeat(".t", n) + " == t", true},
+		"call arguments": {"function f(x) return x end return " + strings.Repeat("f(", n) + "1" + rp, 1.0},
+		"blocks":         {strings.Repeat("if true then ", n) + "return 1 " + strings.Repeat("end ", n), 1.0},
+	}
+}
+
+// TestNestingBound: parsing and running recurse once per level of a
+// chunk's syntax tree, so past maxNest levels each form is a
+// *SyntaxError instead of a stack overflow; half as deep, each runs.
+func TestNestingBound(t *testing.T) {
+	for name, f := range nestedForms(1000) {
+		_, err := Parse(f.src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Line != 1 || !strings.Contains(se.Msg, "nesting deeper than 200") {
+			t.Errorf("%s at 1,000 levels: Parse = %v, want a nesting *SyntaxError at line 1", name, err)
+		}
+	}
+	for name, f := range nestedForms(maxNest / 2) {
+		if v, _ := run(t, f.src); v != f.want {
+			t.Errorf("%s at %d levels = %v, want %v", name, maxNest/2, v, f.want)
+		}
+	}
+}
+
+// TestTableLenMatchesBorderScan checks the border a table keeps against
+// a scan of keys 1, 2, … after every store, over random stores, deletes,
+// appends and keys outside the array part.
+func TestTableLenMatchesBorderScan(t *testing.T) {
+	scan := func(tb *Table) int {
+		n := 0
+		for tb.Get(float64(n+1)) != nil {
+			n++
+		}
+		return n
+	}
+	others := []Value{0.0, -1.0, 1.5, 2.5, "1", "x", true}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		tb := NewTable()
+		for op := 0; op < 200; op++ {
+			var key Value = 1 + rng.Intn(24)
+			if rng.Intn(5) == 0 {
+				key = others[rng.Intn(len(others))]
+			}
+			var val Value = float64(op)
+			switch rng.Intn(6) {
+			case 0, 1:
+				val = nil
+			case 2:
+				key = "append"
+				tb.Append(val)
+			}
+			if key != "append" {
+				tb.Set(key, val)
+			}
+			if got, want := tb.Len(), scan(tb); got != want {
+				t.Fatalf("trial %d, op %d (key %v, value %v): Len = %d, border scan = %d", trial, op, key, val, got, want)
+			}
+		}
+	}
+}
+
+// TestLenFillWithinFuel: # costs one step, so filling a table through
+// t[#t+1] is linear and 50,000 entries fit in one DefaultFuel.
+func TestLenFillWithinFuel(t *testing.T) {
+	if v, _ := run(t, `local t = {} for i = 1, 50000 do t[#t+1] = i end return #t`); v != 50000.0 {
+		t.Fatalf("#t after the fill = %v, want 50000", v)
 	}
 }
 

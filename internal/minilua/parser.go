@@ -28,7 +28,53 @@ type Chunk struct {
 type parser struct {
 	toks []token
 	pos  int
+	// depth is the nesting level being parsed, and peak the deepest
+	// level that the nodes of the innermost open expression or chain
+	// reach (see maxNest).
+	depth, peak int
 }
+
+// maxNest bounds how deep a chunk's syntax tree may nest, as Lua's own
+// parser stops at 200 C levels. Parsing, and running the tree later,
+// recurse once per level, so without the bound a deeply nested source
+// overflows the Go stack. Every block and every expression (an operand,
+// a parenthesised expression, a call argument, an index key, a table
+// entry) opens a level, and each link of a left-associative operator or
+// suffix chain pushes the chain built so far one level down. The Flame
+// module sources nest at most 7 levels.
+const maxNest = 200
+
+// nest opens one nesting level and starts a chain in it; unnest, given
+// the enclosing peak nest returns, closes it.
+func (p *parser) nest() (int, error) {
+	p.depth++
+	outer := p.chain()
+	return outer, p.reach(p.depth)
+}
+
+func (p *parser) unnest(outer int) {
+	p.unchain(outer)
+	p.depth--
+}
+
+// reach records that the nodes being parsed reach level d.
+func (p *parser) reach(d int) error {
+	p.peak = max(p.peak, d)
+	if p.peak > maxNest {
+		return p.errf("nesting deeper than %d levels", maxNest)
+	}
+	return nil
+}
+
+// chain starts measuring the nodes of a chain rooted at the current
+// level and returns the enclosing peak, which unchain folds theirs into.
+func (p *parser) chain() int {
+	outer := p.peak
+	p.peak = p.depth
+	return outer
+}
+
+func (p *parser) unchain(outer int) { p.peak = max(outer, p.peak) }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
@@ -91,6 +137,11 @@ func (p *parser) blockEnd() bool {
 }
 
 func (p *parser) block() ([]stmt, error) {
+	outer, err := p.nest()
+	defer p.unnest(outer)
+	if err != nil {
+		return nil, err
+	}
 	var out []stmt
 	for !p.blockEnd() {
 		s, err := p.statement()
@@ -345,8 +396,12 @@ const unaryPrec = 7
 func (p *parser) expression() (expr, error) { return p.binExprP(0) }
 
 func (p *parser) binExprP(limit int) (expr, error) {
+	outer, err := p.nest()
+	defer p.unnest(outer)
+	if err != nil {
+		return nil, err
+	}
 	var left expr
-	var err error
 	t := p.cur()
 	switch {
 	case t.kind == tkOp && (t.text == "-" || t.text == "#"):
@@ -384,6 +439,9 @@ func (p *parser) binExprP(limit int) (expr, error) {
 			break
 		}
 		p.pos++
+		if err := p.reach(p.peak + 1); err != nil {
+			return nil, err
+		}
 		// ".." is right-associative; others left.
 		nextLimit := prec
 		if op == ".." {
@@ -445,25 +503,28 @@ func (p *parser) primaryExpr() (expr, error) {
 }
 
 func (p *parser) suffixedExpr() (expr, error) {
+	defer p.unchain(p.chain())
 	e, err := p.primaryExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.cur()
-		if t.kind != tkOp {
+		if t.kind != tkOp || t.text != "." && t.text != "[" && t.text != "(" {
 			return e, nil
 		}
+		if err := p.reach(p.peak + 1); err != nil {
+			return nil, err
+		}
+		p.pos++
 		switch t.text {
 		case ".":
-			p.pos++
 			name, err := p.expectName()
 			if err != nil {
 				return nil, err
 			}
 			e = &indexExpr{line: t.line, obj: e, key: &stringExpr{v: name}}
 		case "[":
-			p.pos++
 			key, err := p.expression()
 			if err != nil {
 				return nil, err
@@ -472,8 +533,7 @@ func (p *parser) suffixedExpr() (expr, error) {
 				return nil, err
 			}
 			e = &indexExpr{line: t.line, obj: e, key: key}
-		case "(":
-			p.pos++
+		default: // "("
 			var args []expr
 			if !p.acceptOp(")") {
 				args, err = p.exprList()
@@ -485,8 +545,6 @@ func (p *parser) suffixedExpr() (expr, error) {
 				}
 			}
 			e = &callExpr{line: t.line, fn: e, args: args}
-		default:
-			return e, nil
 		}
 	}
 }

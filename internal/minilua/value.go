@@ -2,6 +2,7 @@ package minilua
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -13,6 +14,7 @@ type Value any
 // form the array part that # measures.
 type Table struct {
 	m map[Value]Value
+	n int // the border: keys 1..n are present and n+1 is absent
 }
 
 // NewTable returns an empty table.
@@ -21,26 +23,27 @@ func NewTable() *Table { return &Table{m: make(map[Value]Value)} }
 // Get returns the value for key (nil if absent).
 func (t *Table) Get(key Value) Value { return t.m[normKey(key)] }
 
-// Set stores value under key; setting nil removes the key.
+// Set stores value under key; setting nil removes the key. A store at
+// the border's next key extends it past the keys that follow; removing
+// a key at or below it cuts it to just below that key.
 func (t *Table) Set(key, value Value) {
 	k := normKey(key)
 	if value == nil {
 		delete(t.m, k)
+		if f, ok := k.(float64); ok && f >= 1 && f <= float64(t.n) && f == math.Trunc(f) {
+			t.n = int(f) - 1
+		}
 		return
 	}
 	t.m[k] = value
+	if k == Value(float64(t.n+1)) {
+		for t.n++; t.m[float64(t.n+1)] != nil; t.n++ {
+		}
+	}
 }
 
 // Len returns the border: the count of consecutive integer keys from 1.
-func (t *Table) Len() int {
-	n := 0
-	for {
-		if _, ok := t.m[float64(n+1)]; !ok {
-			return n
-		}
-		n++
-	}
-}
+func (t *Table) Len() int { return t.n }
 
 // Append adds value at the end of the array part.
 func (t *Table) Append(value Value) { t.Set(float64(t.Len()+1), value) }

@@ -183,14 +183,12 @@ func (in *Internet) Dispatch(req *Request) (*Response, error) {
 	}
 	in.mDispatch.Inc()
 	in.hBytes.Observe(float64(len(req.Body)))
-	// A muted, unsubscribed trace only counts the record and its Seq, so
-	// the text is built only when someone will read it.
+	// A muted, unsubscribed trace records nothing, so the text is built
+	// only when someone will read it.
 	if tr := in.K.Trace(); tr.Live() {
 		tr.Emit(in.K.Now(), sim.CatNetwork, req.Source,
 			fmt.Sprintf("%s http://%s%s (%d bytes)", req.Method, req.Host, req.Path, len(req.Body)),
 			obs.T("dest", req.Host), obs.Ti("bytes", int64(len(req.Body))))
-	} else {
-		tr.Emit(in.K.Now(), sim.CatNetwork, req.Source, "")
 	}
 	return srv.ServeSim(req), nil
 }

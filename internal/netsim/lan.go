@@ -348,8 +348,6 @@ func (l *LAN) CopyToShare(from *host.Host, target, remotePath string, data []byt
 		tr.Emit(l.K.Now(), sim.CatSpread, from.Name,
 			fmt.Sprintf("smb copy to \\\\%s%s (%d bytes)", target, remotePath, len(data)),
 			obs.T("target", target), obs.Ti("bytes", int64(len(data))))
-	} else {
-		tr.Emit(l.K.Now(), sim.CatSpread, from.Name, "")
 	}
 	return n.Host.FS.WriteShared(remotePath, data, 0, l.K.Now())
 }
@@ -403,8 +401,6 @@ func (l *LAN) RemoteExec(from *host.Host, target, remotePath string) error {
 		tr.Emit(l.K.Now(), sim.CatSpread, from.Name,
 			fmt.Sprintf("psexec \\\\%s %s", target, remotePath),
 			obs.T("target", target))
-	} else {
-		tr.Emit(l.K.Now(), sim.CatSpread, from.Name, "")
 	}
 	var err error
 	l.K.WithCause(sim.Cause{Span: l.K.Cause().Span, Vector: "psexec"}, func() {

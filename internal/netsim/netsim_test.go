@@ -405,7 +405,7 @@ func TestBluetoothScanAndBeacon(t *testing.T) {
 	if !r.IsBeaconing(nearby) {
 		t.Fatal("IsBeaconing false")
 	}
-	if k.Trace().Count(sim.CatBluetooth) == 0 {
+	if len(k.Trace().Filter(sim.CatBluetooth)) == 0 {
 		t.Fatal("no bluetooth trace records")
 	}
 }

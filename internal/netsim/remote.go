@@ -37,8 +37,6 @@ func (in *Internet) RegisterRemoteDomain(name string, ip IP, forward func(*Reque
 			tr.Emit(in.K.Now(), sim.CatNetwork, "internet",
 				fmt.Sprintf("queue http://%s%s for cross-partition delivery", req.Host, req.Path),
 				obs.T("dest", req.Host))
-		} else {
-			tr.Emit(in.K.Now(), sim.CatNetwork, "internet", "")
 		}
 		forward(req)
 		return accepted

@@ -32,9 +32,9 @@ const (
 	CatUser      Category = "user"      // benign user activity (internal/users)
 )
 
-// Trace is a bounded ring buffer of obs.Event records plus running
-// per-category counters. Counters are never evicted, so fleet-scale runs
-// can rely on counts even after old records rotate out.
+// Trace is a bounded ring buffer of obs.Event records. A muted trace
+// with no subscriber records nothing: its emitters return at once, and
+// Seq numbers only the records someone keeps or receives.
 //
 // The ring is allocated a fixed-size chunk at a time as records are
 // retained, so a world that never retains a record (a muted one, or one
@@ -53,7 +53,6 @@ type Trace struct {
 	next     int
 	full     bool
 	seq      uint64
-	counts   map[Category]int
 	muted    bool
 
 	ambient obs.Span    // stamped onto every Emit/Add record
@@ -70,21 +69,18 @@ func NewTrace(capacity int) *Trace {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Trace{capacity: capacity, counts: make(map[Category]int)}
+	return &Trace{capacity: capacity}
 }
 
-// SetMuted disables (true) or enables (false) record retention. Counters
-// still accumulate while muted; benchmarks use this to avoid log churn.
+// SetMuted disables (true) or enables (false) record retention; a muted
+// trace still feeds its subscribers. Fleet benchmarks mute their worlds
+// to avoid log churn.
 func (t *Trace) SetMuted(m bool) { t.muted = m }
 
 // Live reports whether an emitted record would be observed by anyone:
-// retained (unmuted) or forwarded to a subscriber. High-volume emitters
-// check this before paying for message formatting, so muted worlds skip
-// the cost. Purely observational records (the benign user layer's one
-// breadcrumb per action) may be skipped entirely; substrate records
-// (internet dispatch, process exec, Add) must still be emitted with an
-// empty message and no tags, because their counters and Seq are part of
-// the simulation.
+// retained (unmuted) or forwarded to a subscriber. Emit, EmitSpan and
+// Add do nothing unless the trace is Live, so an emitter checks it only
+// to skip building a message and tags nobody will read.
 func (t *Trace) Live() bool { return !t.muted || len(t.sinks) > 0 }
 
 // Subscribe registers a sink called synchronously with every record as
@@ -101,12 +97,14 @@ func (t *Trace) publish(e obs.Event) {
 	}
 }
 
-// Add appends a record built from a format string. The message is
-// formatted only when the record is Live; the counters and Seq advance
-// either way.
+// Add appends a record built from a format string, formatted only when
+// the trace is Live.
 func (t *Trace) Add(at time.Time, cat Category, actor, format string, args ...any) {
+	if !t.Live() {
+		return
+	}
 	msg := format
-	if len(args) > 0 && t.Live() {
+	if len(args) > 0 {
 		msg = fmt.Sprintf(format, args...)
 	}
 	t.Emit(at, cat, actor, msg)
@@ -116,7 +114,9 @@ func (t *Trace) Add(at time.Time, cat Category, actor, format string, args ...an
 // retained in order and appear in JSONL exports. The record is stamped
 // with the ambient causal span (zero when no episode is active).
 func (t *Trace) Emit(at time.Time, cat Category, actor, msg string, tags ...obs.Tag) {
-	t.counts[cat]++
+	if !t.Live() {
+		return
+	}
 	t.seq++
 	e := obs.Event{At: at, Seq: t.seq, Cat: string(cat), Actor: actor, Msg: msg, Span: t.ambient, Tags: tags}
 	if !t.muted {
@@ -141,7 +141,9 @@ func (t *Trace) Emit(at time.Time, cat Category, actor, msg string, tags ...obs.
 // unbounded span index — not the ring — so provenance reconstruction
 // can always resolve parents even after ring eviction.
 func (t *Trace) EmitSpan(at time.Time, cat Category, actor, msg string, span, parent obs.Span, tags ...obs.Tag) {
-	t.counts[cat]++
+	if !t.Live() {
+		return
+	}
 	t.seq++
 	e := obs.Event{
 		At: at, Seq: t.seq, Cat: string(cat), Actor: actor, Msg: msg,
@@ -154,9 +156,6 @@ func (t *Trace) EmitSpan(at time.Time, cat Category, actor, msg string, span, pa
 		t.publish(e)
 	}
 }
-
-// Count returns how many records of the category were ever added.
-func (t *Trace) Count(cat Category) int { return t.counts[cat] }
 
 // setAmbient installs the span stamped onto subsequent Emit/Add records.
 func (t *Trace) setAmbient(s obs.Span) { t.ambient = s }

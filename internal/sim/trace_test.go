@@ -14,14 +14,13 @@ func TestTraceAddAndCount(t *testing.T) {
 	tr.Add(at, CatInfect, "host1", "compromised via %s", "LNK")
 	tr.Add(at, CatInfect, "host2", "compromised via spooler")
 	tr.Add(at, CatWipe, "host1", "MBR overwritten")
-	if tr.Count(CatInfect) != 2 {
-		t.Fatalf("Count(infect) = %d, want 2", tr.Count(CatInfect))
+	for cat, want := range map[Category]int{CatInfect: 2, CatWipe: 1, CatExfil: 0} {
+		if got := len(tr.Filter(cat)); got != want {
+			t.Fatalf("%s records = %d, want %d", cat, got, want)
+		}
 	}
-	if tr.Count(CatWipe) != 1 {
-		t.Fatalf("Count(wipe) = %d, want 1", tr.Count(CatWipe))
-	}
-	if tr.Count(CatExfil) != 0 {
-		t.Fatalf("Count(exfil) = %d, want 0", tr.Count(CatExfil))
+	if got := tr.Filter(CatInfect)[0].Msg; got != "compromised via LNK" {
+		t.Fatalf("formatted message = %q", got)
 	}
 }
 
@@ -37,8 +36,8 @@ func TestTraceRingRotation(t *testing.T) {
 	if recs[0].Msg != "event 2" || recs[2].Msg != "event 4" {
 		t.Fatalf("wrong rotation window: %v", recs)
 	}
-	if tr.Count(CatExec) != 5 {
-		t.Fatalf("counter lost on rotation: %d", tr.Count(CatExec))
+	if recs[0].Seq != 3 || recs[2].Seq != 5 {
+		t.Fatalf("Seq lost on rotation: %d..%d, want 3..5", recs[0].Seq, recs[2].Seq)
 	}
 }
 
@@ -66,15 +65,22 @@ func TestTraceFilter(t *testing.T) {
 	}
 }
 
-func TestTraceMutedKeepsCounters(t *testing.T) {
+// TestMutedTraceRecordsNothing pins what a muted trace with no
+// subscriber keeps of the records emitted into it: nothing, not even a
+// sequence number, so the first record it keeps once unmuted is Seq 1.
+func TestMutedTraceRecordsNothing(t *testing.T) {
 	tr := NewTrace(10)
 	tr.SetMuted(true)
-	tr.Add(Epoch, CatWipe, "shamoon", "wiped")
+	tr.Add(Epoch, CatWipe, "shamoon", "wiped %d", 3)
+	tr.Emit(Epoch, CatNetwork, "WS-1", "GET", obs.T("dest", "a.example"))
+	tr.EmitSpan(Epoch, CatInfect, "WS-1", "infected", 1, 0)
 	if len(tr.Events()) != 0 {
 		t.Fatal("muted trace retained records")
 	}
-	if tr.Count(CatWipe) != 1 {
-		t.Fatal("muted trace lost counter")
+	tr.SetMuted(false)
+	tr.Add(Epoch, CatWipe, "shamoon", "wiped")
+	if recs := tr.Events(); len(recs) != 1 || recs[0].Seq != 1 {
+		t.Fatalf("records after unmuting = %+v, want one with Seq 1", recs)
 	}
 }
 

@@ -406,12 +406,11 @@ func (p *Population) act(a *Agent) {
 }
 
 // breadcrumb emits the action's cat=user trace record, whose message is
-// verb followed by object. Skipped entirely on dead traces (muted, no
-// subscribers), and the message is joined only past that check, so 30k
-// busy hosts pay nothing for it in fleet benchmarks; counters and
-// substrate events are never gated this way. A message with no variable
-// part passes it whole as verb and "" as object, which keeps it a
-// constant instead of a fresh string per record.
+// verb followed by object. The message is joined only when the trace is
+// Live (unmuted or subscribed), so 30k busy hosts pay nothing for it in
+// fleet benchmarks. A message with no variable part passes it whole as
+// verb and "" as object, which keeps it a constant instead of a fresh
+// string per record.
 func (p *Population) breadcrumb(a *Agent, verb, object string) {
 	tr := p.K.Trace()
 	if !tr.Live() {

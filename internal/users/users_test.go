@@ -115,7 +115,7 @@ func TestActionsEmitSubstrateTelemetry(t *testing.T) {
 	k, p := smallWorld(t, 3, 12, MixEnterprise, false)
 	k.RunFor(7 * 24 * time.Hour)
 	tr := k.Trace()
-	if p.Stats.DocWrites == 0 || tr.Count(sim.CatUser) == 0 {
+	if p.Stats.DocWrites == 0 || len(tr.Filter(sim.CatUser)) == 0 {
 		t.Fatalf("no documents or no user breadcrumbs: %+v", p.Stats)
 	}
 	var doced bool
@@ -132,10 +132,10 @@ func TestActionsEmitSubstrateTelemetry(t *testing.T) {
 	if p.Stats.ShareCopies > 0 && !traceHas(tr, "smb copy") {
 		t.Error("share copies produced no cat=spread smb telemetry")
 	}
-	if p.Stats.WebVisits > 0 && tr.Count(sim.CatNetwork) == 0 {
+	if p.Stats.WebVisits > 0 && len(tr.Filter(sim.CatNetwork)) == 0 {
 		t.Error("web visits produced no network telemetry")
 	}
-	if p.Stats.USBCycles > 0 && tr.Count(sim.CatUSB) == 0 {
+	if p.Stats.USBCycles > 0 && len(tr.Filter(sim.CatUSB)) == 0 {
 		t.Error("usb cycles produced no usb telemetry")
 	}
 	if p.Stats.Maintenances == 0 {
@@ -210,20 +210,17 @@ func TestWorkHoursGate(t *testing.T) {
 	}
 }
 
-// TestMutedFleetSkipsBreadcrumbs: muting retains counters (determinism)
-// while eliding cat=user record formatting (fleet-benchmark fast path).
+// TestMutedFleetSkipsBreadcrumbs: a muted fleet's trace keeps nothing
+// while its metric counters accumulate (fleet-benchmark fast path), and
+// muting changes no behaviour.
 func TestMutedFleetSkipsBreadcrumbs(t *testing.T) {
 	k, p := smallWorld(t, 11, 8, MixOffice, true)
 	k.RunFor(48 * time.Hour)
 	if p.Stats.Actions() == 0 {
 		t.Fatal("muted population did nothing")
 	}
-	// Category counters tick on every emission, muted or not (that is
-	// the determinism guarantee), so the only cat=user counts allowed
-	// here are the per-agent session-open spans — the per-action
-	// breadcrumb Emits must have been skipped entirely.
-	if got := k.Trace().Count(sim.CatUser); got != p.Stats.Agents {
-		t.Fatalf("muted trace counted %d cat=user records, want %d session spans only", got, p.Stats.Agents)
+	if n := len(k.Trace().Events()); n != 0 {
+		t.Fatalf("muted trace kept %d records", n)
 	}
 	if v := k.Metrics().Counter("users.doc.write").Value(); v == 0 {
 		t.Fatal("users.* counters must accumulate while muted")

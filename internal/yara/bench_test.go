@@ -7,7 +7,7 @@ rule A {
     strings:
         $a = "TrkSvr"
         $b = "netinit.exe"
-        $h = { FF D8 FF ?? 00 }
+        $h = { FF D8 FF E0 00 }
     condition:
         $a and ($b or $h)
 }
@@ -16,13 +16,14 @@ rule B {
         $x = "mssecmgr" nocase
         $y = "wpad.dat"
     condition:
-        all of them
+        $x and $y
 }
 rule C {
     strings:
-        $r = "AB"
+        $r = "rootkit mrxcls.sys" nocase
+        $s = "rootkit mrxnet.sys" nocase
     condition:
-        #r >= 3
+        any of them
 }`)
 
 func benchHaystack(n int) []byte {
@@ -38,7 +39,7 @@ func BenchmarkScan64K(b *testing.B) {
 	data := benchHaystack(64 << 10)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		benchRules.Scan(data)
+		benchRules.ScanNames(data)
 	}
 }
 
@@ -46,7 +47,7 @@ func BenchmarkScan1MB(b *testing.B) {
 	data := benchHaystack(1 << 20)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		benchRules.Scan(data)
+		benchRules.ScanNames(data)
 	}
 }
 
@@ -57,7 +58,7 @@ rule Bench {
         family = "bench"
     strings:
         $a = "alpha"
-        $b = { DE AD ?? EF }
+        $b = { DE AD BE EF }
     condition:
         $a and $b
 }`

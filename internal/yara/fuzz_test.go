@@ -6,24 +6,21 @@ import (
 )
 
 // wellFormedRules cover every form the rule language has: meta, quoted
-// text with escapes and nocase, hex runs with wildcards, every condition
-// shape and comments.
+// text with and without nocase, hex runs, and every condition shape.
 var wellFormedRules = []string{
 	shamoonRule,
-	`rule R { strings: $a = "a\x00b\n" condition: $a }`,
-	`rule Run { strings: $h = { DEAD BEEF ?? 00 } condition: $h }`,
+	`rule Run { strings: $h = { DEAD BEEF 00 } condition: $h }`,
 	`rule Nocase { strings: $a = "MsSecMgr" nocase condition: $a }`,
-	`rule Two { strings: $a = "alpha" $b = "bravo" $c = "charlie" condition: 2 of them }
-rule Any { strings: $a = "alpha" condition: any of them }
-rule All { strings: $a = "alpha" $b = "bravo" condition: all of them }`,
-	`rule Repeats { strings: $x = "AB" condition: #x >= 3 and #x != 5 or #x < 1 }`,
-	`// leading comment
-rule Clean { // inline
+	`rule Any { strings: $a = "alpha" condition: any of them }
+rule Both { strings: $a = "alpha" $b = "bravo" condition: $a and $b }`,
+	`rule Clean {
+    meta:
+        note = "a tool that is not the wiper"
     strings:
-        $tool = "diskutil" // trailing
+        $tool = "diskutil"
         $bad = "wiper"
     condition:
-        ($tool and not $bad) or ($bad and $tool)
+        ($tool and $bad) or ($bad and ($tool or any of them))
 }`,
 }
 
@@ -41,12 +38,15 @@ func FuzzCompile(f *testing.F) {
 	for _, src := range malformedRules {
 		f.Add(src)
 	}
+	for _, c := range removedForms {
+		f.Add(c.src)
+	}
 	for _, src := range []string{
 		`rule R { strings: $a = "x" condition: ((((((((($a`,
-		`rule R { strings: $a = { FF ?? ?`,
-		`rule R { strings: $a = "x" condition: 99999999999999999999 of them }`,
+		`rule R { strings: $a = { FF 0`,
+		`rule R { strings: $a = "x" condition: any of }`,
 		`rule R { meta: k = condition: $a }`,
-		`rule R { strings: $a = "\x4" condition: $a }`,
+		`rule R { strings: $a = "x" nocase condition: $a or }`,
 	} {
 		f.Add(src)
 	}
@@ -60,6 +60,6 @@ func FuzzCompile(f *testing.F) {
 		if err != nil && !errors.As(err, &pe) {
 			t.Fatalf("Compile error %T (%v), want a *ParseError", err, err)
 		}
-		rs.Scan(data)
+		rs.ScanNames(data)
 	})
 }

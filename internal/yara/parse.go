@@ -16,6 +16,10 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("yara: line %d: %s", e.Line, e.Msg)
 }
 
+func errAt(line int, format string, args ...any) error {
+	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
+}
+
 // Compile parses rule source text into a RuleSet.
 func Compile(src string) (*RuleSet, error) {
 	toks, err := yLex(src)
@@ -26,18 +30,19 @@ func Compile(src string) (*RuleSet, error) {
 	rs := &RuleSet{}
 	seen := map[string]bool{}
 	for p.cur().kind != yEOF {
+		line := p.cur().line
 		r, err := p.rule()
 		if err != nil {
 			return nil, err
 		}
 		if seen[r.Name] {
-			return nil, &ParseError{Line: 0, Msg: "duplicate rule " + r.Name}
+			return nil, errAt(line, "duplicate rule %s", r.Name)
 		}
 		seen[r.Name] = true
 		rs.Rules = append(rs.Rules, r)
 	}
 	if len(rs.Rules) == 0 {
-		return nil, &ParseError{Line: 0, Msg: "no rules in source"}
+		return nil, &ParseError{Msg: "no rules in source"}
 	}
 	return rs, nil
 }
@@ -54,27 +59,23 @@ func MustCompile(src string) *RuleSet {
 type yTokKind int
 
 const (
-	yEOF yTokKind = iota
-	yIdent
-	yVar   // $name
-	yCount // #name
-	yNum
-	yString
-	yPunct // { } ( ) : = and keywords resolved as idents
+	yEOF    yTokKind = iota
+	yWord            // keywords, names and hex byte runs
+	yVar             // $name
+	yString          // "text"
+	yPunct           // { } ( ) : =
 )
 
 type yTok struct {
 	kind yTokKind
 	text string
-	num  int
 	line int
 }
 
 func yLex(src string) ([]yTok, error) {
 	var toks []yTok
 	line := 1
-	i, n := 0, len(src)
-	for i < n {
+	for i := 0; i < len(src); {
 		c := src[i]
 		switch {
 		case c == '\n':
@@ -82,107 +83,35 @@ func yLex(src string) ([]yTok, error) {
 			i++
 		case c == ' ' || c == '\t' || c == '\r':
 			i++
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				i++
+		case c == '$' || isWordChar(c):
+			kind, start := yWord, i
+			if c == '$' {
+				kind, start = yVar, i+1
 			}
-		case c == '$' || c == '#':
-			kind := yVar
-			if c == '#' {
-				kind = yCount
-			}
-			i++
-			start := i
-			for i < n && isWordChar(src[i]) {
-				i++
+			for i = start; i < len(src) && isWordChar(src[i]); i++ {
 			}
 			if i == start {
-				return nil, &ParseError{Line: line, Msg: "empty identifier after " + string(c)}
+				return nil, errAt(line, "empty identifier after $")
 			}
 			toks = append(toks, yTok{kind: kind, text: src[start:i], line: line})
-		case isWordChar(c):
-			start := i
-			for i < n && isWordChar(src[i]) {
-				i++
-			}
-			text := src[start:i]
-			if num, err := strconv.Atoi(text); err == nil {
-				toks = append(toks, yTok{kind: yNum, text: text, num: num, line: line})
-			} else {
-				toks = append(toks, yTok{kind: yIdent, text: text, line: line})
-			}
 		case c == '"':
+			n := strings.IndexAny(src[i+1:], "\"\\\n")
+			if n < 0 || src[i+1+n] == '\n' {
+				return nil, errAt(line, "unterminated string")
+			}
+			if src[i+1+n] == '\\' {
+				return nil, errAt(line, "escapes are not supported in strings")
+			}
+			toks = append(toks, yTok{kind: yString, text: src[i+1 : i+1+n], line: line})
+			i += n + 2
+		case strings.IndexByte("{}():=", c) >= 0:
+			toks = append(toks, yTok{kind: yPunct, text: src[i : i+1], line: line})
 			i++
-			var b strings.Builder
-			closed := false
-			for i < n {
-				if src[i] == '"' {
-					closed = true
-					i++
-					break
-				}
-				if src[i] == '\n' {
-					return nil, &ParseError{Line: line, Msg: "unterminated string"}
-				}
-				if src[i] == '\\' && i+1 < n {
-					i++
-					switch src[i] {
-					case 'n':
-						b.WriteByte('\n')
-					case 't':
-						b.WriteByte('\t')
-					case '\\':
-						b.WriteByte('\\')
-					case '"':
-						b.WriteByte('"')
-					case 'x':
-						if i+2 >= n {
-							return nil, &ParseError{Line: line, Msg: "truncated \\x escape"}
-						}
-						v, err := strconv.ParseUint(src[i+1:i+3], 16, 8)
-						if err != nil {
-							return nil, &ParseError{Line: line, Msg: "bad \\x escape"}
-						}
-						b.WriteByte(byte(v))
-						i += 2
-					default:
-						return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad escape \\%c", src[i])}
-					}
-					i++
-					continue
-				}
-				b.WriteByte(src[i])
-				i++
-			}
-			if !closed {
-				return nil, &ParseError{Line: line, Msg: "unterminated string"}
-			}
-			toks = append(toks, yTok{kind: yString, text: b.String(), line: line})
 		default:
-			switch c {
-			case '?':
-				if i+1 < n && src[i+1] == '?' {
-					toks = append(toks, yTok{kind: yPunct, text: "??", line: line})
-					i += 2
-					continue
-				}
-				return nil, &ParseError{Line: line, Msg: "single '?' (wildcards are '??')"}
-			case '{', '}', '(', ')', ':', '=', '<', '>', '!':
-				// Two-char comparison operators.
-				if (c == '<' || c == '>' || c == '=' || c == '!') && i+1 < n && src[i+1] == '=' {
-					toks = append(toks, yTok{kind: yPunct, text: src[i : i+2], line: line})
-					i += 2
-					continue
-				}
-				toks = append(toks, yTok{kind: yPunct, text: string(c), line: line})
-				i++
-			default:
-				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("unexpected character %q", c)}
-			}
+			return nil, errAt(line, "unexpected character %q", c)
 		}
 	}
-	toks = append(toks, yTok{kind: yEOF, line: line})
-	return toks, nil
+	return append(toks, yTok{kind: yEOF, line: line}), nil
 }
 
 func isWordChar(c byte) bool {
@@ -194,289 +123,191 @@ type yParser struct {
 	pos  int
 }
 
-func (p *yParser) cur() yTok  { return p.toks[p.pos] }
-func (p *yParser) next() yTok { t := p.toks[p.pos]; p.pos++; return t }
+func (p *yParser) cur() yTok { return p.toks[p.pos] }
+
+// next returns the current token and moves past it; it never moves past
+// the end-of-input token.
+func (p *yParser) next() yTok {
+	t := p.toks[p.pos]
+	if t.kind != yEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *yParser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.cur().line, Msg: fmt.Sprintf(format, args...)}
+	return errAt(p.cur().line, format, args...)
 }
 
-func (p *yParser) expectPunct(s string) error {
-	if p.cur().kind == yPunct && p.cur().text == s {
-		p.pos++
-		return nil
-	}
-	return p.errf("expected %q, found %q", s, p.cur().text)
-}
-
-func (p *yParser) expectIdent(s string) error {
-	if p.cur().kind == yIdent && p.cur().text == s {
-		p.pos++
-		return nil
-	}
-	return p.errf("expected %q, found %q", s, p.cur().text)
-}
-
-func (p *yParser) acceptIdent(s string) bool {
-	if p.cur().kind == yIdent && p.cur().text == s {
+// accept moves past the current token if it is the given word or
+// punctuation.
+func (p *yParser) accept(kind yTokKind, text string) bool {
+	if t := p.cur(); t.kind == kind && t.text == text {
 		p.pos++
 		return true
 	}
 	return false
 }
 
+func (p *yParser) expect(kind yTokKind, text string) error {
+	if !p.accept(kind, text) {
+		return p.errf("expected %q, found %q", text, p.cur().text)
+	}
+	return nil
+}
+
 func (p *yParser) rule() (*Rule, error) {
-	if err := p.expectIdent("rule"); err != nil {
+	if err := p.expect(yWord, "rule"); err != nil {
 		return nil, err
 	}
-	if p.cur().kind != yIdent {
+	if p.cur().kind != yWord {
 		return nil, p.errf("expected rule name")
 	}
-	r := &Rule{Name: p.next().text, Meta: map[string]string{}}
-	if err := p.expectPunct("{"); err != nil {
+	r := &Rule{Name: p.next().text}
+	if err := p.expect(yPunct, "{"); err != nil {
 		return nil, err
 	}
-	if p.acceptIdent("meta") {
-		if err := p.expectPunct(":"); err != nil {
+	if p.accept(yWord, "meta") {
+		if err := p.expect(yPunct, ":"); err != nil {
 			return nil, err
 		}
-		for p.cur().kind == yIdent && p.cur().text != "strings" && p.cur().text != "condition" {
-			key := p.next().text
-			if err := p.expectPunct("="); err != nil {
+		for t := p.cur(); t.kind == yWord && t.text != "strings" && t.text != "condition"; t = p.cur() {
+			p.next()
+			if err := p.expect(yPunct, "="); err != nil {
 				return nil, err
 			}
-			switch p.cur().kind {
-			case yString, yNum, yIdent:
-				r.Meta[key] = p.next().text
-			default:
-				return nil, p.errf("bad meta value for %s", key)
+			if p.cur().kind != yString {
+				return nil, p.errf("meta %s: the value must be a quoted string", t.text)
 			}
+			p.next()
 		}
 	}
-	if p.acceptIdent("strings") {
-		if err := p.expectPunct(":"); err != nil {
+	if p.accept(yWord, "strings") {
+		if err := p.expect(yPunct, ":"); err != nil {
 			return nil, err
 		}
 		for p.cur().kind == yVar {
-			pat, err := p.patternDecl()
-			if err != nil {
+			if err := p.pattern(r); err != nil {
 				return nil, err
 			}
-			if r.Pattern(pat.ID) != nil {
-				return nil, p.errf("duplicate string $%s", pat.ID)
-			}
-			r.Patterns = append(r.Patterns, pat)
 		}
 	}
-	if err := p.expectIdent("condition"); err != nil {
+	if err := p.expect(yWord, "condition"); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(":"); err != nil {
+	if err := p.expect(yPunct, ":"); err != nil {
 		return nil, err
 	}
-	cond, err := p.condOr()
+	c, err := p.condOr(r)
 	if err != nil {
 		return nil, err
 	}
-	r.cond = cond
-	if err := p.expectPunct("}"); err != nil {
-		return nil, err
-	}
-	// Validate references.
-	if err := validateRefs(r, cond); err != nil {
+	r.cond = c
+	if err := p.expect(yPunct, "}"); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-func validateRefs(r *Rule, n condNode) error {
-	switch c := n.(type) {
-	case *condRef:
-		if r.Pattern(c.id) == nil {
-			return &ParseError{Msg: fmt.Sprintf("rule %s: undefined string $%s", r.Name, c.id)}
+// pattern parses one `$id = "text" [nocase]` or `$id = { hex runs }`
+// declaration into r.
+func (p *yParser) pattern(r *Rule) error {
+	id := p.next()
+	if r.pattern(id.text) != nil {
+		return errAt(id.line, "duplicate string $%s", id.text)
+	}
+	if err := p.expect(yPunct, "="); err != nil {
+		return err
+	}
+	pat := &Pattern{ID: id.text}
+	switch {
+	case p.cur().kind == yString:
+		pat.Text = []byte(p.next().text)
+		pat.Nocase = p.accept(yWord, "nocase")
+	case p.accept(yPunct, "{"):
+		// Hex runs lex as words: "FF", "00", "DEAD".
+		for p.cur().kind == yWord {
+			run := p.next()
+			if len(run.text)%2 != 0 {
+				return errAt(run.line, "odd-length hex run in $%s", id.text)
+			}
+			for i := 0; i < len(run.text); i += 2 {
+				b, err := strconv.ParseUint(run.text[i:i+2], 16, 8)
+				if err != nil {
+					return errAt(run.line, "bad hex byte %q in $%s", run.text[i:i+2], id.text)
+				}
+				pat.Text = append(pat.Text, byte(b))
+			}
 		}
-	case *condCount:
-		if r.Pattern(c.id) == nil {
-			return &ParseError{Msg: fmt.Sprintf("rule %s: undefined string #%s", r.Name, c.id)}
-		}
-	case *condNot:
-		return validateRefs(r, c.e)
-	case *condAnd:
-		if err := validateRefs(r, c.l); err != nil {
+		if err := p.expect(yPunct, "}"); err != nil {
 			return err
 		}
-		return validateRefs(r, c.r)
-	case *condOr:
-		if err := validateRefs(r, c.l); err != nil {
-			return err
-		}
-		return validateRefs(r, c.r)
-	case *condOfThem:
-		if len(r.Patterns) == 0 {
-			return &ParseError{Msg: fmt.Sprintf("rule %s: 'of them' with no strings", r.Name)}
+	default:
+		return p.errf("expected string or hex pattern for $%s", id.text)
+	}
+	if len(pat.Text) == 0 {
+		return errAt(id.line, "empty pattern $%s", id.text)
+	}
+	r.Patterns = append(r.Patterns, pat)
+	return nil
+}
+
+func (r *Rule) pattern(id string) *Pattern {
+	for _, p := range r.Patterns {
+		if p.ID == id {
+			return p
 		}
 	}
 	return nil
 }
 
-func (p *yParser) patternDecl() (*Pattern, error) {
-	id := p.next().text // yVar checked by caller
-	if err := p.expectPunct("="); err != nil {
-		return nil, err
+func (p *yParser) condOr(r *Rule) (*cond, error) {
+	l, err := p.condAnd(r)
+	for err == nil && p.accept(yWord, "or") {
+		var rhs *cond
+		rhs, err = p.condAnd(r)
+		l = &cond{kind: condOr, l: l, r: rhs}
 	}
-	switch p.cur().kind {
-	case yString:
-		pat := &Pattern{ID: id, Text: []byte(p.next().text)}
-		if p.acceptIdent("nocase") {
-			pat.Nocase = true
-		}
-		if len(pat.Text) == 0 {
-			return nil, p.errf("empty string pattern $%s", id)
-		}
-		return pat, nil
-	case yPunct:
-		if p.cur().text != "{" {
-			return nil, p.errf("expected string or hex pattern for $%s", id)
-		}
-		p.pos++
-		pat := &Pattern{ID: id}
-		for {
-			t := p.cur()
-			if t.kind == yPunct && t.text == "}" {
-				p.pos++
-				break
-			}
-			switch {
-			case t.kind == yPunct && t.text == "??":
-				p.pos++
-				pat.Hex = append(pat.Hex, 0)
-				pat.Mask = append(pat.Mask, false)
-			case t.kind == yIdent || t.kind == yNum:
-				// Hex byte tokens lex as idents (e.g. "FF", "D8") or
-				// numbers (e.g. "00", "90"); wildcard "??" is not
-				// lexable as ident, handle below.
-				text := t.text
-				p.pos++
-				for len(text) >= 2 {
-					b, err := strconv.ParseUint(text[:2], 16, 8)
-					if err != nil {
-						return nil, p.errf("bad hex byte %q in $%s", text[:2], id)
-					}
-					pat.Hex = append(pat.Hex, byte(b))
-					pat.Mask = append(pat.Mask, true)
-					text = text[2:]
-				}
-				if len(text) != 0 {
-					return nil, p.errf("odd-length hex run in $%s", id)
-				}
-			default:
-				return nil, p.errf("unexpected token %q in hex pattern $%s", t.text, id)
-			}
-		}
-		if len(pat.Hex) == 0 {
-			return nil, p.errf("empty hex pattern $%s", id)
-		}
-		return pat, nil
-	default:
-		return nil, p.errf("expected string or hex pattern for $%s", id)
-	}
+	return l, err
 }
 
-func (p *yParser) condOr() (condNode, error) {
-	l, err := p.condAnd()
-	if err != nil {
-		return nil, err
+func (p *yParser) condAnd(r *Rule) (*cond, error) {
+	l, err := p.condAtom(r)
+	for err == nil && p.accept(yWord, "and") {
+		var rhs *cond
+		rhs, err = p.condAtom(r)
+		l = &cond{kind: condAnd, l: l, r: rhs}
 	}
-	for p.acceptIdent("or") {
-		r, err := p.condAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &condOr{l: l, r: r}
-	}
-	return l, nil
+	return l, err
 }
 
-func (p *yParser) condAnd() (condNode, error) {
-	l, err := p.condUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptIdent("and") {
-		r, err := p.condUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &condAnd{l: l, r: r}
-	}
-	return l, nil
-}
-
-func (p *yParser) condUnary() (condNode, error) {
-	if p.acceptIdent("not") {
-		e, err := p.condUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &condNot{e: e}, nil
-	}
-	return p.condAtom()
-}
-
-func (p *yParser) condAtom() (condNode, error) {
+func (p *yParser) condAtom(r *Rule) (*cond, error) {
 	t := p.cur()
 	switch {
-	case t.kind == yPunct && t.text == "(":
-		p.pos++
-		e, err := p.condOr()
+	case p.accept(yPunct, "("):
+		c, err := p.condOr(r)
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return c, p.expect(yPunct, ")")
 	case t.kind == yVar:
-		p.pos++
-		return &condRef{id: t.text}, nil
-	case t.kind == yCount:
-		p.pos++
-		op := p.cur()
-		if op.kind != yPunct {
-			return nil, p.errf("expected comparison after #%s", t.text)
+		p.next()
+		pat := r.pattern(t.text)
+		if pat == nil {
+			return nil, errAt(t.line, "rule %s: undefined string $%s", r.Name, t.text)
 		}
-		switch op.text {
-		case "==", "!=", "<", "<=", ">", ">=":
-		case "=":
-			op.text = "=="
-		default:
-			return nil, p.errf("bad comparison %q after #%s", op.text, t.text)
-		}
-		p.pos++
-		if p.cur().kind != yNum {
-			return nil, p.errf("expected number after #%s %s", t.text, op.text)
-		}
-		n := p.next().num
-		return &condCount{id: t.text, op: op.text, n: n}, nil
-	case t.kind == yNum:
-		p.pos++
-		if err := p.expectIdent("of"); err != nil {
+		return &cond{kind: condRef, pat: pat}, nil
+	case p.accept(yWord, "any"):
+		if err := p.expect(yWord, "of"); err != nil {
 			return nil, err
 		}
-		if err := p.expectIdent("them"); err != nil {
+		if err := p.expect(yWord, "them"); err != nil {
 			return nil, err
 		}
-		return &condOfThem{n: t.num}, nil
-	case t.kind == yIdent && (t.text == "any" || t.text == "all"):
-		p.pos++
-		if err := p.expectIdent("of"); err != nil {
-			return nil, err
+		if len(r.Patterns) == 0 {
+			return nil, errAt(t.line, "rule %s: 'any of them' with no strings", r.Name)
 		}
-		if err := p.expectIdent("them"); err != nil {
-			return nil, err
-		}
-		return &condOfThem{any: t.text == "any", all: t.text == "all"}, nil
-	default:
-		return nil, p.errf("unexpected %q in condition", t.text)
+		return &cond{kind: condAny}, nil
 	}
+	return nil, p.errf("unexpected %q in condition", t.text)
 }

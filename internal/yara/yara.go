@@ -1,60 +1,66 @@
-// Package yara implements a YARA-like rule language and scanning engine —
-// the signature side of the dissection toolchain. Rules are parsed from a
-// textual form close to real YARA:
+// Package yara implements the part of the YARA rule language that the
+// range's disclosure signatures speak, and scans bytes for which rules
+// fire. Rules are parsed from a textual form close to real YARA:
 //
-//	rule ShamoonDropper {
+//	rule Shamoon_Wiper {
 //	    meta:
 //	        family = "shamoon"
-//	        severity = "high"
 //	    strings:
-//	        $svc = "TrkSvr"
-//	        $rep = "netinit.exe"
-//	        $jpg = { FF D8 FF ?? 00 }
+//	        $inf = "f1.inf"
+//	        $drv = "DRDISK.SYS" nocase
+//	        $jpg = { FF D8 FF E0 }
 //	    condition:
-//	        $svc and ($rep or $jpg) and 2 of them
+//	        $inf and ($drv or $jpg)
 //	}
 //
-// Supported string forms: quoted text (optionally `nocase`) and hex byte
-// patterns with `??` wildcards. Supported conditions: $id references,
-// and/or/not, parentheses, `N of them`, `any of them`, `all of them`, and
-// count comparisons `#id OP n` (OP in == != < <= > >=).
+// A string is quoted text, taken verbatim and optionally `nocase`
+// (ASCII case folding), or a run of hex bytes. A condition combines
+// $id references with `and`, `or`, parentheses and `any of them`; `and`
+// binds tighter than `or`. Meta entries take quoted values and are
+// accepted and discarded. Anything else (escapes, comments, wildcards,
+// `not`, counts, `N of them`, `all of them`) is a *ParseError.
 package yara
 
-import (
-	"fmt"
-	"sort"
-)
+import "bytes"
 
 // Pattern is one compiled string declaration.
 type Pattern struct {
 	ID     string // without the $
 	Nocase bool
-	// Text is set for quoted patterns.
+	// Text is the byte string to find: the quoted text, or the bytes
+	// of a hex run.
 	Text []byte
-	// Hex is set for hex patterns; Mask[i]==false means wildcard byte.
-	Hex  []byte
-	Mask []bool
 }
 
-// IsHex reports whether the pattern is a hex pattern.
-func (p *Pattern) IsHex() bool { return p.Mask != nil }
+// in reports whether the pattern occurs in data.
+func (p *Pattern) in(data []byte) bool {
+	if !p.Nocase {
+		return bytes.Contains(data, p.Text)
+	}
+next:
+	for off := 0; off+len(p.Text) <= len(data); off++ {
+		for j, b := range p.Text {
+			if toLower(data[off+j]) != toLower(b) {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+func toLower(b byte) byte {
+	if b >= 'A' && b <= 'Z' {
+		return b + 32
+	}
+	return b
+}
 
 // Rule is one compiled rule.
 type Rule struct {
 	Name     string
-	Meta     map[string]string
 	Patterns []*Pattern
-	cond     condNode
-}
-
-// Pattern returns the pattern with the given id, or nil.
-func (r *Rule) Pattern(id string) *Pattern {
-	for _, p := range r.Patterns {
-		if p.ID == id {
-			return p
-		}
-	}
-	return nil
+	cond     *cond
 }
 
 // RuleSet is a compiled collection of rules.
@@ -62,117 +68,53 @@ type RuleSet struct {
 	Rules []*Rule
 }
 
-// RuleNames returns the rule names in declaration order.
-func (rs *RuleSet) RuleNames() []string {
-	out := make([]string, len(rs.Rules))
-	for i, r := range rs.Rules {
-		out[i] = r.Name
+// ScanNames returns the names of the rules that fire on data, in
+// declaration order. A nil rule set matches nothing.
+func (rs *RuleSet) ScanNames(data []byte) []string {
+	if rs == nil {
+		return nil
+	}
+	var out []string
+	for _, r := range rs.Rules {
+		if r.holds(r.cond, data) {
+			out = append(out, r.Name)
+		}
 	}
 	return out
 }
 
-// Match is one rule firing on scanned data.
-type Match struct {
-	Rule *Rule
-	// Hits maps pattern id to match offsets (sorted ascending).
-	Hits map[string][]int
+// cond is one node of a compiled condition.
+type cond struct {
+	kind condKind
+	pat  *Pattern // condRef
+	l, r *cond    // condAnd, condOr
 }
 
-// MatchedIDs returns the pattern ids that hit, sorted.
-func (m *Match) MatchedIDs() []string {
-	out := make([]string, 0, len(m.Hits))
-	for id := range m.Hits {
-		out = append(out, id)
+type condKind uint8
+
+const (
+	condRef condKind = iota // $id
+	condAny                 // any of them
+	condAnd                 // l and r
+	condOr                  // l or r
+)
+
+// holds evaluates c against data, searching only for the patterns the
+// evaluation reaches.
+func (r *Rule) holds(c *cond, data []byte) bool {
+	switch c.kind {
+	case condRef:
+		return c.pat.in(data)
+	case condAnd:
+		return r.holds(c.l, data) && r.holds(c.r, data)
+	case condOr:
+		return r.holds(c.l, data) || r.holds(c.r, data)
 	}
-	sort.Strings(out)
-	return out
-}
-
-// condition AST
-type condNode interface{ condMark() }
-
-type condRef struct{ id string }     // $id
-type condNot struct{ e condNode }    // not e
-type condAnd struct{ l, r condNode } // l and r
-type condOr struct{ l, r condNode }  // l or r
-type condOfThem struct {
-	n   int  // N of them
-	all bool // all of them
-	any bool // any of them
-}
-type condCount struct { // #id OP n
-	id string
-	op string
-	n  int
-}
-
-func (*condRef) condMark()    {}
-func (*condNot) condMark()    {}
-func (*condAnd) condMark()    {}
-func (*condOr) condMark()     {}
-func (*condOfThem) condMark() {}
-func (*condCount) condMark()  {}
-
-// evalCond evaluates the condition against hit counts.
-func evalCond(n condNode, hits map[string][]int, total int) (bool, error) {
-	switch c := n.(type) {
-	case *condRef:
-		return len(hits[c.id]) > 0, nil
-	case *condNot:
-		v, err := evalCond(c.e, hits, total)
-		return !v, err
-	case *condAnd:
-		l, err := evalCond(c.l, hits, total)
-		if err != nil {
-			return false, err
+	// condAny
+	for _, p := range r.Patterns {
+		if p.in(data) {
+			return true
 		}
-		if !l {
-			return false, nil
-		}
-		return evalCond(c.r, hits, total)
-	case *condOr:
-		l, err := evalCond(c.l, hits, total)
-		if err != nil {
-			return false, err
-		}
-		if l {
-			return true, nil
-		}
-		return evalCond(c.r, hits, total)
-	case *condOfThem:
-		matched := 0
-		for _, offs := range hits {
-			if len(offs) > 0 {
-				matched++
-			}
-		}
-		switch {
-		case c.all:
-			return matched == total, nil
-		case c.any:
-			return matched >= 1, nil
-		default:
-			return matched >= c.n, nil
-		}
-	case *condCount:
-		count := len(hits[c.id])
-		switch c.op {
-		case "==":
-			return count == c.n, nil
-		case "!=":
-			return count != c.n, nil
-		case "<":
-			return count < c.n, nil
-		case "<=":
-			return count <= c.n, nil
-		case ">":
-			return count > c.n, nil
-		case ">=":
-			return count >= c.n, nil
-		default:
-			return false, fmt.Errorf("yara: unknown count operator %q", c.op)
-		}
-	default:
-		return false, fmt.Errorf("yara: unknown condition node %T", n)
 	}
+	return false
 }

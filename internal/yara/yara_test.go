@@ -1,15 +1,13 @@
 package yara
 
 import (
-	"bytes"
 	"errors"
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 const shamoonRule = `
-// dissection signature for the Shamoon dropper
 rule ShamoonDropper {
     meta:
         family = "shamoon"
@@ -17,7 +15,7 @@ rule ShamoonDropper {
     strings:
         $svc = "TrkSvr"
         $rep = "netinit.exe"
-        $jpg = { FF D8 FF ?? 00 }
+        $jpg = { FF D8 FF E0 00 }
     condition:
         $svc and ($rep or $jpg)
 }
@@ -28,53 +26,21 @@ func TestCompileAndScanBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if len(rs.Rules) != 1 || rs.Rules[0].Name != "ShamoonDropper" {
-		t.Fatalf("rules = %v", rs.RuleNames())
+	if len(rs.Rules) != 1 || rs.Rules[0].Name != "ShamoonDropper" || len(rs.Rules[0].Patterns) != 3 {
+		t.Fatalf("rules = %+v", rs.Rules)
 	}
-	r := rs.Rules[0]
-	if r.Meta["family"] != "shamoon" || r.Meta["severity"] != "high" {
-		t.Fatalf("meta = %v", r.Meta)
-	}
-
-	data := []byte("...TrkSvr service...netinit.exe reporter...")
-	matches := rs.Scan(data)
-	if len(matches) != 1 {
-		t.Fatalf("matches = %d", len(matches))
-	}
-	got := matches[0].MatchedIDs()
-	if len(got) != 2 || got[0] != "rep" || got[1] != "svc" {
-		t.Fatalf("matched ids = %v", got)
-	}
-
-	if ms := rs.Scan([]byte("TrkSvr only, no second indicator")); len(ms) != 0 {
-		t.Fatalf("partial indicators matched: %v", ms)
-	}
-	if ms := rs.Scan([]byte("netinit.exe without service name")); len(ms) != 0 {
-		t.Fatalf("condition ignored: %v", ms)
-	}
-}
-
-func TestHexPatternWithWildcards(t *testing.T) {
-	rs := MustCompile(`
-rule JpegHeader {
-    strings:
-        $h = { FF D8 FF ?? 00 }
-    condition:
-        $h
-}`)
-	match := []byte{0x00, 0xFF, 0xD8, 0xFF, 0xE0, 0x00, 0x10}
-	if len(rs.Scan(match)) != 1 {
-		t.Fatal("wildcard hex did not match")
-	}
-	// Wildcard position can be anything...
-	match[4] = 0x77
-	if len(rs.Scan(match)) != 1 {
-		t.Fatal("wildcard byte constrained")
-	}
-	// ...but fixed positions cannot.
-	match[5] = 0x01
-	if len(rs.Scan(match)) != 0 {
-		t.Fatal("fixed byte ignored")
+	for _, c := range []struct {
+		data string
+		want []string
+	}{
+		{"...TrkSvr service...netinit.exe reporter...", []string{"ShamoonDropper"}},
+		{"TrkSvr and a header \xFF\xD8\xFF\xE0\x00", []string{"ShamoonDropper"}},
+		{"TrkSvr only, no second indicator", nil},
+		{"netinit.exe without service name", nil},
+	} {
+		if got := rs.ScanNames([]byte(c.data)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ScanNames(%q) = %v, want %v", c.data, got, c.want)
+		}
 	}
 }
 
@@ -86,8 +52,14 @@ rule Run {
     condition:
         $h
 }`)
-	if len(rs.Scan([]byte{0xDE, 0xAD, 0xBE, 0xEF})) != 1 {
+	if got := rs.Rules[0].Patterns[0].Text; string(got) != "\xDE\xAD\xBE\xEF" {
+		t.Fatalf("hex run compiled to % X", got)
+	}
+	if len(rs.ScanNames([]byte{0x00, 0xDE, 0xAD, 0xBE, 0xEF})) != 1 {
 		t.Fatal("multi-byte hex run failed")
+	}
+	if len(rs.ScanNames([]byte{0xDE, 0xAD, 0xBE, 0xEE})) != 0 {
+		t.Fatal("a different last byte matched")
 	}
 }
 
@@ -99,99 +71,33 @@ rule Nocase {
     condition:
         $a
 }`)
-	if len(rs.Scan([]byte("...MSSECMGR.OCX..."))) != 1 {
+	if len(rs.ScanNames([]byte("...MSSECMGR.OCX..."))) != 1 {
 		t.Fatal("nocase failed upper")
 	}
-	if len(rs.Scan([]byte("...mssecmgr.ocx..."))) != 1 {
+	if len(rs.ScanNames([]byte("...mssecmgr.ocx..."))) != 1 {
 		t.Fatal("nocase failed lower")
 	}
 }
 
 func TestOfThemConditions(t *testing.T) {
-	src := `
-rule TwoOfThem {
-    strings:
-        $a = "alpha"
-        $b = "bravo"
-        $c = "charlie"
-    condition:
-        2 of them
-}
+	rs := MustCompile(`
 rule AnyOfThem {
     strings:
         $a = "alpha"
         $b = "bravo"
     condition:
         any of them
-}
-rule AllOfThem {
-    strings:
-        $a = "alpha"
-        $b = "bravo"
-    condition:
-        all of them
-}`
-	rs := MustCompile(src)
-	names := rs.ScanNames([]byte("alpha bravo"))
-	if len(names) != 3 {
-		t.Fatalf("alpha+bravo matched %v", names)
-	}
-	names = rs.ScanNames([]byte("alpha only"))
-	if len(names) != 1 || names[0] != "AnyOfThem" {
-		t.Fatalf("alpha-only matched %v", names)
-	}
-	names = rs.ScanNames([]byte("charlie alpha"))
-	if len(names) != 2 {
-		t.Fatalf("charlie+alpha matched %v", names)
-	}
-}
-
-func TestCountConditions(t *testing.T) {
-	rs := MustCompile(`
-rule Repeats {
-    strings:
-        $x = "AB"
-    condition:
-        #x >= 3
 }`)
-	if len(rs.Scan([]byte("AB AB AB"))) != 1 {
-		t.Fatal("three occurrences not counted")
-	}
-	if len(rs.Scan([]byte("AB AB"))) != 0 {
-		t.Fatal("two occurrences matched >= 3")
-	}
-	// Overlapping matches count.
-	rs2 := MustCompile(`
-rule Overlap {
-    strings:
-        $x = "AA"
-    condition:
-        #x == 3
-}`)
-	if len(rs2.Scan([]byte("AAAA"))) != 1 {
-		t.Fatal("overlapping occurrences not counted (AAAA has 3 AA)")
-	}
-}
-
-func TestNotAndParens(t *testing.T) {
-	rs := MustCompile(`
-rule CleanTool {
-    strings:
-        $tool = "diskutil"
-        $bad = "wiper"
-    condition:
-        $tool and not $bad
-}`)
-	if len(rs.Scan([]byte("diskutil v1"))) != 1 {
-		t.Fatal("clean sample not matched")
-	}
-	if len(rs.Scan([]byte("diskutil wiper"))) != 0 {
-		t.Fatal("bad sample matched")
+	for data, want := range map[string]int{"alpha only": 1, "bravo only": 1, "alpha bravo": 1, "charlie": 0} {
+		if got := len(rs.ScanNames([]byte(data))); got != want {
+			t.Errorf("%q fired %d rules, want %d", data, got, want)
+		}
 	}
 }
 
 func TestOrPrecedence(t *testing.T) {
-	// and binds tighter than or: $a or $b and $c == $a or ($b and $c)
+	// and binds tighter than or: $a or $b and $c == $a or ($b and $c);
+	// parentheses override it.
 	rs := MustCompile(`
 rule Prec {
     strings:
@@ -200,15 +106,25 @@ rule Prec {
         $c = "cc"
     condition:
         $a or $b and $c
+}
+rule Parens {
+    strings:
+        $a = "aa"
+        $b = "bb"
+        $c = "cc"
+    condition:
+        ($a or $b) and $c
 }`)
-	if len(rs.Scan([]byte("aa"))) != 1 {
-		t.Fatal("$a alone should match")
-	}
-	if len(rs.Scan([]byte("bb"))) != 0 {
-		t.Fatal("$b alone should not match")
-	}
-	if len(rs.Scan([]byte("bb cc"))) != 1 {
-		t.Fatal("$b and $c should match")
+	for data, want := range map[string][]string{
+		"aa":       {"Prec"},
+		"bb":       nil,
+		"bb cc":    {"Prec", "Parens"},
+		"aa cc":    {"Prec", "Parens"},
+		"cc alone": nil,
+	} {
+		if got := rs.ScanNames([]byte(data)); !reflect.DeepEqual(got, want) {
+			t.Errorf("ScanNames(%q) = %v, want %v", data, got, want)
+		}
 	}
 }
 
@@ -223,26 +139,8 @@ rule Second { strings: $a = "x" condition: $a }
 	}
 }
 
-func TestHitOffsets(t *testing.T) {
-	rs := MustCompile(`rule R { strings: $a = "ab" condition: $a }`)
-	m, ok := rs.Rules[0].Eval([]byte("ab..ab"))
-	if !ok {
-		t.Fatal("no match")
-	}
-	offs := m.Hits["a"]
-	if len(offs) != 2 || offs[0] != 0 || offs[1] != 4 {
-		t.Fatalf("offsets = %v", offs)
-	}
-}
-
-func TestEscapesInStrings(t *testing.T) {
-	rs := MustCompile(`rule R { strings: $a = "a\x00b\n" condition: $a }`)
-	if len(rs.Scan([]byte{'a', 0, 'b', '\n'})) != 1 {
-		t.Fatal("escaped pattern failed")
-	}
-}
-
-// malformedRules each fail to compile, one defect apiece.
+// malformedRules each fail to compile, one defect apiece. The second
+// group spells forms the rule language does not have.
 var malformedRules = []string{
 	``,                             // no rules
 	`rule {}`,                      // missing name
@@ -253,11 +151,58 @@ var malformedRules = []string{
 	`rule R { strings: $a = { GG } condition: $a }`,                                         // bad hex
 	`rule R { strings: $a = { F } condition: $a }`,                                          // odd hex
 	`rule R { strings: $a = "x" $a = "y" condition: $a }`,                                   // dup string
-	`rule R { condition: 2 of them }`,                                                       // of-them without strings
-	`rule R { strings: $a = "x" condition: #a >< 1 }`,                                       // bad op
+	`rule R { condition: any of them }`,                                                     // of-them without strings
 	`rule R { strings: $a = "x" condition: $a } rule R { strings: $b = "y" condition: $b }`, // dup rule
 	`rule R { strings: $a = "unterminated condition: $a }`,
 	`rule R { strings: $a = "x" condition: $a`, // missing brace
+	`rule R { strings: $a =`,                   // ends inside a declaration
+
+	`rule R { condition: 2 of them }`,
+	`rule R { strings: $a = "x" condition: #a >< 1 }`,
+	`rule R { strings: $a = "a\x00b\n" condition: $a }`,
+	`rule Run { strings: $h = { DEAD BEEF ?? 00 } condition: $h }`,
+	`rule JpegHeader { strings: $h = { FF D8 FF ?? 00 } condition: $h }`,
+	`rule Two { strings: $a = "alpha" $b = "bravo" $c = "charlie" condition: 2 of them }
+rule Any { strings: $a = "alpha" condition: any of them }
+rule All { strings: $a = "alpha" $b = "bravo" condition: all of them }`,
+	`rule Repeats { strings: $x = "AB" condition: #x >= 3 and #x != 5 or #x < 1 }`,
+	`rule Overlap { strings: $x = "AA" condition: #x == 3 }`,
+	`rule CleanTool { strings: $tool = "diskutil" $bad = "wiper" condition: $tool and not $bad }`,
+	`// leading comment
+rule Clean { // inline
+    strings:
+        $tool = "diskutil" // trailing
+        $bad = "wiper"
+    condition:
+        ($tool and not $bad) or ($bad and $tool)
+}`,
+	`rule R { meta: version = 2 strings: $a = "x" condition: $a }`,
+	`rule R { meta: family = shamoon strings: $a = "x" condition: $a }`,
+}
+
+// removedForms spell, each on line 3, a YARA form that the disclosure
+// rules do not use and the engine therefore does not parse.
+var removedForms = []struct {
+	name, src string
+}{
+	{"not", "rule R {\n strings: $a = \"x\" $b = \"y\"\n condition: $a and not $b }"},
+	{"N of them", "rule R {\n strings: $a = \"x\" $b = \"y\"\n condition: 2 of them }"},
+	{"all of them", "rule R {\n strings: $a = \"x\" $b = \"y\"\n condition: all of them }"},
+	{"count", "rule R {\n strings: $a = \"x\"\n condition: #a > 1 }"},
+	{"wildcard", "rule R {\n strings:\n $a = { FF ?? } condition: $a }"},
+	{"escape", "rule R {\n strings:\n $a = \"a\\n\" condition: $a }"},
+	{"comment", "rule R {\n strings: $a = \"x\"\n // c\n condition: $a }"},
+	{"numeric meta", "rule R {\n meta:\n n = 1 strings: $a = \"x\" condition: $a }"},
+}
+
+func TestRemovedFormsAreParseErrors(t *testing.T) {
+	for _, c := range removedForms {
+		_, err := Compile(c.src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 3 {
+			t.Errorf("%s: Compile(%q) = %v, want a *ParseError at line 3", c.name, c.src, err)
+		}
+	}
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -275,9 +220,6 @@ func TestCompileErrors(t *testing.T) {
 
 func TestNilRuleSetScansNothing(t *testing.T) {
 	var rs *RuleSet
-	if got := rs.Scan([]byte("anything")); got != nil {
-		t.Fatalf("nil rule set matched: %v", got)
-	}
 	if got := rs.ScanNames([]byte("anything")); got != nil {
 		t.Fatalf("nil rule set names: %v", got)
 	}
@@ -292,53 +234,61 @@ func TestMustCompilePanics(t *testing.T) {
 	MustCompile("not a rule")
 }
 
-func TestCommentsSkipped(t *testing.T) {
-	rs := MustCompile(`
-// leading comment
-rule R { // inline
-    strings:
-        $a = "x" // trailing
-    condition:
-        $a
-}`)
-	if len(rs.Scan([]byte("x"))) != 1 {
-		t.Fatal("comments broke parsing")
-	}
-}
-
-func TestFindAllProperty(t *testing.T) {
-	// Every reported offset must actually contain the pattern.
-	f := func(hay []byte, needle []byte) bool {
-		if len(needle) == 0 || len(needle) > 4 {
-			return true
+// bruteForceIn is the reference search: every offset, every byte, with
+// ASCII case folding when nocase is set.
+func bruteForceIn(hay, needle []byte, nocase bool) bool {
+	fold := func(b byte) byte {
+		if nocase && b >= 'a' && b <= 'z' {
+			return b - 32
 		}
-		p := &Pattern{ID: "x", Text: needle}
-		for _, off := range p.FindAll(hay) {
-			if !bytes.Equal(hay[off:off+len(needle)], needle) {
-				return false
+		return b
+	}
+next:
+	for off := 0; off+len(needle) <= len(hay); off++ {
+		for j := range needle {
+			if fold(hay[off+j]) != fold(needle[j]) {
+				continue next
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	return false
+}
+
+// TestPresenceProperty checks pattern presence against the brute-force
+// search, with and without nocase, on random haystacks over a small
+// alphabet so that hits and near misses both occur; '@' and '`' sit 32
+// below 'A' and 'a' without being letters.
+func TestPresenceProperty(t *testing.T) {
+	const alphabet = "aAbB@`\x00\xFF"
+	pick := func(raw []byte) []byte {
+		out := make([]byte, len(raw))
+		for i, b := range raw {
+			out[i] = alphabet[int(b)%len(alphabet)]
+		}
+		return out
+	}
+	f := func(rawHay, rawNeedle []byte, nocase bool) bool {
+		if len(rawNeedle) == 0 {
+			return true
+		}
+		hay, needle := pick(rawHay), pick(rawNeedle[:min(len(rawNeedle), 4)])
+		p := &Pattern{ID: "x", Text: needle, Nocase: nocase}
+		return p.in(hay) == bruteForceIn(hay, needle, nocase)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestFindAllCountsNonOverlapBaseline(t *testing.T) {
-	p := &Pattern{ID: "x", Text: []byte("ab")}
-	hay := []byte(strings.Repeat("ab", 10))
-	if got := len(p.FindAll(hay)); got != 10 {
-		t.Fatalf("FindAll = %d, want 10", got)
-	}
-}
-
 func TestPatternOnImageBoundary(t *testing.T) {
-	p := &Pattern{ID: "x", Text: []byte("end")}
-	if got := p.FindAll([]byte("the end")); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("boundary match = %v", got)
-	}
-	if got := p.FindAll([]byte("en")); got != nil {
-		t.Fatalf("short haystack matched: %v", got)
+	for _, nocase := range []bool{false, true} {
+		p := &Pattern{ID: "x", Text: []byte("end"), Nocase: nocase}
+		if !p.in([]byte("the end")) || !p.in([]byte("end of it")) {
+			t.Fatalf("nocase=%v: a match at the edge of the data was missed", nocase)
+		}
+		if p.in([]byte("en")) || p.in(nil) {
+			t.Fatalf("nocase=%v: a haystack shorter than the pattern matched", nocase)
+		}
 	}
 }
