@@ -80,6 +80,7 @@ return n + t.b[1] + #"clip"
 		"return " + strings.Repeat("{", 300) + strings.Repeat("}", 300),
 		strings.Repeat("if true then ", 300) + "return 1 " + strings.Repeat("end ", 300),
 		"t = {} for i = 1, 50000 do t[#t+1] = i end return #t",
+		"t = {} for i = 1, 65536 do t[i] = i end for i = 1, 1000000000 do t[1] = nil t[1] = 0 end",
 	} {
 		f.Add(src)
 	}

@@ -65,8 +65,9 @@ type Interp struct {
 }
 
 // DefaultFuel is the execution budget of each top-level Run, RunSource
-// or Call: a step per statement, loop iteration and call, and one per 64
-// bytes a string operation builds. A builtin that
+// or Call: a step per statement, loop iteration and call, one per 64
+// bytes a string operation builds, and one per key a table store walks
+// to move the border. A builtin that
 // calls back in spends the budget of the entry that called it.
 const DefaultFuel = 1 << 20
 
@@ -312,11 +313,26 @@ func (in *Interp) assign(tgt expr, v Value, e *env) error {
 		if v != nil && tbl.Size() >= maxEntries && tbl.Get(key) == nil {
 			return &RuntimeError{Line: t.line, Msg: fmt.Sprintf("a table holds at most %d entries", maxEntries)}
 		}
-		tbl.Set(key, v)
-		return nil
+		return in.set(t.line, tbl, key, v)
 	default:
 		return fmt.Errorf("minilua: cannot assign to %T", tgt)
 	}
+}
+
+// set stores v under key in tbl for a script at line. A store that
+// moves the border past the key it writes walks the keys stored beyond
+// it, and pays a step for each: otherwise a script that cuts a full
+// table's border and restores it would rescan 65,535 keys for three
+// steps. A step per 64 keys, the price of string bytes, would still let
+// one such loop make about 58 million map lookups.
+func (in *Interp) set(line int, tbl *Table, key, v Value) error {
+	n := tbl.Len()
+	tbl.Set(key, v)
+	if walked := tbl.Len() - n - 1; walked > 0 {
+		in.fuel -= walked
+		return in.burn(line, 0)
+	}
+	return nil
 }
 
 func (in *Interp) evalNumber(ex expr, e *env, line int) (float64, error) {
@@ -399,7 +415,9 @@ func (in *Interp) eval(ex expr, e *env) (Value, error) {
 			if k == nil {
 				return nil, &RuntimeError{Line: x.line, Msg: "table index is nil"}
 			}
-			t.Set(k, v)
+			if err := in.set(x.line, t, k, v); err != nil {
+				return nil, err
+			}
 		}
 		return t, nil
 	default:

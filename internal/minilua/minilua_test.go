@@ -2,6 +2,7 @@ package minilua
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -517,6 +518,31 @@ func TestTableLenMatchesBorderScan(t *testing.T) {
 func TestLenFillWithinFuel(t *testing.T) {
 	if v, _ := run(t, `local t = {} for i = 1, 50000 do t[#t+1] = i end return #t`); v != 50000.0 {
 		t.Fatalf("#t after the fill = %v, want 50000", v)
+	}
+}
+
+// TestBorderWalkCostsFuel: a store that moves the border past keys
+// stored beyond it pays a step for each key it walks. Cutting a full
+// table's border and restoring it, in a loop or inside one constructor,
+// runs out of fuel instead of rescanning the table for a few steps a
+// pass, while a fill in reverse order still fits in one DefaultFuel.
+func TestBorderWalkCostsFuel(t *testing.T) {
+	var ctor strings.Builder
+	ctor.WriteString("t = {")
+	for i := 2; i <= 1024; i++ {
+		fmt.Fprintf(&ctor, "[%d] = 0, ", i)
+	}
+	ctor.WriteString(strings.Repeat("[1] = 0, [1] = nil, ", 1100) + "}")
+	for _, src := range []string{
+		`t = {} for i = 1, 65536 do t[i] = i end for i = 1, 1000000000 do t[1] = nil t[1] = 0 end`,
+		ctor.String(),
+	} {
+		if err := runErr(t, src); !errors.Is(err, ErrFuelExhausted) {
+			t.Errorf("%.60q: err = %v, want ErrFuelExhausted", src, err)
+		}
+	}
+	if v, _ := run(t, `t = {} for i = 65536, 1, -1 do t[i] = i end return #t`); v != 65536.0 {
+		t.Fatalf("#t after a reverse fill = %v, want 65536", v)
 	}
 }
 

@@ -41,6 +41,9 @@ func FuzzCompile(f *testing.F) {
 	for _, c := range removedForms {
 		f.Add(c.src)
 	}
+	for _, c := range nestedConditions(300) {
+		f.Add(`rule R { strings: $a = "x" condition: ` + c.cond + ` }`)
+	}
 	for _, src := range []string{
 		`rule R { strings: $a = "x" condition: ((((((((($a`,
 		`rule R { strings: $a = { FF 0`,

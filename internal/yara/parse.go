@@ -119,9 +119,17 @@ func isWordChar(c byte) bool {
 }
 
 type yParser struct {
-	toks []yTok
-	pos  int
+	toks  []yTok
+	pos   int
+	depth int // the parentheses open around the current token
 }
+
+// maxNest bounds how deep a condition nests: its open parentheses, and
+// the and/or operators on any path down its tree. Parsing recurses once
+// per parenthesis and evaluation once per operator, so without the bound
+// a deeply nested source overflows the Go stack. The disclosure rules
+// nest at most 3 operators deep, inside one level of parentheses.
+const maxNest = 200
 
 func (p *yParser) cur() yTok { return p.toks[p.pos] }
 
@@ -265,8 +273,9 @@ func (p *yParser) condOr(r *Rule) (*cond, error) {
 	l, err := p.condAnd(r)
 	for err == nil && p.accept(yWord, "or") {
 		var rhs *cond
-		rhs, err = p.condAnd(r)
-		l = &cond{kind: condOr, l: l, r: rhs}
+		if rhs, err = p.condAnd(r); err == nil {
+			l, err = p.join(condOr, l, rhs)
+		}
 	}
 	return l, err
 }
@@ -275,17 +284,32 @@ func (p *yParser) condAnd(r *Rule) (*cond, error) {
 	l, err := p.condAtom(r)
 	for err == nil && p.accept(yWord, "and") {
 		var rhs *cond
-		rhs, err = p.condAtom(r)
-		l = &cond{kind: condAnd, l: l, r: rhs}
+		if rhs, err = p.condAtom(r); err == nil {
+			l, err = p.join(condAnd, l, rhs)
+		}
 	}
 	return l, err
+}
+
+// join builds the node `l kind r`, which fails once it nests deeper
+// than maxNest.
+func (p *yParser) join(kind condKind, l, r *cond) (*cond, error) {
+	c := &cond{kind: kind, height: 1 + max(l.height, r.height), l: l, r: r}
+	if c.height > maxNest {
+		return nil, p.errf("condition nests deeper than %d levels", maxNest)
+	}
+	return c, nil
 }
 
 func (p *yParser) condAtom(r *Rule) (*cond, error) {
 	t := p.cur()
 	switch {
 	case p.accept(yPunct, "("):
+		if p.depth++; p.depth > maxNest {
+			return nil, p.errf("condition nests deeper than %d levels", maxNest)
+		}
 		c, err := p.condOr(r)
+		p.depth--
 		if err != nil {
 			return nil, err
 		}

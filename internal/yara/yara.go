@@ -85,9 +85,10 @@ func (rs *RuleSet) ScanNames(data []byte) []string {
 
 // cond is one node of a compiled condition.
 type cond struct {
-	kind condKind
-	pat  *Pattern // condRef
-	l, r *cond    // condAnd, condOr
+	kind   condKind
+	height int      // the and/or operators on the longest path down
+	pat    *Pattern // condRef
+	l, r   *cond    // condAnd, condOr
 }
 
 type condKind uint8

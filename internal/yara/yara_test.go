@@ -3,6 +3,7 @@ package yara
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -201,6 +202,40 @@ func TestRemovedFormsAreParseErrors(t *testing.T) {
 		var pe *ParseError
 		if !errors.As(err, &pe) || pe.Line != 3 {
 			t.Errorf("%s: Compile(%q) = %v, want a *ParseError at line 3", c.name, c.src, err)
+		}
+	}
+}
+
+// nestedConditions spell conditions n levels deep: in parentheses, as
+// left-deep and/or chains, and as a chain inside parentheses that a
+// second chain extends, so no one chain is deeper than n/2.
+func nestedConditions(n int) []struct{ name, cond string } {
+	return []struct{ name, cond string }{
+		{"parentheses", strings.Repeat("(", n) + "$a" + strings.Repeat(")", n)},
+		{"and chain", "$a" + strings.Repeat(" and $a", n)},
+		{"or chain", "$a" + strings.Repeat(" or $a", n)},
+		{"chain of chains", "($a" + strings.Repeat(" or $a", n/2) + ")" + strings.Repeat(" and $a", n/2)},
+	}
+}
+
+// TestNestingBound: a condition that nests 1,000 levels deep is a
+// *ParseError at its line, since parsing and evaluation recurse per
+// level; 100 levels compile and fire.
+func TestNestingBound(t *testing.T) {
+	for _, c := range nestedConditions(1000) {
+		_, err := Compile("rule R {\n strings: $a = \"x\"\n condition: " + c.cond + " }")
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 3 || pe.Msg != "condition nests deeper than 200 levels" {
+			t.Errorf("%s at 1,000 levels: err = %v, want a nesting *ParseError at line 3", c.name, err)
+		}
+	}
+	for _, c := range nestedConditions(100) {
+		rs, err := Compile(`rule R { strings: $a = "x" condition: ` + c.cond + ` }`)
+		if err != nil {
+			t.Fatalf("%s at 100 levels: %v", c.name, err)
+		}
+		if got := rs.ScanNames([]byte("x")); !reflect.DeepEqual(got, []string{"R"}) {
+			t.Errorf("%s at 100 levels: ScanNames = %v, want [R]", c.name, got)
 		}
 	}
 }
